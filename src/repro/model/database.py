@@ -20,7 +20,8 @@ import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
+                    List, Optional, Set, Tuple)
 
 from repro.errors import (
     ConstraintViolationError,
@@ -32,6 +33,9 @@ from repro.model.associations import Aggregation, AssociationKind
 from repro.model.objects import Entity
 from repro.model.oid import OID, OIDAllocator
 from repro.model.schema import ResolvedLink, Schema
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.oql.footprint import Footprint
 
 
 class UpdateKind(enum.Enum):
@@ -54,11 +58,13 @@ class UpdateEvent:
     """A single extensional update, as reported to listeners.
 
     ``classes`` names every E-class whose extension (instances or links)
-    the update touched — the rule engine uses it to decide which derived
-    subdatabases are affected.  ``oids`` are the touched objects and
-    ``link`` the association key for ASSOCIATE/DISSOCIATE (in
-    (owner, target) order) — the incremental maintainer consumes both.
-    A BATCH event carries its constituent events in ``sub_events``.
+    the update touched; ``oids`` are the touched objects and ``link``
+    the association key for ASSOCIATE/DISSOCIATE (in (owner, target)
+    order).  Relevance is decided from them by
+    :meth:`repro.oql.footprint.Footprint.touched_by` — INSERT/DELETE by
+    ``classes``, link events by ``link``, SET_ATTRIBUTE by
+    ``payload["name"]`` seen from ``classes``.  A BATCH event carries
+    its constituent events in ``sub_events``.
 
     ``payload`` is a self-contained, JSON-ready description of the
     mutation (class, OID values, attribute values, association name) —
@@ -165,6 +171,18 @@ class RWLock:
 EMPTY_OIDS: frozenset = frozenset()
 
 
+def _nest(stamps: Dict[Tuple[str, str], int]) -> Dict[str, Dict[str, int]]:
+    out: Dict[str, Dict[str, int]] = {}
+    for (cls, name), version in sorted(stamps.items()):
+        out.setdefault(cls, {})[name] = version
+    return out
+
+
+def _unnest(doc: Dict[str, Dict[str, Any]]) -> Dict[Tuple[str, str], int]:
+    return {(cls, name): int(version)
+            for cls, names in doc.items() for name, version in names.items()}
+
+
 class Database:
     """An in-memory object database over a :class:`Schema`."""
 
@@ -181,12 +199,15 @@ class Database:
         self._rev: Dict[Tuple[str, str], Dict[OID, Set[OID]]] = {}
         self._entities: Dict[OID, Entity] = {}
         self._version = 0
-        #: Per-class version vector: class name -> version of the last
-        #: mutation that touched its extension.  ``_emit`` stamps every
-        #: class in the event's superclass closure, so a cache entry that
-        #: records the versions of the classes it read stays valid across
-        #: writes to unrelated classes.  Classes never written sit at 0.
-        self._class_versions: Dict[str, int] = {}
+        #: The stamps: version of the last mutation that moved each
+        #: extent (INSERT/DELETE, superclass closure), each link
+        #: (ASSOCIATE/DISSOCIATE, plus every link a DELETE removes) and
+        #: each attribute (SET_ATTRIBUTE, ``(class closure, name)``).
+        #: Anything computed from a :class:`Footprint` stays valid while
+        #: the stamps it names stand still; never-written keys sit at 0.
+        self._extent_versions: Dict[str, int] = {}
+        self._link_versions: Dict[Tuple[str, str], int] = {}
+        self._attr_versions: Dict[Tuple[str, str], int] = {}
         #: Bumped by SCHEMA events (class/attribute/association changes);
         #: folded into every vector so schema evolution invalidates
         #: everything, as before.
@@ -196,11 +217,11 @@ class Database:
         self._batch_classes: Set[str] = set()
         self._batch_count = 0
         self._batch_events: List[UpdateEvent] = []
-        # Full (subclass-inclusive) extents memoized per class version
+        # Full (subclass-inclusive) extents memoized per extent stamp
         # (an insert into a subclass stamps the superclass closure, so a
-        # class's own version covers its whole subtree); the returned
+        # class's own stamp covers its whole subtree); the returned
         # sets are shared — callers must not mutate them.  Values are
-        # ``((schema_version, class_version), set)``.
+        # ``((schema_version, extent stamp), set)``.
         self._extent_cache: Dict[str, Tuple[Tuple[int, int], Set[OID]]] = {}
         #: Reader-writer lock: every mutator holds the write side through
         #: its listener notification; snapshots hold the read side while
@@ -279,37 +300,43 @@ class Database:
         """Counter bumped by every SCHEMA event (schema evolution)."""
         return self._schema_version
 
-    def class_version(self, cls: str) -> int:
-        """The version of the last mutation that touched the extension
-        of ``cls`` (its instances or links at either end), or 0 if the
-        class has never been written.  Because :meth:`_emit` stamps the
-        whole superclass closure of the touched class, a query over the
-        extent of ``cls`` only ever sees results that changed after this
-        number moved."""
-        return self._class_versions.get(cls, 0)
-
-    def version_vector(self, classes: Iterable[str]) -> Tuple[int, ...]:
-        """The per-class versions of ``classes`` (iterated in the given
-        order), prefixed with the schema version — the invalidation key
-        for anything computed from those classes' extensions."""
-        get = self._class_versions.get
-        return (self._schema_version,) + tuple(get(c, 0) for c in classes)
+    def version_vector(self, footprint: "Footprint") -> Tuple[int, ...]:
+        """The stamps ``footprint`` names (in its fixed order), prefixed
+        with the schema version — the invalidation key for anything
+        computed from those extents, links and attributes.  The
+        wildcard footprint is stamped by the global counter.  (Shared,
+        as a function, with the pinned copies of a
+        :class:`~repro.subdb.snapshot.DatabaseSnapshot`.)"""
+        if footprint.everything:
+            return (self._schema_version, self._version)
+        extents, links, attrs = footprint.order
+        extent = self._extent_versions.get
+        link = self._link_versions.get
+        attr = self._attr_versions.get
+        return (self._schema_version,
+                *[extent(cls, 0) for cls in extents],
+                *[link(key, 0) for key in links],
+                *[attr(key, 0) for key in attrs])
 
     def version_state(self) -> Dict[str, Any]:
         """The complete version bookkeeping as a JSON-ready dict: the
-        global counter, the schema counter, and the per-class vector.
+        global counter, the schema counter, and the three stamp maps
+        (pair-keyed ones nested ``class -> name -> version``).
         Persisted with every save/checkpoint so a restored database
         resumes its invalidation history instead of restarting every
         watermark at zero."""
         return {
             "version": self._version,
             "schema_version": self._schema_version,
-            "class_versions": dict(sorted(self._class_versions.items())),
+            "extent_versions": dict(sorted(self._extent_versions.items())),
+            "link_versions": _nest(self._link_versions),
+            "attr_versions": _nest(self._attr_versions),
         }
 
     def restore_version_state(self, state: Dict[str, Any]) -> None:
         """Overwrite the version bookkeeping with a persisted snapshot
-        (inverse of :meth:`version_state`).
+        (inverse of :meth:`version_state`; a stamp map the document
+        lacks loads as empty).
 
         Used by the persistence layer after re-inserting stored
         entities: the load-time churn inflated every counter, and this
@@ -320,9 +347,11 @@ class Database:
             self._version = int(state.get("version", self._version))
             self._schema_version = int(
                 state.get("schema_version", self._schema_version))
-            self._class_versions = {
+            self._extent_versions = {
                 cls: int(v)
-                for cls, v in state.get("class_versions", {}).items()}
+                for cls, v in state.get("extent_versions", {}).items()}
+            self._link_versions = _unnest(state.get("link_versions", {}))
+            self._attr_versions = _unnest(state.get("attr_versions", {}))
             # Cached extents are keyed by the old counters; drop them
             # rather than leaving entries that can never match again.
             self._extent_cache.clear()
@@ -360,13 +389,23 @@ class Database:
     def _emit(self, kind: UpdateKind, classes: Iterable[str],
               detail: str = "", oids: Tuple[OID, ...] = (),
               link: Optional[Tuple[str, str]] = None,
-              payload: Optional[Dict[str, Any]] = None) -> None:
-        self._version += 1
+              payload: Optional[Dict[str, Any]] = None,
+              dropped_links: Iterable[Tuple[str, str]] = ()) -> None:
+        self._version = version = self._version + 1
         classes = tuple(classes)
-        for cls in classes:
-            self._class_versions[cls] = self._version
-        if kind is UpdateKind.SCHEMA:
+        if kind is UpdateKind.INSERT or kind is UpdateKind.DELETE:
+            for cls in classes:
+                self._extent_versions[cls] = version
+            for key in dropped_links:
+                self._link_versions[key] = version
+        elif kind is UpdateKind.SET_ATTRIBUTE:
+            name = payload["name"]
+            for cls in classes:
+                self._attr_versions[(cls, name)] = version
+        elif kind is UpdateKind.SCHEMA:
             self._schema_version += 1
+        elif link is not None:
+            self._link_versions[link] = version
         event = UpdateEvent(kind=kind, classes=classes,
                             version=self._version, detail=detail,
                             oids=oids, link=link, payload=payload)
@@ -516,7 +555,8 @@ class Database:
             del self._entities[oid]
             self._emit(UpdateKind.DELETE, affected,
                        f"delete {entity.cls} {oid!r}", oids=(oid,),
-                       payload={"oid": oid.value})
+                       payload={"oid": oid.value},
+                       dropped_links=touched_links)
 
     def entity(self, oid: OID) -> Entity:
         """The entity carrying ``oid`` (raises if it does not exist)."""
@@ -546,10 +586,10 @@ class Database:
 
         The returned set is a memo shared between callers and must not
         be mutated (copy it first).  Entries are validated against the
-        per-class version vector, so writes to unrelated classes keep
-        the memo warm.
+        class's extent stamp, so link and attribute writes — and writes
+        to unrelated classes — keep the memo warm.
         """
-        token = (self._schema_version, self._class_versions.get(cls, 0))
+        token = (self._schema_version, self._extent_versions.get(cls, 0))
         cached = self._extent_cache.get(cls)
         if cached is not None and cached[0] == token:
             return cached[1]

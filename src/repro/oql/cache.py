@@ -1,10 +1,10 @@
 """Cross-query result caching keyed by fingerprint + version vector.
 
-A repeated query costs a full join evaluation today even when nothing it
-reads has changed — and under the class-granular version vector of
+A repeated query costs a full join evaluation even when nothing it reads
+has changed — and under the extent, link and attribute stamps of
 :class:`~repro.model.database.Database`, "nothing it reads has changed"
-is finally checkable per class instead of per database.  This module
-provides the two pieces the evaluator composes:
+is checkable per :class:`~repro.oql.footprint.Footprint` instead of per
+database.  This module provides the two pieces the evaluator composes:
 
 * :func:`fingerprint` — a canonical string for a query's AST (context
   expression + Where conditions).  Every AST node is a frozen dataclass
@@ -13,14 +13,15 @@ provides the two pieces the evaluator composes:
 * :class:`ResultCache` — a byte-bounded LRU mapping
   ``(kind, fingerprint)`` to ``(version vector, value)``.  A lookup
   hits only when the stored vector equals the current vector of the
-  classes the query touches, so a write to an *unrelated* class evicts
-  nothing and invalidation is exact: vector mismatch ⇒ miss (the stale
-  entry is dropped on the spot).
+  query's footprint, so a write outside it evicts nothing and
+  invalidation is exact: vector mismatch ⇒ miss (the stale entry is
+  dropped on the spot).
 
 Eligibility is the caller's job: only queries whose every class
 reference is a *base* reference are keyed this way (derived
-subdatabase contents carry no per-class versions; those queries bypass
-the cache).  Coherence under snapshots is by construction — a
+subdatabase contents carry no stamps — their footprint is the wildcard
+— so those queries bypass the cache).  Coherence under snapshots is by
+construction — a
 :class:`~repro.subdb.snapshot.DatabaseSnapshot` pins its vector at
 creation, so every lookup against a snapshot sees constant versions.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, Optional, Tuple
 
-from repro.oql.ast import ClassTerm, ContextExpr, WhereCond
+from repro.oql.ast import ContextExpr, WhereCond
 from repro.subdb.subdatabase import Subdatabase
 
 #: Default capacity handed out when the cache is enabled without an
@@ -47,28 +48,6 @@ def fingerprint(expr: ContextExpr, where: Iterable[WhereCond]) -> str:
     string might.
     """
     return repr((expr, tuple(where)))
-
-
-def dependency_classes(terms: Iterable[ClassTerm]
-                       ) -> Optional[Tuple[str, ...]]:
-    """The classes whose version vector covers a chain query's inputs —
-    or ``None`` when the query is cache-ineligible.
-
-    For a base reference, every event that can change what the slot
-    matches — insert/delete of an instance (of the class or any
-    subclass), a link at either end, an attribute write — stamps the
-    superclass closure of the touched object's direct class, which
-    contains the slot's class whenever the object is in its extent.
-    The term classes therefore form a complete dependency set.  A
-    derived reference reads subdatabase contents, which no per-class
-    version describes: the query bypasses the cache.
-    """
-    classes = set()
-    for term in terms:
-        if term.ref.subdb is not None:
-            return None
-        classes.add(term.ref.cls)
-    return tuple(sorted(classes))
 
 
 def clone_result(subdb: Subdatabase, name: str) -> Subdatabase:

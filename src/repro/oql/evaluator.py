@@ -64,8 +64,10 @@ from repro.model.interning import InternTable
 from repro.oql import kernels
 from repro.oql import parallel
 from repro.oql.cache import (DEFAULT_CACHE_BYTES, ResultCache, clone_result,
-                             dependency_classes, fingerprint, result_nbytes)
-from repro.oql.planner import OPTIMIZE_MODES, JoinPlan, Planner
+                             fingerprint, result_nbytes)
+from repro.oql.footprint import Footprint, footprint_of
+from repro.oql.planner import (OPTIMIZE_MODES, JoinPlan, Planner,
+                               edge_footprint)
 from repro.subdb import attrindex, planes
 from repro.subdb.intension import Edge, IntensionalPattern
 from repro.subdb.pattern import ExtensionalPattern, subsume, subsume_rows
@@ -304,23 +306,29 @@ class PatternEvaluator:
         #: universe's data version).
         self.planner = Planner(universe)
         #: The cross-query result cache (LRU, byte-bounded, keyed by
-        #: query fingerprint + per-class version vector).  Pass
+        #: query fingerprint + footprint version vector).  Pass
         #: ``cache_bytes > 0`` to enable it; it can also be toggled
         #: at runtime via ``result_cache.enabled`` (the shell's
         #: ``\cache on|off``) at the default capacity.
         self.result_cache = ResultCache(
             cache_bytes if cache_bytes > 0 else DEFAULT_CACHE_BYTES,
             enabled=cache_bytes > 0)
-        # Filtered extents memoized per ref token (conditions are pure,
-        # so a term's filtered extent only changes when the classes it
-        # reads change) — a write to an unrelated class keeps every
-        # other term's extent warm.  Values are ``(token, set)``.
-        self._extent_cache: Dict[ClassTerm, Tuple[Tuple[int, ...],
+        # Footprints of result-cache keys, walked once per key and
+        # dropped when the schema — hence link resolution — moves:
+        # ``(schema version, {key: footprint})``.
+        self._footprints: Tuple[int, Dict[object, Footprint]] = (-1, {})
+        # Filtered extents memoized per term (conditions are pure, so a
+        # term's filtered extent only changes when its extent or an
+        # attribute its condition reads changes) — any other write
+        # keeps the term's extent warm.  Values are ``(footprint,
+        # token, set)``, valid while the footprint's vector is the token.
+        self._extent_cache: Dict[ClassTerm, Tuple[Footprint,
+                                                  Tuple[int, ...],
                                                   Set[OID]]] = {}
         # Terms whose latest filtered extent came *entirely* from value
         # index probes (no residual conjuncts): ``(token, ids, index)``
         # with ids the sorted dense candidates.  Validated against the
-        # same ref token as the extent memo, and consumed by the
+        # same token as the extent memo, and consumed by the
         # process-dispatch path to export the filter as a reusable
         # shared plane instead of a per-query ephemeral one.
         self._probe_cache: Dict[ClassTerm,
@@ -464,22 +472,20 @@ class PatternEvaluator:
         """Look the query up in the cross-query result cache.
 
         Returns ``None`` when the query is ineligible (some reference
-        reads a derived subdatabase — no per-class version covers it),
+        reads a derived subdatabase — no stamp covers its contents),
         ``(template, key, vector)`` on a hit, and
         ``(None, key, vector)`` on a miss, in which case the caller
         stores its result under that same (key, vector) — captured
-        *before* evaluation, so a concurrent write to a dependency
-        class during the join leaves a vector no future lookup can
-        match.
+        *before* evaluation, so a concurrent write inside the footprint
+        during the join leaves a vector no future lookup can match.
         """
-        dep = dependency_classes(flat.terms)
-        if dep is None:
+        if any(term.ref.subdb is not None for term in flat.terms):
             return None
         tracer = obs.TRACER
         cspan = tracer.start("cache-lookup") if tracer is not None else None
         try:
             key = ("query", fingerprint(expr, where))
-            vector = self.universe.class_vector(dep)
+            vector = self._vector(key, flat.terms, where)
             template = cache.lookup(key, vector)
             if template is not None:
                 self._metrics.cache_hits += 1
@@ -495,6 +501,22 @@ class PatternEvaluator:
             if cspan is not None:
                 tracer.finish(cspan)
 
+    def _vector(self, key, terms: Sequence[ClassTerm],
+                where: Sequence[WhereCond] = ()) -> Tuple[int, ...]:
+        """The version vector of what ``terms`` + ``where`` read, for
+        the result-cache entry ``key``; the footprint is walked once
+        per key and schema version."""
+        schema_version, memo = self._footprints
+        if schema_version != self.universe.db.schema_version \
+                or len(memo) > 1024:
+            memo = {}
+            self._footprints = (self.universe.db.schema_version, memo)
+        footprint = memo.get(key)
+        if footprint is None:
+            footprint = memo[key] = footprint_of(terms, where,
+                                                 self.universe.schema)
+        return self.universe.version_vector(footprint)
+
     def _check_unique_slots(self, flat: _Flattened) -> None:
         seen: Set[str] = set()
         for term in flat.terms:
@@ -507,10 +529,11 @@ class PatternEvaluator:
 
     def _extent(self, term: ClassTerm) -> Set[OID]:
         """The term's extent, filtered by its intra-class condition
-        (memoized per ref token — the returned set is shared and must
-        not be mutated).  Entries are validated against the per-class
-        version vector, so a write to an unrelated class no longer
-        recomputes every filtered extent.
+        (memoized per term token — the returned set is shared and must
+        not be mutated).  Entries are validated against the version
+        vector of the term's extent and condition attributes, so a
+        write to anything else no longer recomputes the filtered
+        extent.
 
         When the class carries declared value indexes, the leading
         index-answerable conjuncts are served as sorted dense-id probes
@@ -522,11 +545,15 @@ class PatternEvaluator:
             extent = self.universe.extent(term.ref)
             self._metrics.extent_objects += len(extent)
             return extent
-        token = self.universe.ref_token(term.ref)
+        universe = self.universe
         cached = self._extent_cache.get(term)
-        if cached is not None and cached[0] == token:
-            self._metrics.extent_objects += len(cached[1])
-            return cached[1]
+        if cached is not None and \
+                cached[1] == universe.version_vector(cached[0]):
+            self._metrics.extent_objects += len(cached[2])
+            return cached[2]
+        # A moved vector may mean a moved schema: walk the term again.
+        footprint = footprint_of((term,), (), universe.schema)
+        token = universe.version_vector(footprint)
         self.extent_filter_evals += 1
         if len(self._extent_cache) > 1024:
             self._extent_cache.clear()
@@ -542,7 +569,7 @@ class PatternEvaluator:
             self._metrics.extent_filter_evals += len(extent)
             self._extent_access[term] = "scan"
             self._maybe_auto_index(term, len(extent))
-        self._extent_cache[term] = (token, filtered)
+        self._extent_cache[term] = (footprint, token, filtered)
         self._metrics.extent_objects += len(filtered)
         return filtered
 
@@ -985,18 +1012,19 @@ class PatternEvaluator:
         """The exportable value-index filter for one slot, if its
         filtered extent came entirely from index probes: ``(plane key,
         plane token, sorted ids, source index)``.  The entry is only
-        valid while the class version and index epoch that produced it
+        valid while the term token and index epoch that produced it
         hold — the plane manager re-validates both at export, and the
         token folds them in, so a stale export can never be attached."""
         if filt_ids is None:
             return None
         entry = self._probe_cache.get(term)
-        if entry is None:
+        memo = self._extent_cache.get(term)
+        if entry is None or memo is None:
             return None
         token, ids, index = entry
         if index.table is not table or len(ids) != len(filt_ids):
             return None
-        if token != self.universe.ref_token(ref):
+        if token != self.universe.version_vector(memo[0]):
             return None
         key = ("attrfilter", table.key, index.attr, repr(term.condition))
         ptoken = planes.vector_token((key, token, index.epoch))
@@ -1026,8 +1054,8 @@ class PatternEvaluator:
             key = universe.compact._adj_spec(resolution, forward,
                                              adj.src.key, adj.tgt.key)
             token = planes.vector_token(
-                (key, universe.ref_token(refs[src]),
-                 universe.ref_token(refs[tgt])))
+                (key, universe.version_vector(edge_footprint(
+                    resolution, refs[src], refs[tgt]))))
             ids = filt[tgt]
             entry = {"op": step.op, "forward": forward,
                      "index": adj, "key": key, "token": token,
@@ -1417,20 +1445,19 @@ class PatternEvaluator:
         budget = self._budget
 
         # Cross-query anchor-expansion memo: the one-cycle body
-        # expansion of an anchor id depends only on the term extents and
-        # links — exactly what the dependency classes' version vector
-        # pins.  Dense ids are positional over the sorted extent, so an
-        # unchanged vector means the same id bijection even if the
-        # tables were rebuilt in between.
+        # expansion of an anchor id depends only on the term extents,
+        # their condition attributes and the cycle's links — exactly
+        # what the chain's footprint vector pins.  Dense ids are
+        # positional over the sorted extent, so an unchanged vector
+        # means the same id bijection even if the tables were rebuilt
+        # in between.
         memo_key = memo_vector = None
         cache = self.result_cache
-        if cache.enabled:
-            dep = dependency_classes(terms)
-            if dep is not None:
-                memo_key = ("loop-body",
-                            repr((tuple(terms), tuple(flat.ops), count,
-                                  self.on_cycle)))
-                memo_vector = self.universe.class_vector(dep)
+        if cache.enabled and all(ref.subdb is None for ref in refs):
+            memo_key = ("loop-body",
+                        repr((tuple(terms), tuple(flat.ops), count,
+                              self.on_cycle)))
+            memo_vector = self._vector(memo_key, terms)
 
         # Level 1: one full traversal of the cycle.
         frontier = self._match_range_ids(flat, 0, n - 1, extents,
@@ -1598,8 +1625,8 @@ class PatternEvaluator:
             key = universe.compact._adj_spec(resolution, True,
                                              adj.src.key, adj.tgt.key)
             token = planes.vector_token(
-                (key, universe.ref_token(refs[k]),
-                 universe.ref_token(refs[k + 1])))
+                (key, universe.version_vector(edge_footprint(
+                    resolution, refs[k], refs[k + 1]))))
             ids = filt[k + 1]
             entry = {"op": "*", "forward": True, "index": adj,
                      "key": key, "token": token,

@@ -9,12 +9,13 @@ intra-class-condition selectivities, and per-link fan-out.
 
 :class:`Statistics` collects per-class extent sizes and per-link average
 fan-outs from the :class:`~repro.subdb.universe.Universe`.  Each entry
-is validated against the class-granular version vector of the classes
-it actually reads (the ref's class for an extent size; the source class
-plus the link's endpoint classes for a fan-out), so a write to one
-class leaves every other class's statistics warm.  Derived-subdatabase
-entries fall back to the coarse ``data_version`` token — their contents
-carry no per-class versions.
+is validated against the version vector of the
+:class:`~repro.oql.footprint.Footprint` it actually reads (the ref's
+extent for an extent size; the source extent plus that one link for a
+fan-out), so a write re-measures only what it moved.
+Derived-subdatabase entries carry the wildcard footprint and so fall
+back to the coarse ``data_version`` token — their contents carry no
+stamps.
 
 :class:`Planner` turns a flattened chain plus the *actual* filtered
 extent sizes into a :class:`JoinPlan` under one of three strategies:
@@ -40,6 +41,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.oql import conditions
+from repro.oql.footprint import ALL, Footprint
 from repro.subdb.refs import ClassRef
 from repro.subdb.universe import EdgeResolution, Universe
 
@@ -50,6 +52,19 @@ OPTIMIZE_MODES = ("naive", "greedy", "cost")
 #: Entry cap for per-entry-validated memo dicts: stale entries are only
 #: reaped on probe, so a hard cap bounds the worst-case footprint.
 _MEMO_CAP = 4096
+
+
+def edge_footprint(resolution: EdgeResolution,
+                   *refs: ClassRef) -> Footprint:
+    """What crossing one resolved edge between (or from) ``refs`` reads:
+    their extents and the base link — the wildcard as soon as a derived
+    reference or a derived direct association is involved."""
+    if resolution.kind == "subdb" or \
+            any(ref.subdb is not None for ref in refs):
+        return ALL
+    links = frozenset((resolution.resolved.link.key,)) \
+        if resolution.kind == "base" else frozenset()
+    return Footprint(frozenset(ref.cls for ref in refs), links)
 
 
 def _evict_one(memo: Dict) -> None:
@@ -64,71 +79,66 @@ def _evict_one(memo: Dict) -> None:
 class Statistics:
     """Extent sizes and link fan-outs, validated entry by entry.
 
-    Each cached number carries the version-vector token of the classes
-    it was computed from; an accessor recomputes only when *those*
-    classes changed.  Writes to unrelated classes leave the entry warm
-    — the previous design cleared everything on any ``data_version``
-    bump, so one insert anywhere cooled the whole planner.
+    Each cached number carries the footprint it was computed from and
+    that footprint's version vector; an accessor recomputes only when
+    the vector moved.  Writes outside the footprint leave the entry
+    warm — an ASSOCIATE re-measures the fan-out of its own link and
+    nothing else.
     """
 
     def __init__(self, universe: Universe):
         self.universe = universe
-        self._extent_sizes: Dict[ClassRef, Tuple[Any, int]] = {}
+        #: ref -> (footprint, vector, size)
+        self._extent_sizes: Dict[ClassRef, Tuple[Footprint, Any, int]] = {}
+        #: (source, resolution) -> (footprint, vector, fan-out)
         self._fanouts: Dict[Tuple[ClassRef, EdgeResolution],
-                            Tuple[Any, float]] = {}
-
-    def _fanout_token(self, source: ClassRef,
-                      resolution: EdgeResolution) -> Any:
-        """The validity token of one fan-out figure: the version vector
-        of every class whose mutation can move it — the source class
-        (extent size, the denominator) and the link's endpoint classes
-        (every ASSOCIATE/DISSOCIATE on the link stamps both endpoints'
-        superclass closures, which contain them)."""
-        if resolution.kind == "identity":
-            return ()
-        if resolution.kind == "base" and source.subdb is None:
-            link = resolution.resolved.link
-            return self.universe.db.version_vector(
-                sorted({source.cls, link.owner, link.target}))
-        return (-1, self.universe.data_version)
+                            Tuple[Footprint, Any, float]] = {}
 
     def extent_size(self, ref: ClassRef) -> int:
         """The unfiltered extent size of a class reference."""
-        token = self.universe.ref_token(ref)
         cached = self._extent_sizes.get(ref)
-        if cached is not None and cached[0] == token:
-            return cached[1]
+        if cached is not None:
+            footprint = cached[0]
+        elif ref.subdb is None:
+            footprint = Footprint(extents=frozenset((ref.cls,)))
+        else:
+            footprint = ALL
+        token = self.universe.version_vector(footprint)
+        if cached is not None and cached[1] == token:
+            return cached[2]
         if ref.subdb is None:
             size = self.universe.db.extent_size(ref.cls)
         else:
             size = len(self.universe.extent(ref))
         if len(self._extent_sizes) >= _MEMO_CAP:
             _evict_one(self._extent_sizes)
-        self._extent_sizes[ref] = (token, size)
+        self._extent_sizes[ref] = (footprint, token, size)
         return size
 
     def fanout(self, source: ClassRef, resolution: EdgeResolution) -> float:
         """Average number of neighbors per object of ``source``'s extent
         across the resolved edge (the direction is implied by which end
-        ``source`` stands at: total link pairs over source extent)."""
-        token = self._fanout_token(source, resolution)
+        ``source`` stands at: total link pairs over source extent).
+        What can move it is the source extent (the denominator) and
+        that one link (a DELETE stamps every link it removes)."""
+        if resolution.kind == "identity":
+            return 1.0
         key = (source, resolution)
         cached = self._fanouts.get(key)
-        if cached is not None and cached[0] == token:
-            return cached[1]
-        if resolution.kind == "identity":
-            value = 1.0
+        footprint = cached[0] if cached is not None else \
+            edge_footprint(resolution, source)
+        token = self.universe.version_vector(footprint)
+        if cached is not None and cached[1] == token:
+            return cached[2]
+        if resolution.kind == "base":
+            pairs = self.universe.db.link_count(resolution.resolved.link)
         else:
-            if resolution.kind == "base":
-                pairs = self.universe.db.link_count(
-                    resolution.resolved.link)
-            else:
-                subdb = self.universe.get_subdb(resolution.subdb)
-                pairs = len(subdb.pairs(resolution.i, resolution.j))
-            value = pairs / max(1, self.extent_size(source))
+            subdb = self.universe.get_subdb(resolution.subdb)
+            pairs = len(subdb.pairs(resolution.i, resolution.j))
+        value = pairs / max(1, self.extent_size(source))
         if len(self._fanouts) >= _MEMO_CAP:
             _evict_one(self._fanouts)
-        self._fanouts[key] = (token, value)
+        self._fanouts[key] = (footprint, token, value)
         return value
 
     def condition_selectivity(self, ref: ClassRef,
@@ -278,36 +288,30 @@ class Planner:
         self.universe = universe
         self.statistics = Statistics(universe)
         # Chosen orders memoized per (strategy, range, refs, ops,
-        # filtered sizes), each entry validated against the version
-        # vector of the classes its fan-out estimates read — repeated
-        # evaluations of the same query skip the DP, and writes to
-        # unrelated classes leave the memo warm.
-        self._cache: Dict[tuple,
-                          Tuple[Any, int, List[PlanStep], float]] = {}
+        # filtered sizes) as (footprint, vector, anchor, steps, cost),
+        # each entry validated against the version vector of what its
+        # fan-out estimates read — repeated evaluations of the same
+        # query skip the DP, and writes outside the footprint leave the
+        # memo warm.
+        self._cache: Dict[tuple, Tuple[Footprint, Any, int,
+                                       List[PlanStep], float]] = {}
 
-    def _plan_token(self, refs: Sequence[ClassRef],
-                    resolutions: Sequence[EdgeResolution],
-                    start: int, end: int) -> Any:
-        """Validity token of a memoized order: the filtered sizes are
+    @staticmethod
+    def _plan_footprint(refs: Sequence[ClassRef],
+                        resolutions: Sequence[EdgeResolution],
+                        start: int, end: int) -> Footprint:
+        """What a memoized order depends on: the filtered sizes are
         part of the key, so what remains version-sensitive is the
-        fan-out estimates — the slot classes plus every crossed link's
-        endpoint classes.  Any derived slot or edge falls back to the
-        coarse ``data_version`` token."""
-        classes = set()
-        for i in range(start, end + 1):
-            ref = refs[i]
-            if ref.subdb is not None:
-                return (-1, self.universe.data_version)
-            classes.add(ref.cls)
+        fan-out estimates — the slot extents plus every crossed link.
+        Any derived slot or edge makes it the wildcard."""
+        slots = refs[start:end + 1]
+        if any(ref.subdb is not None for ref in slots):
+            return ALL
+        footprint = Footprint(frozenset(ref.cls for ref in slots))
         for edge in range(start, end):
-            resolution = resolutions[edge]
-            if resolution.kind == "base":
-                link = resolution.resolved.link
-                classes.add(link.owner)
-                classes.add(link.target)
-            elif resolution.kind == "subdb":
-                return (-1, self.universe.data_version)
-        return self.universe.db.version_vector(sorted(classes))
+            footprint |= edge_footprint(resolutions[edge], refs[edge],
+                                        refs[edge + 1])
+        return footprint
 
     # ------------------------------------------------------------------
     # Cardinality estimation
@@ -357,14 +361,16 @@ class Planner:
                             end=end) if tracer is not None else None
         try:
             slot_names = tuple(ref.slot for ref in refs)
-            token = self._plan_token(refs, resolutions, start, end)
             key = (strategy, start, end, tuple(refs), tuple(ops),
                    tuple(sizes))
             cached = self._cache.get(key)
-            if cached is not None and cached[0] != token:
+            footprint = cached[0] if cached is not None else \
+                self._plan_footprint(refs, resolutions, start, end)
+            token = self.universe.version_vector(footprint)
+            if cached is not None and cached[1] != token:
                 cached = None
             if cached is not None:
-                _, anchor, steps, cost = cached
+                _, _, anchor, steps, cost = cached
             elif strategy == "cost" and end > start:
                 anchor, steps, cost = self._order_cost(
                     refs, ops, resolutions, sizes, start, end)
@@ -376,7 +382,7 @@ class Planner:
                     refs, ops, resolutions, sizes, start, end)
             if len(self._cache) >= _MEMO_CAP:
                 _evict_one(self._cache)
-            self._cache[key] = (token, anchor, steps, cost)
+            self._cache[key] = (footprint, token, anchor, steps, cost)
             if span is not None:
                 span.set("cached", cached is not None)
                 span.set("anchor", slot_names[anchor])

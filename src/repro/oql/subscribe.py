@@ -8,8 +8,8 @@ turns each relevant mutation into ordered ``+/-`` row deltas:
 * **Snapshot-consistent initial result.**  ``subscribe()`` evaluates
   the query and registers the listener under one ``write_locked()``
   section, so no event can fall between the initial rows and the first
-  delta.  The initial result is ``seq 0`` and is stamped with the PR 5
-  class-granular version vector over the query's dependency classes.
+  delta.  The initial result is ``seq 0`` and is stamped with the
+  version vector over the query's footprint.
 * **Delta computation.**  Queries inside the incrementally
   maintainable fragment reuse the rule engine's
   :class:`~repro.rules.incremental.IncrementalRule` (time proportional
@@ -17,10 +17,11 @@ turns each relevant mutation into ordered ``+/-`` row deltas:
   conditions, derived references — falls back to re-evaluate + diff on
   the writer thread, which still yields exact row deltas.
 * **Spurious-wakeup suppression.**  Each subscription keeps the
-  version vector over its dependency classes (derived references are
-  resolved to their transitive base classes through the rule graph, as
-  in :mod:`repro.oql.cache`); an event that leaves that vector
-  untouched is skipped without evaluating anything.
+  version vector over its :class:`~repro.oql.footprint.Footprint`
+  (derived references are resolved to their transitive footprints
+  through the rule graph); an event that leaves that vector untouched
+  — a write to a link or attribute the query never reads, even on a
+  class it does read — is skipped without evaluating anything.
 * **Sequencing.**  Deltas carry a strictly increasing per-subscription
   ``seq`` plus the vector/version they bring the subscriber up to;
   folding ``initial ⊕ deltas`` in sequence order reproduces a scratch
@@ -61,10 +62,11 @@ from typing import (
 
 from repro import obs
 from repro.errors import OQLSemanticError, ReproError
-from repro.model.database import UpdateEvent
+from repro.model.database import UpdateEvent, UpdateKind
 from repro.oql.ast import Query
 from repro.oql.budget import BudgetExceeded, QueryBudget
 from repro.oql.cache import fingerprint
+from repro.oql.footprint import Footprint
 from repro.oql.parser import parse_query
 from repro.rules.incremental import IncrementalRule, NotIncremental
 from repro.rules.rule import DeductiveRule
@@ -117,18 +119,17 @@ class Subscription:
     """
 
     def __init__(self, sub_id: int, text: str, query: Query,
-                 rule: DeductiveRule,
-                 classes: Optional[Tuple[str, ...]],
-                 has_derived: bool, max_pending: int,
+                 rule: DeductiveRule, footprint: Footprint,
+                 max_pending: int,
                  budget_limits: Optional[Dict[str, Any]]):
         self.id = sub_id
         self.text = text
         self.query = query
         self.rule = rule
-        #: Dependency classes the version vector ranges over; ``None``
-        #: means unresolvable (wake on every event).
-        self.classes = classes
-        self.has_derived = has_derived
+        #: What the version vector ranges over; the wildcard means
+        #: unresolvable (wake on every event).
+        self.footprint = footprint
+        self.has_derived = bool(rule.source_subdatabases())
         self.fingerprint = fingerprint(query.context, query.where)
         self.max_pending = max_pending
         self.budget_limits = budget_limits
@@ -220,10 +221,9 @@ class SubscriptionManager:
         rule = DeductiveRule(target=f"_subscription_{sub_id}",
                              context=query.context, where=query.where,
                              targets=(), text=str(query))
-        classes, has_derived = self._analyze(rule)
         sub = Subscription(
             sub_id, text if isinstance(text, str) else str(query),
-            query, rule, classes, has_derived,
+            query, rule, self._analyze(rule),
             max_pending if max_pending is not None
             else self.default_max_pending, budget_limits)
         sub.on_ready = on_ready
@@ -309,29 +309,14 @@ class SubscriptionManager:
     # Analysis
     # ------------------------------------------------------------------
 
-    def _analyze(self, rule: DeductiveRule
-                 ) -> Tuple[Optional[Tuple[str, ...]], bool]:
-        """The classes whose version vector covers the query's inputs
-        (derived references resolved transitively through the rule
-        graph), or ``None`` when unresolvable — then every event wakes
-        the subscription."""
-        classes: Set[str] = set()
-        has_derived = False
-        for ref in rule.context_refs():
-            if ref.subdb is None:
-                classes.add(ref.cls)
-                continue
-            has_derived = True
-            base = self.engine._target_base_classes(ref.subdb)
-            if base is None:
-                return None, True
-            classes.update(base)
-        return tuple(sorted(classes)), has_derived
+    def _analyze(self, rule: DeductiveRule) -> Footprint:
+        """The query's footprint, derived references resolved
+        transitively through the rule graph (the wildcard when one is
+        not rule-derived — then every event wakes the subscription)."""
+        return rule.footprint(self.db.schema, self.engine.footprint)
 
     def _vector(self, sub: Subscription) -> Tuple[int, ...]:
-        if sub.classes is None:
-            return (self.db.schema_version, self.db.version)
-        return self.db.version_vector(sub.classes)
+        return self.db.version_vector(sub.footprint)
 
     def _fresh_budget(self, sub: Subscription) -> Optional[QueryBudget]:
         if not sub.budget_limits:
@@ -361,6 +346,9 @@ class SubscriptionManager:
             if not sub.active:
                 continue
             sub.counters["events_seen"] += 1
+            if event.kind is UpdateKind.SCHEMA:
+                # Links may resolve differently now.
+                sub.footprint = self._analyze(sub.rule)
             vector = self._vector(sub)
             if vector == sub.vector:
                 sub.counters["skipped_unrelated"] += 1
@@ -429,12 +417,11 @@ class SubscriptionManager:
     def _resync_locked(self, sub: Subscription,
                        budget: Optional[QueryBudget] = None) -> None:
         """Full re-evaluation + RESYNC frame.  Caller holds the write
-        lock.  Re-analyzes dependency classes first (the rule base may
-        have changed for derived references)."""
+        lock.  Re-analyzes the footprint first (the rule base may have
+        changed for derived references, the schema for anyone)."""
         if budget is None:
             budget = self._fresh_budget(sub)
-        if sub.has_derived:
-            sub.classes, _ = self._analyze(sub.rule)
+        sub.footprint = self._analyze(sub.rule)
         if sub._maintainer is not None:
             sub._maintainer.invalidate()
         sub.rows = self._scratch_rows(sub, budget)

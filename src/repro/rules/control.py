@@ -90,9 +90,7 @@ class ResultOrientedController:
             if tracer is not None else None
         try:
             for name in affected:
-                engine.universe.unregister(name)
-                self._stale.add(name)
-                engine.stats.stale_markings += 1
+                self._mark_stale(name)
             for name in engine.topological_targets():
                 if name in affected and \
                         self.mode_of(name) is EvaluationMode.PRE_EVALUATED:
@@ -100,6 +98,20 @@ class ResultOrientedController:
         finally:
             if span is not None:
                 tracer.finish(span)
+
+    def _mark_stale(self, name: str) -> None:
+        """Drop the stored value of ``name``.  A target already stale
+        was unregistered when it became so and nothing has re-registered
+        it since (``on_derived`` clears the mark), so re-marking it is
+        free: only transitions pay the registry purge and count as
+        ``stats.stale_markings``."""
+        universe = self.engine.universe
+        if name not in self._stale:
+            self._stale.add(name)
+            self.engine.stats.stale_markings += 1
+        elif not universe.has_subdb(name):
+            return
+        universe.unregister(name)
 
     def on_derived(self, name: str) -> None:
         self._stale.discard(name)
@@ -172,7 +184,6 @@ class IncrementalResultController(ResultOrientedController):
                              affected=len(affected)) \
             if tracer is not None else None
         try:
-            classes = set(event.classes)
             graph = engine.rule_graph()
             # Targets whose value actually (or possibly) moved this
             # pass; downstream targets whose only relevance is via an
@@ -181,12 +192,17 @@ class IncrementalResultController(ResultOrientedController):
             changed_targets: Set[str] = set()
             for name in engine.topological_targets():
                 if name not in affected:
+                    if tracer is not None and \
+                            engine.footprint(name).near(event):
+                        tracer.finish(tracer.start(
+                            "refresh", target=name,
+                            outcome="skip-footprint"))
                     continue
                 rspan = tracer.start("refresh", target=name) \
                     if tracer is not None else None
                 try:
-                    outcome = self._refresh_target(name, event, classes,
-                                                   graph, changed_targets)
+                    outcome = self._refresh_target(name, event, graph,
+                                                   changed_targets)
                     if rspan is not None:
                         rspan.set("outcome", outcome)
                 finally:
@@ -197,14 +213,14 @@ class IncrementalResultController(ResultOrientedController):
                 tracer.finish(fspan)
 
     def _refresh_target(self, name: str, event: UpdateEvent,
-                        classes: Set[str], graph: Dict[str, Set[str]],
+                        graph: Dict[str, Set[str]],
                         changed_targets: Set[str]) -> str:
         """Refresh one affected target; returns the outcome for the
         refresh span: ``skip-unchanged``, ``stale``, ``full``,
-        ``budget-tripped``, ``skip-noop`` or ``incremental``."""
+        ``budget-tripped``, ``skip-noop`` or ``incremental`` (a target
+        the event's footprint test spared is ``skip-footprint``)."""
         engine = self.engine
-        direct_hit = any(rule.base_classes() & classes
-                         for rule in engine.rules_for(name))
+        direct_hit = engine.direct_footprint(name).touched_by(event)
         source_hit = any(source in changed_targets
                          for source in graph.get(name, ()))
         if not direct_hit and not source_hit:
@@ -213,16 +229,12 @@ class IncrementalResultController(ResultOrientedController):
             engine.stats.refreshes_skipped += 1
             return "skip-unchanged"
         if self.mode_of(name) is not EvaluationMode.PRE_EVALUATED:
-            engine.universe.unregister(name)
-            self._stale.add(name)
-            engine.stats.stale_markings += 1
+            self._mark_stale(name)
             # Unknown until re-derived; treat as changed downstream.
             changed_targets.add(name)
             return "stale"
         maintainers = self._maintainers_for(name)
-        if maintainers is None or any(
-                rule.source_subdatabases()
-                for rule in engine.rules_for(name)):
+        if maintainers is None or graph.get(name):
             # Ineligible, or reads derived data whose value may have
             # just changed: full re-derivation.
             engine.derive(name, force=True)
@@ -240,11 +252,11 @@ class IncrementalResultController(ResultOrientedController):
         if budget is not None:
             budget.start()
         try:
-            # A maintainer whose source-class version vector has not
+            # A maintainer whose footprint's version vector has not
             # moved since its last apply provably absorbs the event as
             # a no-op: skip the dispatch outright (finer than the
             # per-target direct_hit test — a multi-rule target
-            # dispatches only the rules that read the touched classes).
+            # dispatches only the rules that read what was written).
             changed_flags = []
             for maintainer in maintainers:
                 if maintainer.is_current():
@@ -256,9 +268,7 @@ class IncrementalResultController(ResultOrientedController):
         except BudgetExceeded:
             for maintainer in maintainers:
                 maintainer.invalidate()
-            engine.universe.unregister(name)
-            self._stale.add(name)
-            engine.stats.stale_markings += 1
+            self._mark_stale(name)
             engine.stats.refreshes_skipped += 1
             changed_targets.add(name)
             return "budget-tripped"
@@ -318,14 +328,13 @@ class RuleOrientedController:
     def on_update(self, event: UpdateEvent) -> None:
         """Trigger forward rules whose *read data* changed.
 
-        A forward target recomputes when the update touches the base
-        classes its rules read, or when one of its stored sources was
+        A forward target recomputes when the update touches the
+        footprint of its rules, or when one of its stored sources was
         just recomputed.  A forward target whose trigger data lives in a
         backward (unstored) result is **not** triggered — its stored copy
         silently goes stale: the paper's criticism of POSTGRES.
         """
         engine = self.engine
-        classes = set(event.classes)
         affected = engine.affected_by_event(event)
         if not affected:
             return
@@ -341,8 +350,8 @@ class RuleOrientedController:
             for name in engine.topological_targets():
                 if name not in affected:
                     continue
-                direct_hit = any(rule.base_classes() & classes
-                                 for rule in engine.rules_for(name))
+                direct_hit = \
+                    engine.direct_footprint(name).touched_by(event)
                 source_hit = any(source in recomputed
                                  for source in graph.get(name, ()))
                 if self.mode_of(name) is RuleChainingMode.FORWARD and \

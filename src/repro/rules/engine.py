@@ -17,10 +17,11 @@ from typing import Dict, List, Optional, Set, Union
 
 from repro import obs
 from repro.errors import CyclicRuleError, UnknownSubdatabaseError
-from repro.model.database import Database, UpdateEvent
+from repro.model.database import Database, UpdateEvent, UpdateKind
 from repro.oql.budget import QueryBudget
 from repro.oql.cache import result_nbytes
 from repro.oql.evaluator import PatternEvaluator
+from repro.oql.footprint import ALL, EMPTY, Footprint
 from repro.oql.operations import OperationRegistry
 from repro.oql.query import QueryProcessor, QueryResult
 from repro.rules.chaining import downstream_closure, topological_order
@@ -49,11 +50,14 @@ class EngineStats:
     incremental_refreshes: int = 0
     refreshes_skipped: int = 0
     #: Maintainer refreshes skipped because the version vector of the
-    #: maintainer's source classes had not moved since its last apply.
+    #: maintainer's footprint had not moved since its last apply.
     refreshes_skipped_versioned: int = 0
+    #: Targets an event left alone although it wrote to a class they
+    #: read: the link or attribute it moved is outside their footprint.
+    refreshes_skipped_footprint: int = 0
     #: Derivations served from the cross-query result cache (the
-    #: target's transitive base classes were unchanged since the
-    #: memoized derivation).
+    #: target's transitive footprint was unchanged since the memoized
+    #: derivation).
     derivation_memo_hits: int = 0
 
     def total_derivations(self) -> int:
@@ -68,6 +72,7 @@ class EngineStats:
             "incremental_refreshes": self.incremental_refreshes,
             "refreshes_skipped": self.refreshes_skipped,
             "refreshes_skipped_versioned": self.refreshes_skipped_versioned,
+            "refreshes_skipped_footprint": self.refreshes_skipped_footprint,
             "derivation_memo_hits": self.derivation_memo_hits,
         }
 
@@ -106,6 +111,9 @@ class RuleEngine:
         self._worker_mode = worker_mode
         self.rules: List[DeductiveRule] = []
         self._by_target: Dict[str, List[DeductiveRule]] = {}
+        #: target -> (direct, transitive) footprint: one walk per rule,
+        #: redone only when the rule base or the schema changes.
+        self._footprints: Optional[Dict[str, tuple]] = None
         self.stats = EngineStats()
         if controller == "result":
             self.controller = ResultOrientedController(self)
@@ -156,6 +164,7 @@ class RuleEngine:
             if not self._by_target[rule.target]:
                 del self._by_target[rule.target]
             raise
+        self._footprints = None
         self.controller.on_rule_added(rule, mode)
         # A previously materialized value of this target no longer
         # reflects the full rule set.
@@ -198,7 +207,6 @@ class RuleEngine:
         again.
         """
         from repro.errors import RuleSemanticError
-        from repro.rules.chaining import downstream_closure
         if isinstance(rule, str):
             matches = [r for r in self.rules if r.label == rule]
             if len(matches) != 1:
@@ -216,6 +224,7 @@ class RuleEngine:
         self._by_target[rule.target].remove(rule)
         if not self._by_target[rule.target]:
             del self._by_target[rule.target]
+        self._footprints = None
         for name in affected:
             self.universe.unregister(name)
         self._drop_derivation_memos(affected)
@@ -239,23 +248,54 @@ class RuleEngine:
         """Every target, sources before dependents."""
         return topological_order(self.rule_graph())
 
-    def affected_by_event(self, event: UpdateEvent) -> Set[str]:
-        """Targets an update event may change.  Schema-evolution events
-        conservatively affect every target (rule meanings can shift);
-        data events affect the readers of the touched classes and their
-        downstream closure."""
-        from repro.model.database import UpdateKind
-        if event.kind is UpdateKind.SCHEMA:
-            return set(self._by_target)
-        return self.affected_targets(set(event.classes))
+    def _footprint_table(self) -> Dict[str, tuple]:
+        """target -> (direct, transitive) footprint.  Each rule is
+        walked once; the transitive footprints compose by set union,
+        sources first.  A source no rule derives (an externally
+        registered subdatabase) has no stamps, so everything reading it
+        is :data:`ALL`."""
+        table = self._footprints
+        if table is None:
+            table = {}
+            graph = self.rule_graph()
+            schema = self.db.schema
+            for name in topological_order(graph):
+                direct = EMPTY
+                for rule in self._by_target[name]:
+                    direct |= rule.footprint(schema)
+                transitive = direct
+                for source in sorted(graph[name]):
+                    transitive |= table[source][1] if source in table \
+                        else ALL
+                table[name] = (direct, transitive)
+            self._footprints = table
+        return table
 
-    def affected_targets(self, classes: Set[str]) -> Set[str]:
-        """Targets whose value may change when the given base classes'
-        extensions change — the direct readers plus everything
-        downstream of them."""
-        direct = {name for name, rules in self._by_target.items()
-                  if any(rule.base_classes() & classes for rule in rules)}
-        return downstream_closure(self.rule_graph(), direct)
+    def direct_footprint(self, name: str) -> Footprint:
+        """What the rules of ``name`` read themselves, not counting the
+        derived subdatabases they reference."""
+        return self._footprint_table()[name][0]
+
+    def footprint(self, name: str) -> Footprint:
+        """Everything ``name`` is derived from, transitively through
+        the rule graph; :data:`ALL` for a name no rule derives."""
+        entry = self._footprint_table().get(name)
+        return ALL if entry is None else entry[1]
+
+    def affected_by_event(self, event: UpdateEvent) -> Set[str]:
+        """Targets an update event may change: those whose transitive
+        footprint it touches (every target for a schema-evolution or
+        malformed event — rule meanings can shift).  The controller
+        asks once per event, so a target the event spares although it
+        wrote to a class the target reads is counted here, as
+        ``stats.refreshes_skipped_footprint``."""
+        affected: Set[str] = set()
+        for name, (_, footprint) in self._footprint_table().items():
+            if footprint.touched_by(event):
+                affected.add(name)
+            elif footprint.near(event):
+                self.stats.refreshes_skipped_footprint += 1
+        return affected
 
     def set_mode(self, name: str,
                  mode: Union[EvaluationMode, RuleChainingMode]) -> None:
@@ -272,35 +312,14 @@ class RuleEngine:
             return self.derive(name)
         return None
 
-    def _target_base_classes(self, name: str) -> Optional[Set[str]]:
-        """The base classes feeding ``name`` transitively through the
-        rule graph — or ``None`` when any transitive source is not
-        itself rule-derived (an externally registered subdatabase has
-        no per-class versions, so the target's value is not a function
-        of the base vector alone)."""
-        classes: Set[str] = set()
-        seen: Set[str] = set()
-        stack = [name]
-        while stack:
-            target = stack.pop()
-            if target in seen:
-                continue
-            seen.add(target)
-            rules = self._by_target.get(target)
-            if rules is None:
-                return None
-            for rule in rules:
-                classes.update(rule.base_classes())
-                stack.extend(rule.source_subdatabases())
-        return classes
-
     def _derivation_vector(self, name: str):
         """The version vector a memoized derivation of ``name`` is valid
-        at, or ``None`` when ineligible."""
-        classes = self._target_base_classes(name)
-        if classes is None:
+        at, or ``None`` when ineligible (some transitive source is not
+        rule-derived, so the value is not a function of the stamps)."""
+        footprint = self.footprint(name)
+        if footprint.everything:
             return None
-        return self.db.version_vector(sorted(classes))
+        return self.db.version_vector(footprint)
 
     def _drop_derivation_memos(self, names) -> None:
         cache = self.evaluator.result_cache
@@ -315,10 +334,10 @@ class RuleEngine:
         — the backward-chaining cascade of Section 4.3.
 
         When the cross-query result cache is enabled, a target whose
-        transitive base classes are unversioned since a previous
-        derivation is served from the cache instead of re-deriving
+        transitive footprint is unmoved since a previous derivation is
+        served from the cache instead of re-deriving
         (``stats.derivation_memo_hits``); the memo key is validated
-        against the version vector of exactly those classes.
+        against the version vector of exactly that footprint.
         """
         if not force and self.universe.has_subdb(name):
             return self.universe.get_subdb(name)
@@ -356,9 +375,9 @@ class RuleEngine:
             self.universe.register(result)
             if memo_vector is not None:
                 # Stored under the vector captured *before* evaluation:
-                # if a source class moved mid-derivation, the entry sits
-                # under a vector no future lookup of that class can
-                # present again (versions are monotonic) — never stale.
+                # if a stamp moved mid-derivation, the entry sits under
+                # a vector no future lookup can present again (versions
+                # are monotonic) — never stale.
                 cache.store(("derive", name), memo_vector, result,
                             result_nbytes(result))
             self.stats.derivations[name] += 1
@@ -502,4 +521,7 @@ class RuleEngine:
 
     def _on_update(self, event: UpdateEvent) -> None:
         self.stats.update_events += 1
+        if event.kind is UpdateKind.SCHEMA:
+            # Links may resolve differently now: walk the rules again.
+            self._footprints = None
         self.controller.on_update(event)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
 from repro import obs
-from repro.oql.ast import Chain, Query
+from repro.oql.ast import Query
+from repro.oql.footprint import chain_terms
 from repro.oql.parser import parse_query
 from repro.oql.planner import JoinPlan
 from repro.rules.chaining import topological_order, upstream_closure
@@ -49,6 +50,9 @@ class TargetNode:
     name: str
     materialized: bool
     mode: str
+    #: The target's transitive footprint, rendered — what a write must
+    #: touch for the target to be re-derived.
+    footprint: str
     rules: List[RuleStep] = field(default_factory=list)
     sources: List["TargetNode"] = field(default_factory=list)
 
@@ -94,6 +98,7 @@ class Explanation:
             status = "warm (materialized)" if node.materialized \
                 else "cold (will derive)"
             lines.append(f"{pad}- {node.name} [{node.mode}] {status}")
+            lines.append(f"{pad}    reads {node.footprint}")
             for step in node.rules:
                 lines.append(f"{pad}    {step.render()}")
             for source in node.sources:
@@ -109,20 +114,6 @@ class Explanation:
         for plan in self.join_plans:
             lines.extend(plan.describe().splitlines())
         return "\n".join(lines)
-
-
-def _query_refs(query: Query):
-    refs = []
-
-    def walk(chain: Chain) -> None:
-        for element in chain.elements:
-            if isinstance(element, Chain):
-                walk(element)
-            else:
-                refs.append(element.ref)
-
-    walk(query.context.chain)
-    return refs
 
 
 def _mode_name(engine: "RuleEngine", name: str) -> str:
@@ -179,7 +170,7 @@ def explain(engine: "RuleEngine", query_text: str) -> Explanation:
 
 def _explain(engine: "RuleEngine", query_text: str) -> Explanation:
     query = parse_query(query_text)
-    refs = _query_refs(query)
+    refs = [term.ref for term in chain_terms(query.context.chain)]
     referenced = sorted({ref.subdb for ref in refs
                          if ref.subdb is not None
                          and ref.subdb in engine.rule_graph()})
@@ -193,7 +184,8 @@ def _explain(engine: "RuleEngine", query_text: str) -> Explanation:
         node = TargetNode(
             name=name,
             materialized=engine.universe.has_subdb(name),
-            mode=_mode_name(engine, name))
+            mode=_mode_name(engine, name),
+            footprint=engine.footprint(name).describe())
         memo[name] = node
         source_names: Set[str] = set()
         for rule in engine.rules_for(name):
@@ -201,7 +193,8 @@ def _explain(engine: "RuleEngine", query_text: str) -> Explanation:
             node.rules.append(RuleStep(
                 label=rule.label or name,
                 reads_targets=reads,
-                reads_base=sorted(rule.base_classes())))
+                reads_base=sorted(
+                    rule.footprint(engine.db.schema).extents)))
             source_names.update(s for s in reads
                                 if s in engine.rule_graph())
         node.sources = [build(s) for s in sorted(source_names)]

@@ -43,6 +43,7 @@ from repro.oql.evaluator import (
     _flatten,
     resolve_slot_index,
 )
+from repro.oql.footprint import footprint_of
 from repro.rules.derivation import project_to_target
 from repro.rules.rule import DeductiveRule
 from repro.subdb.intension import IntensionalPattern
@@ -88,11 +89,12 @@ class IncrementalRule:
         self._initialized = False
         # The budget of the on_event call currently being applied.
         self._budget: Optional[QueryBudget] = None
-        #: The base classes this maintainer reads — the match set is a
-        #: pure function of their extensions, so the version vector over
-        #: them decides whether the set can have moved at all.
-        self.source_classes: Tuple[str, ...] = tuple(
-            sorted({t.ref.cls for t in self.terms}))
+        #: What this maintainer reads — the match set is a pure
+        #: function of these extents, links and attributes, so the
+        #: version vector over them decides whether the set can have
+        #: moved at all.
+        self.footprint = footprint_of(self.terms, rule.where,
+                                      universe.schema)
         # Vector the match set is known current at (None = unknown).
         self._vector: Optional[Tuple[int, ...]] = None
 
@@ -109,8 +111,7 @@ class IncrementalRule:
                                          budget=self._budget)
         self.rows = {tuple(p.values) for p in source.patterns}
         self._initialized = True
-        self._vector = self.universe.db.version_vector(
-            self.source_classes)
+        self._vector = self.universe.db.version_vector(self.footprint)
 
     def invalidate(self) -> None:
         """Discard the maintained match set (it may be mid-delta after
@@ -122,13 +123,13 @@ class IncrementalRule:
 
     def is_current(self) -> bool:
         """Whether the match set is provably current: the version
-        vector over the maintainer's source classes has not moved since
-        the last (re)initialization or applied delta — in which case an
+        vector over the maintainer's footprint has not moved since the
+        last (re)initialization or applied delta — in which case an
         event dispatch would be a no-op and can be skipped entirely."""
         if not self._initialized or self._vector is None:
             return False
         return self.universe.db.version_vector(
-            self.source_classes) == self._vector
+            self.footprint) == self._vector
 
     # ------------------------------------------------------------------
     # Membership and row checks
@@ -356,7 +357,7 @@ class IncrementalRule:
             else:
                 changed = self._apply_budgeted(event)
             self._vector = self.universe.db.version_vector(
-                self.source_classes)
+                self.footprint)
             if span is not None:
                 span.set("changed", changed)
             return changed

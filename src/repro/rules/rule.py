@@ -17,21 +17,14 @@ determined at run time" (Section 5.2, rule R6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple, Union
+from typing import Callable, List, Optional, Set, Tuple, Union
 
 from repro.errors import RuleSemanticError, RuleSyntaxError
 from repro.errors import OQLSyntaxError
-from repro.oql.ast import (
-    AggComparison,
-    AttrRef,
-    BoolOp,
-    Chain,
-    ClassTerm,
-    Comparison,
-    ContextExpr,
-    NotOp,
-    WhereCond,
-)
+from repro.oql.ast import ContextExpr, WhereCond
+from repro.model.schema import Schema
+from repro.oql.footprint import (EMPTY, Footprint, chain_terms, footprint_of,
+                                 where_refs)
 from repro.oql.lexer import tokenize
 from repro.oql.parser import Parser
 from repro.subdb.refs import ClassRef
@@ -76,55 +69,28 @@ class DeductiveRule:
 
     def context_refs(self) -> List[ClassRef]:
         """Every class reference in the context expression (slot order)."""
-        refs: List[ClassRef] = []
-
-        def walk(chain: Chain) -> None:
-            for element in chain.elements:
-                if isinstance(element, Chain):
-                    walk(element)
-                else:
-                    refs.append(element.ref)
-
-        walk(self.context.chain)
-        return refs
+        return [term.ref for term in chain_terms(self.context.chain)]
 
     def where_refs(self) -> List[ClassRef]:
         """Every class reference mentioned by the Where subclause."""
-        refs: List[ClassRef] = []
-
-        def walk_cond(cond) -> None:
-            if isinstance(cond, AggComparison):
-                refs.append(cond.target)
-                refs.append(cond.by)
-            elif isinstance(cond, Comparison):
-                for operand in (cond.left, cond.right):
-                    if isinstance(operand, AttrRef) and \
-                            operand.owner is not None:
-                        refs.append(operand.owner)
-            elif isinstance(cond, BoolOp):
-                for item in cond.items:
-                    walk_cond(item)
-            elif isinstance(cond, NotOp):
-                walk_cond(cond.item)
-
-        for cond in self.where:
-            walk_cond(cond)
-        return refs
+        return [ref for cond in self.where for ref in where_refs(cond)]
 
     def source_subdatabases(self) -> Set[str]:
         """The derived subdatabases this rule reads — its dependencies in
-        the rule graph."""
-        out: Set[str] = set()
-        for ref in self.context_refs() + self.where_refs():
-            if ref.subdb is not None:
-                out.add(ref.subdb)
-        return out
+        the rule graph.  (What it reads of the *base* database is its
+        :class:`~repro.oql.footprint.Footprint`.)"""
+        return {ref.subdb for ref in self.context_refs() + self.where_refs()
+                if ref.subdb is not None}
 
-    def base_classes(self) -> Set[str]:
-        """The base classes the rule reads directly (used to decide which
-        database updates affect the rule's result)."""
-        return {ref.cls for ref in self.context_refs()
-                if ref.subdb is None}
+    def footprint(self, schema: Schema,
+                  subdb_footprint: Callable[[str], Footprint] =
+                  lambda name: EMPTY) -> Footprint:
+        """What the rule reads of the base database — used to decide
+        which updates can affect its result.  A ``Sub:Class`` reference
+        contributes ``subdb_footprint(Sub)``: nothing by default, since
+        the rule graph composes sources separately."""
+        return footprint_of(chain_terms(self.context.chain), self.where,
+                            schema, subdb_footprint)
 
     def validate(self) -> None:
         """Check that every target class appears in the context

@@ -479,10 +479,11 @@ class QueryService:
         if text.lstrip().lower().startswith("if"):
             from repro.rules.rule import parse_rule
             rule = parse_rule(text, params.get("label"))
+            footprint = rule.footprint(self.engine.db.schema)
             return {"kind": "rule", "target": rule.target,
                     "label": rule.label,
                     "sources": sorted(rule.source_subdatabases()),
-                    "base_classes": sorted(rule.base_classes()),
+                    "footprint": footprint.describe(),
                     "canonical": str(rule)}
         from repro.oql.parser import parse_query
         query = parse_query(text)
@@ -737,8 +738,7 @@ class QueryService:
                 "rows": [list(row) for row in initial.added],
                 "vector": list(initial.vector),
                 "version": initial.version,
-                "classes": (list(sub.classes)
-                            if sub.classes is not None else None),
+                "footprint": sub.footprint.describe(),
                 "incremental": sub.incremental,
                 "max_pending": sub.max_pending}
 

@@ -244,6 +244,9 @@ class Shell:
             label = f"[{rule.label}] " if rule.label else ""
             self._print(f"{label}{rule}")
             self._print("")
+        for name in self.engine.target_names:
+            self._print(f"{name} reads "
+                        f"{self.engine.footprint(name).describe()}")
         return True
 
     def _cmd_explain(self, query: str) -> bool:
@@ -751,8 +754,8 @@ class Shell:
                 return True
             for sub in self._sub_manager.subscriptions():
                 mode = "incremental" if sub.incremental else "scratch"
-                classes = ", ".join(sub.classes) if sub.classes else "*"
-                self._print(f"  sub {sub.id} [{mode}] on {{{classes}}} "
+                self._print(f"  sub {sub.id} [{mode}] on "
+                            f"{{{sub.footprint.describe()}}} "
                             f"— {len(sub.rows)} row(s), seq {sub.seq}: "
                             f"{sub.text}")
             return True
@@ -762,9 +765,9 @@ class Shell:
         sub = self._sub_manager.subscribe(argument)
         initial = sub.poll()
         mode = "incremental" if sub.incremental else "scratch"
-        classes = ", ".join(sub.classes) if sub.classes else "*"
         self._print(f"subscribed as sub {sub.id} [{mode}] watching "
-                    f"{{{classes}}} — {len(sub.rows)} initial row(s)")
+                    f"{{{sub.footprint.describe()}}} "
+                    f"— {len(sub.rows)} initial row(s)")
         for frame in initial:
             if frame.kind != "snapshot":
                 self._print(self._render_delta(sub.id, frame))

@@ -31,6 +31,7 @@ The contract:
 from __future__ import annotations
 
 import abc
+import gc
 import os
 import threading
 from pathlib import Path
@@ -162,6 +163,13 @@ class StorageBackend(abc.ABC):
                 raise ValueError("no engine attached")
             self.wal.sync()
             seq = self.wal.last_seq
+            # The document below is a second copy of the session.  A
+            # dropped session (one recovered and let go, say) is cyclic
+            # garbage only the collector frees; whether it runs before
+            # this copy is built is chance, and when it does not the
+            # two stack — a quarter more peak memory in one run of
+            # three on a 20k-object store.  Collect first.
+            gc.collect()
             doc = session_to_dict(self.engine, self.include_materialized)
             doc["wal_seq"] = seq
             self._write_checkpoint(seq, doc)

@@ -24,6 +24,11 @@ corners:
   ``1 == 1.0 == True`` into one bucket, matching ``==`` exactly;
 * ordering against a ``None`` literal is uniformly false, and ``None``
   values appear in no sorted column (ordering against them is false);
+* NaN is a number to the type census but equal and ordered to nothing,
+  itself included: a NaN value sits in no bucket (a dict would match it
+  by identity) and no sorted column (it would break the order
+  bisection relies on), so ``!=`` keeps it and everything else drops
+  it, and a NaN literal matches nothing but ``!=``;
 * a numeric-vs-non-numeric (or cross-type non-numeric) ordering
   comparison raises :class:`~repro.errors.OQLSemanticError` *if any
   entity carries a conflicting value* — the index keeps a type census so
@@ -78,6 +83,10 @@ def _is_num(value: Any) -> bool:
     """Numeric for comparison purposes — matches ``conditions.compare``:
     ``bool`` is *not* a number there."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_nan(value: Any) -> bool:
+    return isinstance(value, float) and value != value
 
 
 def encode_ordered(value: Any) -> int:
@@ -146,6 +155,9 @@ class AttrIndex:
         num_pairs: List[Tuple[Any, int]] = []
         typed_pairs: Dict[type, List[Tuple[Any, int]]] = {}
         for i, value in enumerate(self.values):
+            if _is_nan(value):
+                self.num_count += 1
+                continue
             try:
                 postings = buckets.get(value)
                 if postings is None:
@@ -222,6 +234,8 @@ class AttrIndex:
             return (OK, _EMPTY)  # ordering against Null is false
         if self._ordering_conflict(literal):
             return (CONFLICT, None)
+        if _is_nan(literal):
+            return (OK, _EMPTY)  # ordering against NaN is false
         if _is_num(literal):
             values, ids = self.num_values, self.num_ids
         else:
@@ -255,6 +269,8 @@ class AttrIndex:
             return 0
         if self._ordering_conflict(literal):
             return None
+        if _is_nan(literal):
+            return 0
         if _is_num(literal):
             values = self.num_values
         else:
@@ -293,6 +309,9 @@ class AttrIndex:
         self.epoch += 1
         if self.broken:
             return
+        if _is_nan(value):
+            self.num_count += 1
+            return
         try:
             postings = self.buckets.get(value)
             if postings is None:
@@ -312,12 +331,18 @@ class AttrIndex:
         self.epoch += 1
         if self.broken:
             return
-        postings = self.buckets[old]
-        pos = bisect_left(postings, i)
-        postings.pop(pos)
-        if not postings:
-            del self.buckets[old]
-        self._census_remove(old, i)
+        if _is_nan(old):
+            self.num_count -= 1
+        else:
+            postings = self.buckets[old]
+            pos = bisect_left(postings, i)
+            postings.pop(pos)
+            if not postings:
+                del self.buckets[old]
+            self._census_remove(old, i)
+        if _is_nan(value):
+            self.num_count += 1
+            return
         try:
             postings = self.buckets.get(value)
             if postings is None:
@@ -354,7 +379,9 @@ class AttrIndex:
         # maintenance mutates them).
         buckets = dict(self.buckets)
         for value in set(self.values[dead:]):
-            postings = buckets[value]
+            postings = buckets.get(value)
+            if postings is None:
+                continue  # NaN sits in no bucket
             moved = array("q", (i - 1 if i > dead else i
                                 for i in postings if i != dead))
             if moved:

@@ -84,10 +84,12 @@ class DatabaseSnapshot:
 
     def _pin(self, db: Database) -> None:
         self.version = db.version
-        # Pin the per-class version vector too: cache keys built over a
-        # snapshot are constant for its whole life, so cross-query cache
-        # hits against a snapshot are consistent by construction.
-        self._class_versions: Dict[str, int] = dict(db._class_versions)
+        # Pin the stamps too: cache keys built over a snapshot are
+        # constant for its whole life, so cross-query cache hits against
+        # a snapshot are consistent by construction.
+        self._extent_versions = dict(db._extent_versions)
+        self._link_versions = dict(db._link_versions)
+        self._attr_versions = dict(db._attr_versions)
         self._schema_version = db.schema_version
         db.register_snapshot_hook(self)
         # SCHEMA events poison the snapshot; data events are handled by
@@ -173,15 +175,10 @@ class DatabaseSnapshot:
     def schema_version(self) -> int:
         return self._schema_version
 
-    def class_version(self, cls: str) -> int:
-        """The pinned per-class version (see
-        :meth:`Database.class_version`) — constant for the snapshot's
-        life, so cache entries keyed on it never go stale mid-read."""
-        return self._class_versions.get(cls, 0)
-
-    def version_vector(self, classes: Iterable[str]) -> Tuple[int, ...]:
-        get = self._class_versions.get
-        return (self._schema_version,) + tuple(get(c, 0) for c in classes)
+    #: The pinned stamps a footprint names — constant for the
+    #: snapshot's life, so cache entries keyed on it never go stale
+    #: mid-read.  The live database's method, over the pinned copies.
+    version_vector = Database.version_vector
 
     def add_listener(self, listener) -> None:
         """No-op: a snapshot never changes, so there is nothing to hear."""

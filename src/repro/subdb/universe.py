@@ -117,21 +117,17 @@ class Universe:
         is invalidated by either kind of change."""
         return self.db.version + self._subdb_epoch
 
-    def class_vector(self, classes: Tuple[str, ...]) -> Tuple[int, ...]:
-        """The per-class version vector for ``classes`` (see
-        :meth:`Database.version_vector`), the invalidation key for
-        anything computed from those base extensions.  Works uniformly
-        over a live :class:`Database` and a pinned
+    def version_vector(self, footprint) -> Tuple[int, ...]:
+        """The invalidation key for anything computed from ``footprint``
+        (a :class:`~repro.oql.footprint.Footprint`): the stamps it names
+        (see :meth:`Database.version_vector`), or the coarse
+        ``data_version`` for the wildcard — derived subdatabase contents
+        carry no stamps, and the registry moves without a base write.
+        Works uniformly over a live :class:`Database` and a pinned
         :class:`~repro.subdb.snapshot.DatabaseSnapshot`."""
-        return self.db.version_vector(classes)
-
-    def ref_token(self, ref: ClassRef) -> Tuple[int, ...]:
-        """The invalidation token for one class reference: the class's
-        version vector for a base ref, the coarse ``data_version`` for a
-        derived ref (subdatabase contents carry no per-class versions)."""
-        if ref.subdb is None:
-            return self.db.version_vector((ref.cls,))
-        return (-1, self.data_version)
+        if footprint.everything:
+            return (-1, self.data_version)
+        return self.db.version_vector(footprint)
 
     def snapshot(self) -> "Universe":
         """A snapshot-isolated universe pinned at the current data

@@ -38,13 +38,16 @@ class FakeTable:
 OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 # Value pools chosen to cross every census boundary: None, bool (its own
-# type in compare), int/float (one numeric family), two string shapes.
+# type in compare), int/float (one numeric family, with the floats that
+# break naive sorting or hashing: NaN, the infinities, negative zero),
+# two string shapes.
 scalar = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-50, max_value=50),
     st.floats(min_value=-50, max_value=50,
               allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
     st.sampled_from(["a", "b", "zz", ""]),
 )
 columns = st.lists(scalar, min_size=0, max_size=30)
@@ -116,6 +119,32 @@ class TestProbeParity:
         index = AttrIndex(FakeTable(), "a", [None, 5, None, 1])
         status, ids = index.probe("<", 10)
         assert status == OK and list(ids) == [1, 3]
+
+    def test_nan_is_equal_and_ordered_to_nothing(self):
+        nan = math.nan
+        values = [3.0, nan, 1.0, 2.0, nan, 0.5]
+        index = AttrIndex(FakeTable(), "a", values)
+        assert index.num_values == [0.5, 1.0, 2.0, 3.0]
+        assert index.probe(">", 0.0) == (OK, array("q", [0, 2, 3, 5]))
+        assert index.probe("=", nan) == (OK, array("q"))
+        assert index.probe("!=", 1.0) == (OK, array("q", [0, 1, 3, 4, 5]))
+        for op in ("<", "<=", ">", ">="):
+            assert index.probe(op, nan) == (OK, array("q"))
+            assert index.cardinality(op, nan) == 0
+        # Still a number to the census: ordering it against a string
+        # raises in the scan, so the probe must not answer.
+        assert AttrIndex(FakeTable(), "a", [nan]).probe("<", "s")[0] \
+            == CONFLICT
+        # Maintenance keeps it out as well.
+        index.set_value(1, 4.0)
+        index.set_value(0, float("nan"))
+        index.append(nan)
+        index = index.without(2, FakeTable())
+        values = [nan, 4.0, 2.0, nan, 0.5, nan]
+        assert index.num_values == [0.5, 2.0, 4.0]
+        for op in OPS:
+            check_parity(index, values, op, 1.0)
+            check_parity(index, values, op, nan)
 
     def test_mixed_type_census_reports_conflict(self):
         index = AttrIndex(FakeTable(), "a", [1, "s"])

@@ -233,6 +233,51 @@ class TestRecovery:
         assert recovered.db.version_state() == engine.db.version_state()
         backend.close()
 
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_stamp_maps_survive_checkpoint_plus_wal_tail(self, tmp_path,
+                                                         kind):
+        """The extent, link and attribute stamps come back exactly:
+        part from the checkpoint, part replayed from the WAL tail."""
+        backend = open_backend(tmp_path / "store", kind)
+        engine = paper_engine()
+        backend.attach(engine)
+        mutate(engine, 0)
+        backend.checkpoint()
+        mutate(engine, 1)
+        state = engine.db.version_state()
+        recovered = backend.recover()
+        backend.close()
+        assert recovered.db.version_state() == state
+        for key in ("extent_versions", "link_versions", "attr_versions"):
+            assert state[key], key
+        # The tail moved stamps past the checkpoint's watermark.
+        assert state["link_versions"]["Teacher"]["teaches"] == \
+            max(state["link_versions"]["Teacher"].values())
+        assert state["attr_versions"]["Teacher"]["name"] > \
+            state["extent_versions"]["Section"]
+
+    def test_pr11_store_without_stamp_maps_recovers(self, tmp_path):
+        """A checkpoint + WAL written before the stamps were split (it
+        carries ``class_versions`` only) recovers; the maps start empty
+        and the replayed tail stamps what it moves."""
+        import shutil
+        from pathlib import Path
+        store = tmp_path / "store"
+        shutil.copytree(Path(__file__).parent / "data" / "store_pr11",
+                        store)
+        backend = open_backend(store, "json")
+        recovered = backend.recover()
+        backend.close()
+        state = recovered.db.version_state()
+        assert state["version"] == 217
+        assert state["extent_versions"] == {"Course": 217}
+        # The teaches link (v215) is inside the checkpoint, not the tail.
+        assert state["link_versions"] == {}
+        assert state["attr_versions"] == {"Person": {"name": 216},
+                                          "Teacher": {"name": 216}}
+        assert any(oid.label == "c_tail"
+                   for oid in recovered.db.extent("Course"))
+
     def test_auto_checkpoint_every_n_records(self, tmp_path):
         backend = JsonBackend(tmp_path / "store", checkpoint_every=3)
         backend.open()

@@ -1,12 +1,13 @@
-"""Class-granular version vectors and the cross-query result cache.
+"""Footprint version vectors and the cross-query result cache.
 
-The tentpole of this change: every update stamps only the superclass
-closure of the touched class(es), queries are fingerprinted and cached
-against the version vector of exactly the classes they read, and the
-compact store applies single-object INSERT/DELETE as deltas instead of
-purging.  These tests pin down the vector semantics, the cache's
-hit/miss/invalidation behavior, memory bounding, budget and snapshot
-interaction, the planner's per-class statistics, and the delta paths.
+Every update stamps only what it moved — an extent (superclass
+closure), a link, or an attribute — queries are fingerprinted and
+cached against the version vector of exactly the footprint they read,
+and the compact store applies single-object INSERT/DELETE as deltas
+instead of purging.  These tests pin down the vector semantics, the
+cache's hit/miss/invalidation behavior, memory bounding, budget and
+snapshot interaction, the planner's per-entry statistics, and the
+delta paths.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from repro.oql.budget import BudgetExceeded, QueryBudget
 from repro.oql.cache import (
     DEFAULT_CACHE_BYTES,
     ResultCache,
-    dependency_classes,
     fingerprint,
 )
 from repro.oql.evaluator import PatternEvaluator, _flatten
+from repro.oql.footprint import ALL, Footprint, footprint_of
 from repro.oql.parser import parse_query
 from repro.oql.planner import Planner
 from repro.subdb.refs import ClassRef
@@ -39,63 +40,101 @@ def _labels(subdb):
 # ----------------------------------------------------------------------
 
 
+def _extent_stamp(db, cls):
+    return db.version_vector(Footprint(extents=frozenset((cls,))))[1]
+
+
+def _link_stamp(db, owner, name):
+    return db.version_vector(Footprint(links=frozenset(((owner, name),))))[1]
+
+
+def _attr_stamp(db, cls, name):
+    return db.version_vector(Footprint(attrs=frozenset(((cls, name),))))[1]
+
+
 class TestVersionVectors:
     def test_insert_bumps_superclass_closure_only(self, paper):
         db = paper.db
-        before = {cls: db.class_version(cls) for cls in
+        before = {cls: _extent_stamp(db, cls) for cls in
                   ("TA", "Grad", "Teacher", "Student", "Person",
                    "Course", "Section")}
         db.insert("TA", "ta_new")
         for cls in ("TA", "Grad", "Teacher", "Student", "Person"):
-            assert db.class_version(cls) > before[cls], cls
+            assert _extent_stamp(db, cls) > before[cls], cls
         for cls in ("Course", "Section"):
-            assert db.class_version(cls) == before[cls], cls
+            assert _extent_stamp(db, cls) == before[cls], cls
 
-    def test_associate_bumps_both_endpoint_closures(self, paper):
+    def test_associate_bumps_its_link_only(self, paper):
         db = paper.db
         teacher = db.insert("Teacher", "t_new", **{"SS#": "999-99-0001",
                                                    "name": "N"})
-        before = {cls: db.class_version(cls) for cls in
-                  ("Teacher", "Person", "Section", "Course")}
+        extents = {cls: _extent_stamp(db, cls) for cls in
+                   ("Teacher", "Person", "Section", "Course")}
+        teaches = _link_stamp(db, "Teacher", "teaches")
+        course = _link_stamp(db, "Section", "course")
         db.associate(teacher, "teaches", paper["s2"])
-        assert db.class_version("Teacher") > before["Teacher"]
-        assert db.class_version("Person") > before["Person"]
-        assert db.class_version("Section") > before["Section"]
-        assert db.class_version("Course") == before["Course"]
+        assert _link_stamp(db, "Teacher", "teaches") > teaches
+        assert _link_stamp(db, "Section", "course") == course
+        for cls, stamp in extents.items():
+            assert _extent_stamp(db, cls) == stamp, cls
 
-    def test_set_attribute_bumps_closure(self, paper):
+    def test_set_attribute_bumps_attribute_over_closure(self, paper):
         db = paper.db
-        before = db.class_version("Person")
+        extent = _extent_stamp(db, "Person")
+        before = {cls: _attr_stamp(db, cls, "name")
+                  for cls in ("Teacher", "Person", "Student")}
+        other = _attr_stamp(db, "Teacher", "degree")
         db.set_attribute(paper.oid("t1"), "name", "Renamed")
-        assert db.class_version("Person") > before
+        assert _attr_stamp(db, "Teacher", "name") > before["Teacher"]
+        assert _attr_stamp(db, "Person", "name") > before["Person"]
+        # t1 is no Student: a query over Student.name is not moved.
+        assert _attr_stamp(db, "Student", "name") == before["Student"]
+        assert _attr_stamp(db, "Teacher", "degree") == other
+        assert _extent_stamp(db, "Person") == extent
 
-    def test_vector_shape_and_unknown_class(self, paper):
+    def test_delete_stamps_extent_and_dropped_links(self, paper):
         db = paper.db
-        vector = db.version_vector(("Course", "Teacher"))
-        assert vector == (db.schema_version,
-                          db.class_version("Course"),
-                          db.class_version("Teacher"))
-        # A class never touched reports version 0.
+        teaches = _link_stamp(db, "Teacher", "teaches")
+        course = _link_stamp(db, "Section", "course")
+        db.delete(paper.oid("t1"))
+        assert _link_stamp(db, "Teacher", "teaches") == db.version
+        assert _link_stamp(db, "Teacher", "teaches") > teaches
+        assert _extent_stamp(db, "Teacher") == db.version
+        assert _link_stamp(db, "Section", "course") == course
+
+    def test_vector_shape_and_unknown_keys(self, paper):
+        db = paper.db
+        footprint = Footprint(frozenset(("Teacher", "Course")),
+                              frozenset((("Teacher", "teaches"),)),
+                              frozenset((("Teacher", "name"),)))
+        assert db.version_vector(footprint) == (
+            db.schema_version,
+            _extent_stamp(db, "Course"), _extent_stamp(db, "Teacher"),
+            _link_stamp(db, "Teacher", "teaches"),
+            _attr_stamp(db, "Teacher", "name"))
+        assert db.version_vector(ALL) == (db.schema_version, db.version)
+        # A key never written reports version 0.
         fresh = Database(paper.db.schema.__class__("empty"))
-        assert fresh.class_version("anything") == 0
+        assert _extent_stamp(fresh, "anything") == 0
 
     def test_versions_monotonic_per_event(self, paper):
         db = paper.db
-        v1 = db.class_version("Course")
+        v1 = _extent_stamp(db, "Course")
         db.insert("Course", "c_new", **{"c#": 900, "title": "X",
                                         "credit_hours": 1})
-        v2 = db.class_version("Course")
+        v2 = _extent_stamp(db, "Course")
         db.insert("Course", "c_new2", **{"c#": 901, "title": "Y",
                                          "credit_hours": 1})
-        assert v1 < v2 < db.class_version("Course")
+        assert v1 < v2 < _extent_stamp(db, "Course")
 
     def test_snapshot_pins_vector(self, paper):
         universe = Universe(paper.db)
         snap = universe.snapshot()
-        pinned = snap.class_vector(("Teacher",))
+        teachers = Footprint(extents=frozenset(("Teacher",)))
+        pinned = snap.version_vector(teachers)
         paper.db.insert("Teacher", "t_post", **{"SS#": "1", "name": "P"})
-        assert snap.class_vector(("Teacher",)) == pinned
-        assert universe.class_vector(("Teacher",)) != pinned
+        assert snap.version_vector(teachers) == pinned
+        assert universe.version_vector(teachers) != pinned
 
 
 # ----------------------------------------------------------------------
@@ -179,18 +218,19 @@ class TestFingerprints:
         assert fingerprint(q1.context, q1.where) == \
             fingerprint(q2.context, q2.where)
 
-    def test_dependency_classes(self):
+    def test_query_footprint(self, paper):
         flat = _flatten(parse_query(
             "context Grad * TA * Teacher * Section").context.chain)
-        assert dependency_classes(flat.terms) == \
-            ("Grad", "Section", "TA", "Teacher")
+        footprint = footprint_of(flat.terms, (), paper.db.schema)
+        assert footprint.extents == {"Grad", "Section", "TA", "Teacher"}
+        # Grad * TA * Teacher are identity (generalization) edges.
+        assert footprint.links == {("Teacher", "teaches")}
+        assert not footprint.attrs and not footprint.everything
 
     def test_derived_refs_ineligible(self, paper):
-        universe = Universe(paper.db)
-        universe.register(build_sdb(paper))
         flat = _flatten(parse_query(
             "context SDB:Teacher * SDB:Section").context.chain)
-        assert dependency_classes(flat.terms) is None
+        assert footprint_of(flat.terms, (), paper.db.schema) is ALL
 
 
 # ----------------------------------------------------------------------

@@ -171,6 +171,35 @@ class TestResultOriented:
         assert engine.stats.derivations["REa"] == derivations + 1
 
 
+class TestStaleMarkingCountsTransitions:
+    """With no reader to clear it, a target goes stale once: later
+    relevant writes find it already unregistered and pay nothing."""
+
+    @pytest.mark.parametrize("controller", ["result", "incremental"])
+    def test_remarking_a_stale_target_is_free(self, controller):
+        data = build_paper_database()
+        engine = RuleEngine(data.db, controller=controller)
+        engine.add_rule(CHAIN[0][1], label="Ra",
+                        mode=EvaluationMode.POST_EVALUATED)
+        engine.derive("REa")
+        purges = []
+        unregister = engine.universe.unregister
+        engine.universe.unregister = \
+            lambda name: purges.append(name) or unregister(name)
+        for i in range(4):
+            add_teacher(data, name=f"New{i}")
+            assert engine.is_stale("REa")
+        assert engine.stats.stale_markings == 1
+        assert purges == ["REa"]
+        # A reader clears the mark; the next write is a new transition.
+        assert "New3" in engine.query(
+            "context REa:Teacher select name display").output
+        assert not engine.is_stale("REa")
+        add_teacher(data, name="Again")
+        assert engine.stats.stale_markings == 2
+        assert purges == ["REa", "REa"]
+
+
 class TestStrategyComparison:
     """The two strategies agree on *values*; they differ in staleness
     windows and when work happens."""

@@ -25,6 +25,8 @@ import pytest
 
 from repro import QueryProcessor, RuleEngine, Universe, obs
 from repro.errors import ReproError
+from repro.oql.footprint import EMPTY, chain_terms, footprint_of
+from repro.oql.parser import parse_query
 from repro.oql.subscribe import SubscriptionManager, canonical_rows
 from repro.storage.serialize import subdatabase_to_dict
 from repro.university.generator import GeneratorConfig, generate_university
@@ -412,7 +414,9 @@ class TestDifferentialCache:
             seed = DB_SEED * 100_000 + case
             spec = _random_spec(random.Random(seed))
             text = spec.text()
-            deps = sorted(set(spec.chain))
+            query = parse_query(text)
+            deps = footprint_of(chain_terms(query.context.chain),
+                                query.where, db.schema)
             if _outcome(cached, text)[0] != "ok":
                 continue
             _outcome(cached, text)
@@ -425,7 +429,7 @@ class TestDifferentialCache:
             if db.version_vector(deps) != before:
                 assert hits == 0, (
                     f"stale hit: {text!r} served from cache after a write "
-                    f"touching its dependency classes {deps}")
+                    f"touching its footprint {deps.describe()}")
                 assert rerun == _outcome(plain, text), text
                 invalidated += 1
             else:
@@ -749,14 +753,14 @@ class TestDifferentialSubscriptions:
                                 "snapshot differs from scratch")
             for _ in range(rng.randint(2, 5)):
                 tick += 1
-                vec_before = (db.version_vector(sub.classes)
-                              if sub.classes is not None else None)
+                vec_before = (db.version_vector(sub.footprint)
+                              if not sub.footprint.everything else None)
                 wakeups_before = sub.counters["wakeups"]
                 if self._random_write(db, rng, tick, own) is None:
                     continue
                 writes += 1
                 if vec_before is not None \
-                        and db.version_vector(sub.classes) == vec_before:
+                        and db.version_vector(sub.footprint) == vec_before:
                     if sub.counters["wakeups"] != wakeups_before:
                         failures.append(
                             f"seed={seed} {text!r}: spurious wakeup on "
@@ -794,7 +798,8 @@ class TestDifferentialSubscriptions:
         without a single wakeup or frame."""
         db, engine, manager, scratch = self._fresh()
         sub = manager.subscribe("context Teacher * Section")
-        assert sub.classes == ("Section", "Teacher")
+        assert sub.footprint.extents == {"Section", "Teacher"}
+        assert sub.footprint.links == {("Teacher", "teaches")}
         for tick in range(25):
             db.insert("Department", f"u{tick}", name=f"D{tick}")
             db.insert("Course", f"uc{tick}",
@@ -822,3 +827,358 @@ class TestDifferentialSubscriptions:
             if modes == {True, False}:
                 return
         raise AssertionError(f"only {modes} delta paths generated")
+
+
+class TestDifferentialFootprints:
+    """Footprint tier: seeded random rule *stacks* (chains, braces,
+    ``!``, ``^*``/``^N`` loops, COUNT where-clauses, rules reading
+    rules) under interleaved random writes of every kind — including
+    BATCH blocks, a cascading DELETE through a composition link and one
+    SCHEMA change.  After **every** write, the footprint-maintained
+    engine under each of the three controllers must render every target
+    byte-identically to a fresh engine that derives everything from
+    scratch with the set-based executor.  A target the write's
+    footprint test spares is therefore proven unchanged, not assumed."""
+
+    CONTROLLERS = ("result", "rule", "incremental")
+    ASSOCS = TestDifferentialSubscriptions.ASSOCS + (
+        ("Student", "Major", "Department"),
+        ("Department", "staff", "Teacher"),
+    )
+
+    @staticmethod
+    def _fresh_db():
+        """The generated University plus one composition link
+        (Department --staff--> Teacher), so that deleting a department
+        cascades into teachers and silently drops their ``teaches``
+        links.  No generated chain crosses Department--Teacher, so
+        existing resolutions are untouched."""
+        db = generate_university(GeneratorConfig(), seed=DB_SEED).db
+        db.schema.add_composition("Department", "Teacher", name="staff")
+        return db
+
+    @staticmethod
+    def _rule_stack(rng: random.Random) -> List[str]:
+        """2-3 base rules drawn from the query generator, then 1-2 rules
+        reading one of them (the closure property)."""
+        rules: List[str] = []
+        plain: List[Tuple[str, str, str]] = []  # (target, first, last)
+        attempts = 0
+        while len(rules) < rng.randint(2, 3) and attempts < 40:
+            attempts += 1
+            spec = _random_spec(rng)
+            if len(spec.chain) < 2 and spec.loop is None:
+                continue
+            target = f"B{len(rules)}"
+            body = spec.text()[len("context "):]
+            if spec.loop is not None:
+                if len(spec.chain) != 1:
+                    continue  # only `Course * Course_1 ^N` is a cycle
+                rules.append(f"if context {body} "
+                             f"then {target} (Course, Course_)")
+                continue
+            first, last = spec.chain[0], spec.chain[-1]
+            rules.append(f"if context {body} then {target} "
+                         f"({first}, {last})")
+            plain.append((target, first, last))
+        for index in range(rng.randint(1, 2)):
+            if not plain:
+                break
+            source, first, last = rng.choice(plain)
+            tail = rng.choice(ADJACENT[last])
+            if tail == first:
+                continue
+            op = "!" if rng.random() < 0.2 else "*"
+            cond = ""
+            if first in CONDITIONS and rng.random() < 0.3:
+                cond = f"[{rng.choice(CONDITIONS[first])}]"
+            where = ""
+            if op == "*" and rng.random() < 0.3:
+                where = (f" where COUNT({tail} by {source}:{first}) "
+                         f"> {rng.randint(0, 2)}")
+            rules.append(
+                f"if context {source}:{first}{cond} * {source}:{last} "
+                f"{op} {tail}{where} then S{index} ({first}, {tail})")
+        return rules
+
+    def _engines(self, db, rules: List[str], rng: random.Random
+                 ) -> List[Tuple[str, RuleEngine]]:
+        from repro.rules.control import EvaluationMode
+        modes = (EvaluationMode.PRE_EVALUATED,
+                 EvaluationMode.POST_EVALUATED)
+        engines = []
+        for controller in self.CONTROLLERS:
+            engine = RuleEngine(db, controller=controller)
+            for text in rules:
+                mode = None if controller == "rule" else rng.choice(modes)
+                engine.add_rule(text, mode=mode)
+            engines.append((controller, engine))
+        return engines
+
+    @staticmethod
+    def _render(engine: RuleEngine, name: str):
+        try:
+            return ("ok", _dump(engine.derive(name)))
+        except ReproError as exc:
+            return ("error", type(exc).__name__)
+
+    def _oracle(self, db, rules: List[str]) -> Dict[str, tuple]:
+        """Everything derived from scratch by a fresh set-based engine
+        (detached again, so it never hears later writes)."""
+        oracle = RuleEngine(db, compact=False)
+        try:
+            for text in rules:
+                oracle.add_rule(text)
+            return {name: self._render(oracle, name)
+                    for name in oracle.target_names}
+        finally:
+            db.remove_listener(oracle._on_update)
+
+    def _compare(self, engines, db, rules, context: str,
+                 failures: List[str]) -> None:
+        expected = self._oracle(db, rules)
+        for label, engine in engines:
+            for name, want in expected.items():
+                got = self._render(engine, name)
+                if got != want:
+                    failures.append(
+                        f"{context}: {label} controller renders {name} "
+                        f"as {got[0]} != scratch {want[0]} "
+                        f"(footprint {engine.footprint(name).describe()})")
+
+    def _one_write(self, db, rng: random.Random, tick: int,
+                   own: List, hot) -> Optional[str]:
+        """One random mutation; retries on constraint violations.
+        Two link and attribute writes in three land inside ``hot`` (the
+        union of the stack's footprints) — a write nobody reads proves
+        nothing."""
+        for _ in range(8):
+            kind = rng.choice(("insert", "insert", "associate",
+                               "associate", "dissociate",
+                               "set_attribute", "set_attribute",
+                               "delete"))
+            try:
+                if kind == "insert":
+                    cls = rng.choice(("Course", "Teacher", "Department",
+                                      "Undergrad", "Section", "TA"))
+                    label = f"f{tick}_{len(own)}"
+                    attrs: Dict[str, object] = {}
+                    if cls == "Course":
+                        attrs = {"c#": 9000 + tick, "title": label,
+                                 "credit_hours": 3}
+                    elif cls in ("Teacher", "TA"):
+                        attrs = {"name": label, "degree": "PhD"}
+                    elif cls == "Department":
+                        attrs = {"name": label, "college": "College1"}
+                    elif cls == "Section":
+                        attrs = {"section#": 1, "textbook": "Book3"}
+                    own.append(db.insert(cls, label, **attrs).oid)
+                elif kind in ("associate", "dissociate"):
+                    read = [assoc for assoc in self.ASSOCS
+                            if assoc[:2] in hot.links]
+                    owner_cls, name, target_cls = rng.choice(
+                        read if read and rng.random() < 0.67
+                        else self.ASSOCS)
+                    owner = rng.choice(sorted(db.extent(owner_cls)))
+                    target = rng.choice(sorted(db.extent(target_cls)))
+                    if name == "prereq" and owner <= target:
+                        # Keep the prerequisite graph acyclic (edges
+                        # point from newer to older courses).
+                        owner, target = target, owner
+                    if kind == "associate" and owner != target:
+                        db.associate(owner, name, target)
+                    elif kind == "dissociate":
+                        linked = sorted(db.linked(
+                            owner, db._resolve_assoc(owner, name)[0]))
+                        if not linked:
+                            continue
+                        db.dissociate(owner, name, rng.choice(linked))
+                    else:
+                        continue
+                elif kind == "set_attribute":
+                    # Own and inherited attributes, the latter written
+                    # through subclass instances.
+                    table = (
+                        ("Course", "credit_hours", rng.randint(1, 5)),
+                        ("Course", "c#", rng.choice((1500, 5500))),
+                        ("TA", "GPA", rng.choice((2.0, 3.5))),
+                        ("Grad", "GPA", rng.choice((2.0, 3.5))),
+                        ("Faculty", "degree", rng.choice(("PhD", "MS"))),
+                        ("Faculty", "rank", rng.choice(("Full", "Asst"))),
+                        ("Faculty", "name", f"n{tick}"),
+                        ("Department", "college",
+                         rng.choice(("College1", "College2"))),
+                        ("Section", "textbook",
+                         rng.choice(("Book3", "Book9"))),
+                        ("Section", "section#", rng.randint(1, 2)),
+                        ("Transcript", "grade", rng.choice((2.0, 3.5))),
+                        ("Transcript", "letter", rng.choice("AB")),
+                    )
+                    names = {name for _, name in hot.attrs}
+                    read = [row for row in table if row[1] in names]
+                    cls, attr, value = rng.choice(
+                        read if read and rng.random() < 0.67 else table)
+                    db.set_attribute(rng.choice(sorted(db.extent(cls))),
+                                     attr, value)
+                else:
+                    if not own:
+                        continue
+                    oid = own.pop(rng.randrange(len(own)))
+                    if db.has(oid):  # may be gone by an earlier cascade
+                        db.delete(oid)
+                    else:
+                        continue
+                return kind
+            except ReproError:
+                continue
+        return None
+
+    def _write(self, db, rng: random.Random, tick: int,
+               own: List, hot) -> Optional[str]:
+        """A single write, or (one time in five) a BATCH of 2-3."""
+        if rng.random() >= 0.2:
+            return self._one_write(db, rng, tick, own, hot)
+        kinds = []
+        with db.batch():
+            for part in range(rng.randint(2, 3)):
+                kinds.append(self._one_write(db, rng, tick * 10 + part,
+                                             own, hot))
+        return "batch" if any(kinds) else None
+
+    def _cascade(self, db, tick: int) -> None:
+        """Delete a department whose staff (composition parts) teach:
+        the cascade deletes the teachers, which silently drops their
+        ``teaches`` links — several DELETE events, no DISSOCIATE."""
+        dept = db.insert("Department", f"casc{tick}", name=f"casc{tick}",
+                         college="College2")
+        sections = sorted(db.extent("Section"))
+        for index in range(2):
+            teacher = db.insert("Teacher", f"casc{tick}_{index}",
+                                name=f"casc{tick}_{index}", degree="PhD")
+            db.associate(dept, "staff", teacher)
+            db.associate(teacher, "teaches", sections[index])
+        db.delete(dept.oid)
+
+    def test_footprint_engines_match_scratch_after_every_write(self):
+        from repro.model.evolution import drop_association
+        cases = max(CASES // 10, 6)
+        failures: List[str] = []
+        writes = spared = tested = 0
+        kinds_seen = set()
+        for case in range(cases):
+            seed = DB_SEED * 700_000 + case
+            rng = random.Random(seed)
+            db = self._fresh_db()
+            rules = self._rule_stack(rng)
+            # Keep only what derives cleanly up front: a rule that
+            # raises would raise out of every write's forward pass.
+            baseline = self._oracle(db, rules)
+            kept = []
+            for text in rules:
+                name = text.split(" then ")[1].split()[0]
+                reads = [src for src in baseline
+                         if f"{src}:" in text and src != name]
+                if baseline[name][0] == "ok" and all(
+                        any(k.split(" then ")[1].split()[0] == src
+                            for k in kept) for src in reads):
+                    kept.append(text)
+            rules = kept
+            if len(rules) < 2:
+                continue
+            tested += 1
+            engines = self._engines(db, rules, rng)
+            context = f"seed={seed} rules={rules!r}"
+            self._compare(engines, db, rules, f"{context} initially",
+                          failures)
+            hot = EMPTY
+            for name in engines[0][1].target_names:
+                hot |= engines[0][1].footprint(name)
+            own: List = []
+            steps = rng.randint(8, 12)
+            # The schema change drops the composition link the
+            # cascade needs, so it comes second.
+            cascade_at, schema_at = sorted(rng.sample(range(steps), 2))
+            for step in range(steps):
+                tick = case * 100 + step
+                if step == cascade_at:
+                    self._cascade(db, tick)
+                    kind = "cascade"
+                elif step == schema_at:
+                    drop_association(db, "Department", "staff")
+                    kind = "schema"
+                else:
+                    kind = self._write(db, rng, tick, own, hot)
+                if kind is None:
+                    continue
+                writes += 1
+                kinds_seen.add(kind)
+                self._compare(engines, db, rules,
+                              f"{context} after write {step} ({kind})",
+                              failures)
+                if len(failures) >= 5:
+                    break
+            spared += sum(engine.stats.refreshes_skipped_footprint
+                          for _, engine in engines)
+            for _, engine in engines:
+                db.remove_listener(engine._on_update)
+            if len(failures) >= 5:
+                break
+        assert tested >= cases // 2, (
+            f"only {tested} of {cases} rule stacks were usable")
+        assert writes >= tested * 4, "write generator produced too little"
+        assert {"batch", "cascade", "schema", "associate",
+                "set_attribute", "insert"} <= kinds_seen, kinds_seen
+        assert spared > 0, ("no write was ever spared by a footprint: "
+                            "the tier is vacuous")
+        assert not failures, (
+            f"{len(failures)} footprint-parity failure(s) over {tested} "
+            f"stacks / {writes} writes:\n" + "\n".join(failures))
+
+    def test_generalization_cases_by_construction(self):
+        """The three ways a class-level intuition goes wrong: a link
+        declared on a superclass traversed through a subclass, an
+        inherited attribute written through a subclass instance, and a
+        DELETE whose only effect on a target is a removed link."""
+        db = self._fresh_db()
+        rules = [
+            # Student.Major, traversed as Grad * Department.
+            "if context Grad * Department then Grad_dept (Grad, Department)",
+            # Student.GPA read through Grad; Person.name through Teacher.
+            "if context Grad[GPA >= 3.0] * Section "
+            "then Good_grads (Grad)",
+            "if context Teacher[name = 'Renamed'] * Section "
+            "then Renamed (Teacher)",
+            # Section is not even a target class here.
+            "if context Teacher * Section then Busy (Teacher)",
+        ]
+        engines = self._engines(db, rules, random.Random(DB_SEED))
+        failures: List[str] = []
+        depts = sorted(db.extent("Department"))
+        ta = sorted(db.extent("TA"))[0]
+        major = db._resolve_assoc(ta, "Major")[0]
+        for dept in db.linked(ta, major):
+            db.dissociate(ta, "Major", dept)
+            self._compare(engines, db, rules, "TA drops its Major",
+                          failures)
+        db.associate(ta, "Major", depts[-1])
+        self._compare(engines, db, rules, "TA majors (Student.Major)",
+                      failures)
+        for gpa in (1.0, 3.9):
+            db.set_attribute(ta, "GPA", gpa)
+            self._compare(engines, db, rules,
+                          f"TA.GPA = {gpa} (Student.GPA)", failures)
+        faculty = next(oid for oid in sorted(db.extent("Faculty"))
+                       if db.linked(oid, db._resolve_assoc(
+                           oid, "teaches")[0]))
+        db.set_attribute(faculty, "name", "Renamed")
+        self._compare(engines, db, rules, "Faculty.name (Person.name)",
+                      failures)
+        teaches = db._resolve_assoc(faculty, "teaches")[0]
+        for section in sorted(db.linked(faculty, teaches)):
+            db.delete(section)
+            self._compare(engines, db, rules,
+                          "Section deleted under its teacher", failures)
+        assert not failures, "\n".join(failures)
+        for _, engine in engines:
+            busy = {p.values[0] for p in engine.derive("Busy").patterns}
+            assert faculty not in busy

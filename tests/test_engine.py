@@ -176,18 +176,47 @@ class TestClosureProperty:
         assert engine.stats.derivations["Teacher_course"] == 1
         assert engine.stats.derivations["Grad_teachers"] == 1
 
-    def test_affected_targets_transitive(self, engine):
+    def test_affected_by_event_transitive(self, engine):
         engine.add_rule(R2)
         engine.add_rule(R4)
-        affected = engine.affected_targets({"Student"})
-        assert affected == {"Suggest_offer", "May_teach"}
+        events = []
+        engine.db.add_listener(events.append)
+        engine.db.insert("Student", "st_new")
+        assert engine.affected_by_event(events[-1]) == \
+            {"Suggest_offer", "May_teach"}
 
-    def test_affected_targets_direct_only_when_untouched_upstream(
+    def test_affected_by_event_direct_only_when_untouched_upstream(
             self, engine):
         engine.add_rule(R2)
         engine.add_rule(R4)
-        # Transcript only appears in no rule here: nothing affected.
-        assert engine.affected_targets({"Transcript"}) == set()
+        events = []
+        engine.db.add_listener(events.append)
+        # Transcript appears in no rule here: nothing affected.
+        engine.db.insert("Transcript", "tr_new")
+        assert engine.affected_by_event(events[-1]) == set()
+        # A Faculty (a Teacher) is read by R4 only, not by the R2 it
+        # sits downstream of.
+        engine.db.insert("Faculty", "f_new")
+        assert engine.affected_by_event(events[-1]) == {"May_teach"}
+
+    def test_affected_by_event_is_footprint_precise(self, engine, paper):
+        """A link or attribute write affects only the targets that
+        traverse that link / compare that attribute, although every
+        rule here reads the classes at both ends."""
+        engine.add_rule(R1)
+        engine.add_rule(R2)
+        events = []
+        engine.db.add_listener(events.append)
+        engine.db.associate(paper["t1"], "teaches", paper["s6"])
+        assert engine.affected_by_event(events[-1]) == {"Teacher_course"}
+        before = engine.stats.refreshes_skipped_footprint
+        engine.db.set_attribute(paper.oid("c1"), "title", "Renamed")
+        # Both targets read Course; both were spared by the footprint.
+        assert engine.stats.refreshes_skipped_footprint == before + 2
+        assert engine.affected_by_event(events[-1]) == set()
+        dept = next(iter(engine.db.extent("Department")))
+        engine.db.set_attribute(dept, "name", "Renamed")
+        assert engine.affected_by_event(events[-1]) == {"Suggest_offer"}
 
 
 class TestRemoveRule:

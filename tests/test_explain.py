@@ -78,6 +78,19 @@ class TestExplanationStructure:
         assert "rule R2" in text
         assert "derivation order: Suggest_offer -> May_teach" in text
 
+    def test_targets_report_their_transitive_footprint(self, engine):
+        plan = engine.explain(QUERY_41)
+        root = plan.roots[0]
+        assert root.footprint == engine.footprint("May_teach").describe()
+        # May_teach reads Suggest_offer, so R2's condition attribute and
+        # links are part of what a write must touch to move it.
+        assert "Department.name" in root.footprint
+        assert "Student.enrolled" in root.footprint
+        (source,) = root.sources
+        assert f"reads {source.footprint}" in plan.render()
+        assert source.footprint.startswith(
+            "extents: Course, Department, Section, Student links: ")
+
     def test_unknown_qualifier_ignored_gracefully(self, engine):
         # SDB is registered externally, not rule-derived: not in the plan.
         from repro.university import build_sdb

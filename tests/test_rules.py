@@ -121,11 +121,18 @@ class TestStaticAnalysis:
             "then Deps_need_res (Department)")
         assert rule.source_subdatabases() == {"Suggest_offer"}
 
-    def test_base_classes_exclude_derived(self):
+    def test_footprint_excludes_derived(self):
+        from repro.university.schema import build_university_schema
         rule = parse_rule(
-            "if context TA * Teacher * Section * Suggest_offer:Course "
-            "then May_teach (TA, Course)")
-        assert rule.base_classes() == {"TA", "Teacher", "Section"}
+            "if context TA * Teacher[degree = 'PhD'] * Section "
+            "* Suggest_offer:Course then May_teach (TA, Course)")
+        footprint = rule.footprint(build_university_schema())
+        assert footprint.extents == {"TA", "Teacher", "Section"}
+        # TA * Teacher is an identity edge; Section * Suggest_offer:Course
+        # crosses the base link the derived class inherits.
+        assert footprint.links == {("Teacher", "teaches"),
+                                   ("Section", "course")}
+        assert footprint.attrs == {("Teacher", "degree")}
 
     def test_where_refs_from_comparisons(self):
         rule = parse_rule(

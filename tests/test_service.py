@@ -108,7 +108,8 @@ class TestEndpoints:
             "if context Teacher * Section then Busy (Teacher)")
         assert result["kind"] == "rule"
         assert result["target"] == "Busy"
-        assert "Teacher" in result["base_classes"]
+        assert result["footprint"] == ("extents: Section, Teacher "
+                                       "links: Teacher.teaches attrs: -")
 
     def test_parse_error_code(self, client):
         with pytest.raises(ServiceError) as exc:
@@ -832,7 +833,8 @@ class TestLiveSubscriptions:
             sid = res["subscription"]
             assert res["kind"] == "snapshot" and res["seq"] == 0
             assert res["incremental"] is True
-            assert res["classes"] == ["Section", "Teacher"]
+            assert res["footprint"] == ("extents: Section, Teacher "
+                                        "links: Teacher.teaches attrs: -")
             state = {tuple(r) for r in res["rows"]}
             assert state == _engine_rows(engine,
                                          "context Teacher * Section")
@@ -847,7 +849,8 @@ class TestLiveSubscriptions:
             assert frame["kind"] == "delta" and frame["seq"] == 1
             assert frame["added"] == [list(pair)]
             assert frame["removed"] == []
-            assert len(frame["vector"]) == 3  # schema + 2 classes
+            # schema + 2 extents + 1 link
+            assert len(frame["vector"]) == 4
             # An unrelated-class write never wakes the subscriber.
             writer.update({"kind": "insert", "cls": "Department",
                            "attrs": {"name": "Nowhere"}})

@@ -97,6 +97,8 @@ class TestMetaCommands:
         sh.handle("if context Teacher * Section then TS (Teacher)")
         sh.handle("\\rules")
         assert "then TS" in output(out)
+        assert ("TS reads extents: Section, Teacher "
+                "links: Teacher.teaches attrs: -") in output(out)
 
     def test_explain(self, shell):
         sh, out = shell

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import DataError
 from repro.model.dclass import DClass
 from repro.model.schema import Schema
+from repro.oql.footprint import Footprint
 from repro.rules.control import EvaluationMode
 from repro.rules.engine import RuleEngine
 from repro.storage import (
@@ -141,15 +142,18 @@ class TestDatabaseRoundtrip:
         t1 = data.oid("t1")
         db.set_attribute(t1, "name", "Smith'")
         doc = database_to_dict(db)
-        assert doc["version_state"]["class_versions"]["Teacher"] == \
-            db.class_version("Teacher")
+        assert doc["version_state"]["attr_versions"]["Teacher"]["name"] \
+            == db.version
         schema = schema_from_dict(schema_to_dict(db.schema))
         restored = database_from_dict(doc, schema)
         assert restored.version == db.version
         assert restored.schema_version == db.schema_version
         assert restored.version_state() == db.version_state()
-        assert restored.version_vector(["Teacher", "Course"]) == \
-            db.version_vector(["Teacher", "Course"])
+        footprint = Footprint(frozenset(("Teacher", "Course")),
+                              frozenset((("Teacher", "teaches"),)),
+                              frozenset((("Teacher", "name"),)))
+        assert restored.version_vector(footprint) == \
+            db.version_vector(footprint)
 
     def test_legacy_document_without_version_state_loads(self):
         data = build_paper_database()
@@ -306,6 +310,52 @@ class TestSessionRoundtrip:
         restored = load_session(save_session(engine,
                                              tmp_path / "s.json"))
         assert restored.db.version_state() == engine.db.version_state()
+
+    def test_stamp_maps_roundtrip_byte_identically(self, tmp_path):
+        data, engine = self._engine()
+        db = engine.db
+        db.set_attribute(data.oid("t1"), "name", "Smith'")
+        db.associate(data["t2"], "teaches", data["s6"])
+        db.delete(data.oid("tr1"))
+        state = db.version_state()
+        assert state["attr_versions"]["Person"]["name"] == \
+            state["attr_versions"]["Teacher"]["name"]
+        assert state["link_versions"]["Teacher"]["teaches"] > \
+            state["attr_versions"]["Teacher"]["name"]
+        # The delete stamped the extent and the links it took along.
+        assert state["extent_versions"]["Transcript"] == db.version
+        assert state["link_versions"]["Transcript"] == \
+            {"course": db.version, "student": db.version}
+        first = save_session(engine, tmp_path / "a.json").read_bytes()
+        second = save_session(load_session(tmp_path / "a.json"),
+                              tmp_path / "b.json").read_bytes()
+        assert first == second
+        assert load_session(tmp_path / "b.json").db.version_state() \
+            == state
+
+    def test_pr11_session_document_loads(self):
+        """A session saved before the stamps were split carries
+        ``class_versions`` only: it loads, counters restored, stamp
+        maps empty (everything cached is cold after a load anyway)."""
+        from pathlib import Path
+        path = Path(__file__).parent / "data" / "session_pr11.json"
+        doc = json.loads(path.read_text())
+        assert "class_versions" in doc["database"]["version_state"]
+        assert "extent_versions" not in doc["database"]["version_state"]
+        engine = load_session(path)
+        assert engine.db.version_state() == {
+            "version": 214, "schema_version": 0, "extent_versions": {},
+            "link_versions": {}, "attr_versions": {}}
+        before = engine.derive("Teacher_course")
+        t2 = next(o for o in engine.db.extent("Teacher")
+                  if o.label == "t2")
+        s6 = next(o for o in engine.db.extent("Section")
+                  if o.label == "s6")
+        engine.db.associate(t2, "teaches", s6)
+        assert engine.db.version_state()["link_versions"] == \
+            {"Teacher": {"teaches": 215}}
+        # ... and the write invalidated what was derived before it.
+        assert engine.derive("Teacher_course") is not before
 
     def test_version_check(self):
         data, engine = self._engine()

@@ -249,7 +249,9 @@ class TestSubscriptionSemantics:
         manager = SubscriptionManager(engine)
         sub = manager.subscribe(
             "context Teacher_course:Teacher * Teacher_course:Course")
-        assert sub.classes == ("Course", "Section", "Teacher")
+        assert sub.footprint.extents == {"Course", "Section", "Teacher"}
+        assert sub.footprint.links == {("Teacher", "teaches"),
+                                       ("Section", "course")}
         teacher = sorted(data.db.extent("Teacher"))[0]
         section = sorted(data.db.extent("Section"))[-1]
         data.db.associate(teacher, "teaches", section)

@@ -317,6 +317,34 @@ class TestInstrumentation:
                    for span in all_spans(root))
         assert_well_formed(root)
 
+    def test_refresh_span_reports_footprint_skip(self):
+        """A write to a class a target reads, through a link it never
+        traverses, shows as a refresh span with outcome skip-footprint
+        — and only for that near miss, not for every bystander."""
+        data = generate_university(GeneratorConfig(students=20), seed=3)
+        engine = RuleEngine(data.db, controller="incremental")
+        engine.add_rule("if context Teacher * Section "
+                        "then Busy (Teacher)")
+        engine.add_rule("if context Department * Course "
+                        "then Offers (Department)")
+        engine.add_rule("if context Student * Section "
+                        "then Enrolled (Student)")
+        engine.refresh()
+        student = data.all_of("Student")[0]
+        enrolled = data.db._resolve_assoc(student.oid, "enrolled")[0]
+        free = next(s for s in data.all_of("Section")
+                    if s.oid not in data.db.linked(student.oid, enrolled))
+        tracer = obs.install()
+        data.db.associate(student, "enrolled", free)
+        root = tracer.recorder.last()
+        assert root.name == "forward-pass"
+        outcomes = {span.attrs["target"]: span.attrs["outcome"]
+                    for span in all_spans(root) if span.name == "refresh"}
+        assert outcomes == {"Busy": "skip-footprint",
+                            "Enrolled": "incremental"}
+        assert engine.stats.snapshot()["refreshes_skipped_footprint"] == 1
+        assert_well_formed(root)
+
     def test_budget_exceeded_records_partial_trace(self):
         processor = self._processor()
         tracer = obs.install()
