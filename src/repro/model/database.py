@@ -568,6 +568,16 @@ class Database:
     def has(self, oid: OID) -> bool:
         return oid in self._entities
 
+    def attr_column(self, oids: Iterable[OID], attr: str) -> List[Any]:
+        """``attr`` of every object of ``oids``, in order (``None``
+        where unset) — the one bulk read a value-index build makes."""
+        entities = self._entities
+        try:
+            return [entities[oid].get(attr) for oid in oids]
+        except KeyError as exc:
+            raise UnknownObjectError(
+                f"no object with OID {exc.args[0]!r}") from None
+
     def _require_extent(self, cls: str) -> Dict[OID, Entity]:
         """The direct-extent dict of ``cls``, created lazily so classes
         added to the schema after this database was built (schema

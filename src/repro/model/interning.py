@@ -34,7 +34,8 @@ class InternTable:
     identically — differential tests rely on this determinism.
     """
 
-    __slots__ = ("key", "oids", "values", "index", "token", "_full_ids")
+    __slots__ = ("key", "oids", "values", "index", "token", "_full_ids",
+                 "lent")
 
     def __init__(self, key: Any, extent: Iterable[OID],
                  token: Any = None):
@@ -50,6 +51,23 @@ class InternTable:
         #: derived extents).
         self.token = token
         self._full_ids: Optional[FrozenSet[int]] = None
+        #: Set once a pinned snapshot shares this table: the owning
+        #: store then appends to a :meth:`fork`, never to this object.
+        self.lent = False
+
+    def fork(self) -> "InternTable":
+        """A private shallow copy (same OID objects, own columns and
+        encode map) for the owning store to go on appending to while
+        snapshots keep reading this one."""
+        twin = InternTable.__new__(InternTable)
+        twin.key = self.key
+        twin.oids = self.oids[:]
+        twin.values = self.values[:]
+        twin.index = self.index.copy()
+        twin.token = self.token
+        twin._full_ids = self._full_ids
+        twin.lent = False
+        return twin
 
     def append(self, oid: OID) -> int:
         """Extend the bijection with a freshly inserted object.
@@ -137,6 +155,17 @@ class OIDInterner:
 
     def get(self, key: Any) -> Optional[InternTable]:
         return self._tables.get(key)
+
+    def adopt(self, other: "OIDInterner") -> int:
+        """Share every table of ``other`` (marking each lent, so its
+        owner forks before appending); returns how many."""
+        # One atomic copy: ``other``'s owner may be filling its map on
+        # another thread, outside every lock the caller holds.
+        tables = other._tables.copy()
+        for table in tables.values():
+            table.lent = True
+        self._tables.update(tables)
+        return len(tables)
 
     def build(self, key: Any, extent: Iterable[OID],
               token: Any = None) -> InternTable:

@@ -72,8 +72,12 @@ def _evict_one(memo: Dict) -> None:
     (dicts iterate in insertion order).  Stale entries reap themselves
     on their own next probe; wholesale clearing — the previous policy —
     cooled every warm entry whenever one more distinct key arrived at
-    the cap."""
-    memo.pop(next(iter(memo)), None)
+    the cap.  A memo shared between sessions may move under the
+    iterator; the eviction is then left to the next insert."""
+    try:
+        memo.pop(next(iter(memo)), None)
+    except RuntimeError:
+        pass
 
 
 class Statistics:
@@ -84,19 +88,35 @@ class Statistics:
     the vector moved.  Writes outside the footprint leave the entry
     warm — an ASSOCIATE re-measures the fan-out of its own link and
     nothing else.
+
+    Base-data entries are a function of the stamps alone, so one memo
+    serves every universe over the same database: a rule engine's
+    evaluators and each session pinned from it :meth:`share` one, and a
+    re-pinned session measures nothing the previous pin — or the
+    write's own maintenance — measured.  Entries over derived
+    subdatabases (wildcard footprint) are kept apart and never shared:
+    their token is one universe's own registry epoch, which means
+    nothing — and may collide — in another universe.
     """
 
     def __init__(self, universe: Universe):
         self.universe = universe
-        #: ref -> (footprint, vector, size)
-        self._extent_sizes: Dict[ClassRef, Tuple[Footprint, Any, int]] = {}
-        #: (source, resolution) -> (footprint, vector, fan-out)
-        self._fanouts: Dict[Tuple[ClassRef, EdgeResolution],
-                            Tuple[Footprint, Any, float]] = {}
+        #: ``ref -> (footprint, vector, size)`` and ``(source,
+        #: resolution) -> (footprint, vector, fan-out)`` over base data.
+        self._base: Dict[Any, Tuple[Footprint, Any, float]] = {}
+        #: The same over derived references and edges.
+        self._derived: Dict[Any, Tuple[Footprint, Any, float]] = {}
+
+    def share(self, other: "Statistics") -> None:
+        """Use ``other``'s base-data memo from now on (entries validate
+        against whichever universe asks, so sessions pinned at different
+        versions only overwrite each other's stale entries)."""
+        self._base = other._base
 
     def extent_size(self, ref: ClassRef) -> int:
         """The unfiltered extent size of a class reference."""
-        cached = self._extent_sizes.get(ref)
+        memo = self._base if ref.subdb is None else self._derived
+        cached = memo.get(ref)
         if cached is not None:
             footprint = cached[0]
         elif ref.subdb is None:
@@ -110,9 +130,9 @@ class Statistics:
             size = self.universe.db.extent_size(ref.cls)
         else:
             size = len(self.universe.extent(ref))
-        if len(self._extent_sizes) >= _MEMO_CAP:
-            _evict_one(self._extent_sizes)
-        self._extent_sizes[ref] = (footprint, token, size)
+        if len(memo) >= _MEMO_CAP:
+            _evict_one(memo)
+        memo[ref] = (footprint, token, size)
         return size
 
     def fanout(self, source: ClassRef, resolution: EdgeResolution) -> float:
@@ -124,7 +144,9 @@ class Statistics:
         if resolution.kind == "identity":
             return 1.0
         key = (source, resolution)
-        cached = self._fanouts.get(key)
+        memo = self._base if resolution.kind == "base" \
+            and source.subdb is None else self._derived
+        cached = memo.get(key)
         footprint = cached[0] if cached is not None else \
             edge_footprint(resolution, source)
         token = self.universe.version_vector(footprint)
@@ -136,9 +158,9 @@ class Statistics:
             subdb = self.universe.get_subdb(resolution.subdb)
             pairs = len(subdb.pairs(resolution.i, resolution.j))
         value = pairs / max(1, self.extent_size(source))
-        if len(self._fanouts) >= _MEMO_CAP:
-            _evict_one(self._fanouts)
-        self._fanouts[key] = (footprint, token, value)
+        if len(memo) >= _MEMO_CAP:
+            _evict_one(memo)
+        memo[key] = (footprint, token, value)
         return value
 
     def condition_selectivity(self, ref: ClassRef,

@@ -99,6 +99,12 @@ class RuleEngine:
                                         compact=compact, workers=workers,
                                         worker_mode=worker_mode,
                                         cache_bytes=cache_bytes)
+        # One planner-statistics memo per engine: the derivation
+        # evaluator, the query processor and every snapshot session read
+        # and fill the same base-data entries (what a write's
+        # maintenance measured, the next read does not measure again).
+        self.evaluator.planner.statistics.share(
+            self.processor.evaluator.planner.statistics)
         #: Per-event budget for incremental maintenance: when set, a
         #: maintainer refresh that trips it is skipped (the target goes
         #: stale and ``stats.refreshes_skipped`` counts it) instead of
@@ -444,9 +450,15 @@ class RuleEngine:
         universe, for concurrent readers: evaluation (including backward
         chaining through this engine's rules) runs entirely against the
         pinned version and registers derived subdatabases only in the
-        snapshot's private registry — the live universe and rule base
+        snapshot's private registry — the live registry and rule base
         are never written.  Writers proceed concurrently; the reader
-        never observes their effects."""
+        never observes their effects.
+
+        The session starts warm: its compact store adopts the live
+        universe's maintained intern tables, CSR and value indexes
+        (copy-on-write, see :mod:`repro.subdb.adjindex`) and its planner
+        reads the engine's statistics memo, so re-pinning after a write
+        costs what the write changed, not a rebuild."""
         tracer = obs.TRACER
         sspan = tracer.start("snapshot-session") \
             if tracer is not None else None
@@ -469,6 +481,8 @@ class RuleEngine:
                                    workers=self.evaluator.workers,
                                    worker_mode=self.evaluator.worker_mode,
                                    cache_bytes=self._cache_bytes)
+        processor.evaluator.planner.statistics.share(
+            self.processor.evaluator.planner.statistics)
         deriving: Set[str] = set()
 
         def provide(name: str) -> Optional[Subdatabase]:

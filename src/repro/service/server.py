@@ -561,6 +561,7 @@ class QueryService:
             "workers": {"count": engine.processor.evaluator.workers,
                         "mode": engine.processor.evaluator.worker_mode},
             "cache": cache.stats(),
+            "compact": engine.universe.compact.stats(),
             "subscriptions": self.streaming.stats(),
             "tracing": obs.TRACER is not None,
         }

@@ -495,10 +495,10 @@ class Shell:
                             + ("dropped" if dropped else "not declared"))
             return True
         if word == "stats":
-            rows = universe.index_stats()
-            if not rows:
+            stats = universe.index_stats()
+            if not stats["indexes"]:
                 self._print("(no value indexes declared)")
-            for entry in rows:
+            for entry in stats["indexes"]:
                 if not entry["built"]:
                     self._print(f"{entry['cls']}.{entry['attr']}: "
                                 f"declared, not built yet")
@@ -513,6 +513,9 @@ class Shell:
                     f"none={entry['none']}"
                     + (f", other: {others}" if others else "")
                     + f", epoch {entry['epoch']}")
+            self._print("store: " + ", ".join(
+                f"{name}={count}" for name, count
+                in stats["store"].items()))
             return True
         if word == "auto":
             value = rest.strip().lower()

@@ -27,6 +27,17 @@ invalidated *fine-grained* from database update events:
 * anything else (schema evolution, unobserved version drift inside an
   open ``batch`` block) conservatively clears everything.
 
+A pinned snapshot's store does not rebuild any of this: it *adopts* the
+live store's structures (:meth:`CompactStore.adopt`), marking each
+``lent``.  The in-place steps above then fork a lent structure first —
+a shallow copy the live store goes on maintaining, while the snapshot
+keeps the original, which nothing mutates again — and re-point the
+structures built over it.  What a snapshot misses it builds *through*
+the live store whenever the stamps of what the structure reads have not
+moved since the pin (:meth:`CompactStore.through_lender`), so every
+later pin inherits it; only a pin older than those stamps builds
+privately, from its pinned pre-images.
+
 Fine granularity is what lets the incremental maintainer *consume* the
 same indexes: a single-link update leaves every other link's CSR valid,
 so delta expansion after the event still runs over interned ints
@@ -35,6 +46,7 @@ so delta expansion after the event still runs over interned ints
 
 from __future__ import annotations
 
+import threading
 import weakref
 from array import array
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -52,7 +64,7 @@ class AdjacencyIndex:
     """
 
     __slots__ = ("src", "tgt", "offsets", "neighbors", "link_key", "token",
-                 "epoch")
+                 "epoch", "lent")
 
     def __init__(self, src: InternTable, tgt: InternTable,
                  rows: Sequence[Sequence[int]],
@@ -79,6 +91,23 @@ class AdjacencyIndex:
         #: *copies* of the arrays (shared-memory plane exports) compare
         #: this alongside object identity.
         self.epoch = 0
+        #: Set once a pinned snapshot shares this index: the owning
+        #: store then appends to a :meth:`fork`, never to this object.
+        self.lent = False
+
+    def fork(self) -> "AdjacencyIndex":
+        """A private copy (own CSR arrays) for the owning store to go
+        on appending to while snapshots keep reading this one."""
+        twin = AdjacencyIndex.__new__(AdjacencyIndex)
+        twin.src = self.src
+        twin.tgt = self.tgt
+        twin.offsets = self.offsets[:]
+        twin.neighbors = self.neighbors[:]
+        twin.link_key = self.link_key
+        twin.token = self.token
+        twin.epoch = self.epoch
+        twin.lent = False
+        return twin
 
     def row(self, i: int) -> array:
         """Neighbor ids of source id ``i`` (ascending, may be empty)."""
@@ -120,6 +149,20 @@ class CompactStore:
         self.indexes_appended = 0
         self.tables_remapped = 0
         self.indexes_remapped = 0
+        #: Sharing with pinned snapshots, counted on the live store:
+        #: structures lent to pins, copy-on-write forks made before
+        #: maintaining a lent structure, and snapshot misses served
+        #: through this store (built here if absent, inherited by every
+        #: later pin) or by a private build from pinned pre-images.
+        self.adopted = 0
+        self.forked = 0
+        self.built_shared = 0
+        self.built_private = 0
+        #: The live store this (snapshot) store adopted from.
+        self.lender: Optional[CompactStore] = None
+        # Serializes pinned readers working on this store: they hold
+        # only the database's *read* lock, which admits several.
+        self._share_lock = threading.Lock()
         # Subscribe through a weakref so a forgotten Universe (tests
         # create many over one database) is not kept alive by the
         # listener list; a dead subscription unhooks itself on the next
@@ -208,6 +251,8 @@ class CompactStore:
             table = self.interner.get(("base", cls))
             if table is None:
                 continue
+            if table.lent:
+                table = self._fork_table(table)
             try:
                 table.append(oid)
             except ValueError:  # pragma: no cover - defensive
@@ -217,16 +262,44 @@ class CompactStore:
             self.tables_appended += 1
         if not appended:
             return
-        for index in self._adj.values():
+        for key, index in self._adj.items():
             if id(index.src) not in appended:
                 continue
+            if index.lent:
+                index = self._fork_index(key, index)
             is_identity = index.link_key is None and index.token is None
             if is_identity and id(index.tgt) in appended:
                 index.neighbors.append(index.tgt.index[oid.value])
             index.offsets.append(len(index.neighbors))
             index.epoch += 1
             self.indexes_appended += 1
-        self.attrs.apply_insert(oid, appended)
+        # The event's own record of the new object, not the database's:
+        # inside a replayed BATCH the object may be gone again already.
+        self.attrs.apply_insert(event.payload["attrs"], appended)
+
+    def _fork_table(self, table: InternTable) -> InternTable:
+        """Swap a lent intern table for a private fork before appending
+        to it, and re-point what was built over it: an un-lent
+        dependant in place, a lent one as a fork of its own (the
+        snapshots sharing it keep the old pairing)."""
+        fork = table.fork()
+        self.interner.replace(table.key, fork)
+        self.forked += 1
+        for key, index in self._adj.items():
+            if index.src is table or index.tgt is table:
+                if index.lent:
+                    index = self._fork_index(key, index)
+                if index.src is table:
+                    index.src = fork
+                if index.tgt is table:
+                    index.tgt = fork
+        self.attrs.repoint(table, fork)
+        return fork
+
+    def _fork_index(self, key: Any, index: AdjacencyIndex) -> AdjacencyIndex:
+        index = self._adj[key] = index.fork()
+        self.forked += 1
+        return index
 
     def _apply_delete(self, event: UpdateEvent) -> None:
         """Replace cached structures by copies without the dead object.
@@ -282,14 +355,19 @@ class CompactStore:
         self.attrs.apply_delete(replaced)
 
     def on_subdb_change(self, name: str) -> None:
-        """A subdatabase was (re-)registered or dropped."""
-        self.interner.invalidate_subdb(name)
-        stale = [key for key, index in self._adj.items()
-                 if index.src.key[0] != "base" and index.src.key[1] == name
-                 or index.tgt.key[0] != "base" and index.tgt.key[1] == name
-                 or key[0] == "subdb" and key[1] == name]
-        for key in stale:
-            del self._adj[key]
+        """A subdatabase was (re-)registered or dropped.  (Registry
+        changes need not hold the database's write lock, so pinned
+        readers building through this store are kept out here.)"""
+        with self._share_lock:
+            self.interner.invalidate_subdb(name)
+            stale = [key for key, index in self._adj.items()
+                     if index.src.key[0] != "base"
+                     and index.src.key[1] == name
+                     or index.tgt.key[0] != "base"
+                     and index.tgt.key[1] == name
+                     or key[0] == "subdb" and key[1] == name]
+            for key in stale:
+                del self._adj[key]
 
     def clear(self) -> None:
         self.interner.clear()
@@ -301,6 +379,68 @@ class CompactStore:
         tells us *what* changed, so drop everything."""
         self.clear()
         self._seen_version = self.db.version
+
+    def stats(self) -> Dict[str, int]:
+        """The build, maintenance and sharing counters."""
+        return {name: getattr(self, name) for name in (
+            "tables_built", "indexes_built", "tables_appended",
+            "indexes_appended", "tables_remapped", "indexes_remapped",
+            "adopted", "forked", "built_shared", "built_private")}
+
+    # ------------------------------------------------------------------
+    # Sharing with pinned snapshots
+    # ------------------------------------------------------------------
+
+    def adopt(self, live: "CompactStore") -> None:
+        """Seed this (snapshot) store with everything ``live`` holds,
+        marking each structure lent.  The caller holds the database's
+        read lock, under which the live store is exactly the pinned
+        state — unless it is out of sync inside an open ``batch``
+        block, in which case only the index declarations carry over."""
+        self.lender = live
+        self.attrs.declared.update(live.attrs.declared)
+        with live._share_lock:
+            if live.in_sync:
+                # The live universe's own queries fill these maps on a
+                # miss holding neither lock: each is taken in one
+                # atomic copy, never iterated in place.  (What lands
+                # after the copy is simply not adopted, and the three
+                # copies need not agree — every lookup validates a
+                # structure against the table it was built over.)
+                adj = live._adj.copy()
+                for index in adj.values():
+                    index.lent = True
+                self._adj.update(adj)
+                live.adopted += (len(adj)
+                                 + self.interner.adopt(live.interner)
+                                 + self.attrs.adopt(live.attrs))
+
+    def through_lender(self, build, fits, extents=(), links=(), attrs=()):
+        """Serve a miss of this snapshot store through the live store:
+        ``build(live)`` under the read lock, marked lent — provided the
+        stamps of the extents, links and attributes the structure reads
+        stand where they were pinned, i.e. the live state *is* the
+        pinned state as far as the structure can tell, and the result
+        ``fits`` what this store already holds (it is over the pinned
+        intern tables).  Returns ``None`` otherwise — a pin older than
+        those stamps, a live store that re-interned or dropped the
+        declaration meanwhile — and the caller builds privately, from
+        pinned pre-images: ``built_shared`` counts the structures
+        callers keep, ``built_private`` the private builds."""
+        from repro.oql.footprint import Footprint
+        footprint = Footprint(frozenset(extents), frozenset(links),
+                              frozenset(attrs))
+        live = self.lender
+        with live.db.read_locked(), live._share_lock:
+            if live.in_sync and live.db.version_vector(footprint) \
+                    == self.db.version_vector(footprint):
+                structure = build(live)
+                if structure is not None and fits(structure):
+                    structure.lent = True
+                    live.built_shared += 1
+                    return structure
+            live.built_private += 1
+        return None
 
     # ------------------------------------------------------------------
     # Intern tables
@@ -327,6 +467,13 @@ class CompactStore:
         cached = self.interner.get(key)
         if cached is not None and cached.token is token:
             return cached
+        if self.lender is not None and ref.subdb is None:
+            shared = self.through_lender(lambda live: live.table(ref),
+                                         lambda table: True,
+                                         extents=(ref.cls,))
+            if shared is not None:
+                self.interner.replace(key, shared)
+                return shared
         self.tables_built += 1
         return self.interner.build(key, self.universe.extent(ref), token)
 
@@ -370,9 +517,19 @@ class CompactStore:
             if resolution.kind != "subdb" or \
                     cached.token is self.universe._subdbs.get(resolution.subdb):
                 return cached
-        index = self._build(resolution, forward, src, tgt)
+        index = None
+        if self.lender is not None and resolution.kind != "subdb" \
+                and src_ref.subdb is None and tgt_ref.subdb is None:
+            index = self.through_lender(
+                lambda live: live.adjacency(resolution, forward,
+                                            src_ref, tgt_ref),
+                lambda index: index.src is src and index.tgt is tgt,
+                extents=(src_ref.cls, tgt_ref.cls),
+                links=(key[1],) if resolution.kind == "base" else ())
+        if index is None:
+            index = self._build(resolution, forward, src, tgt)
+            self.indexes_built += 1
         self._adj[key] = index
-        self.indexes_built += 1
         return index
 
     def adjacency_if_ready(self, resolution, forward: bool,

@@ -120,7 +120,7 @@ class AttrIndex:
 
     __slots__ = ("table", "attr", "values", "buckets", "num_values",
                  "num_ids", "typed", "unordered", "none_count", "num_count",
-                 "type_counts", "broken", "epoch")
+                 "type_counts", "broken", "epoch", "lent", "_owned")
 
     def __init__(self, table: InternTable, attr: str,
                  values: List[Any]):
@@ -148,6 +148,15 @@ class AttrIndex:
         self.broken = False
         #: In-place mutation counter for shared-plane revalidation.
         self.epoch = 0
+        #: Set once a pinned snapshot shares this index: the owning
+        #: store then maintains a :meth:`fork`, never this object.
+        self.lent = False
+        #: Posting-array ownership.  ``None``: every array in
+        #: ``buckets`` is this index's own (it built them).  A set: only
+        #: the buckets of these values are; every other array is still
+        #: shared with the index this one was forked or remapped from,
+        #: and is copied before its first mutation (:meth:`_private`).
+        self._owned: Optional[Set[Any]] = None
         self._build()
 
     def _build(self) -> None:
@@ -193,6 +202,39 @@ class AttrIndex:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def fork(self) -> "AttrIndex":
+        """A private copy for the owning store to go on maintaining
+        while snapshots keep probing this one: own value column, sorted
+        columns and bucket map — the posting arrays themselves stay
+        shared until first written (:attr:`_owned` starts empty)."""
+        twin = AttrIndex.__new__(AttrIndex)
+        twin.table = self.table
+        twin.attr = self.attr
+        twin.values = self.values[:]
+        twin.buckets = self.buckets.copy()
+        twin.num_values = self.num_values[:]
+        twin.num_ids = self.num_ids[:]
+        twin.typed = {t: (vals[:], ids[:])
+                      for t, (vals, ids) in self.typed.items()}
+        twin.unordered = set(self.unordered)
+        twin.none_count = self.none_count
+        twin.num_count = self.num_count
+        twin.type_counts = dict(self.type_counts)
+        twin.broken = self.broken
+        twin.epoch = self.epoch
+        twin.lent = False
+        twin._owned = set()
+        return twin
+
+    def _private(self, value: Any, postings: array) -> array:
+        """``postings`` — the bucket of ``value`` — made safe to mutate:
+        an array another index still reads is replaced by a copy."""
+        owned = self._owned
+        if value not in owned:
+            owned.add(value)
+            postings = self.buckets[value] = postings[:]
+        return postings
 
     # ------------------------------------------------------------------
     # Probing
@@ -319,6 +361,8 @@ class AttrIndex:
         except TypeError:
             self.broken = True
             return
+        if self._owned is not None:
+            postings = self._private(value, postings)
         postings.append(i)
         self._census_add(value, i, new_id_is_max=True)
 
@@ -335,6 +379,8 @@ class AttrIndex:
             self.num_count -= 1
         else:
             postings = self.buckets[old]
+            if self._owned is not None:
+                postings = self._private(old, postings)
             pos = bisect_left(postings, i)
             postings.pop(pos)
             if not postings:
@@ -350,6 +396,8 @@ class AttrIndex:
         except TypeError:
             self.broken = True
             return
+        if self._owned is not None:
+            postings = self._private(value, postings)
         postings.insert(bisect_left(postings, i), i)
         self._census_add(value, i, new_id_is_max=False)
 
@@ -370,13 +418,18 @@ class AttrIndex:
         index.values = self.values[:dead] + self.values[dead + 1:]
         index.broken = False
         index.epoch = 0
+        index.lent = False
         index.unordered = set(self.unordered)
         # Only buckets holding a dense id >= dead change under the
         # shift, and those ids carry exactly the values in
-        # ``values[dead:]`` — everything else is shared with the source
-        # index, which the caller must discard (the store swaps it out;
-        # two live indexes must never alias posting arrays, as in-place
-        # maintenance mutates them).
+        # ``values[dead:]`` — every other posting array is shared with
+        # the source index.  A lent source lives on in a snapshot, so
+        # the successor owns only what it remaps here; otherwise the
+        # store discards the source, which hands over what it owned.
+        if self.lent:
+            owned: Optional[Set[Any]] = set()
+        else:
+            owned = None if self._owned is None else set(self._owned)
         buckets = dict(self.buckets)
         for value in set(self.values[dead:]):
             postings = buckets.get(value)
@@ -386,9 +439,12 @@ class AttrIndex:
                                 for i in postings if i != dead))
             if moved:
                 buckets[value] = moved
+                if owned is not None:
+                    owned.add(value)
             else:
                 del buckets[value]
         index.buckets = buckets
+        index._owned = owned
         index.none_count = self.none_count - (dead_value is None)
         index.num_count = self.num_count - (1 if _is_num(dead_value)
                                             else 0)
@@ -587,6 +643,15 @@ class AttrIndexStore:
             return True
         return False
 
+    def adopt(self, other: "AttrIndexStore") -> int:
+        """Share every index ``other`` has built (marking each lent, so
+        its owner forks before maintaining it); returns how many."""
+        indexes = other._indexes.copy()  # atomic: see CompactStore.adopt
+        for index in indexes.values():
+            index.lent = True
+        self._indexes.update(indexes)
+        return len(indexes)
+
     # -- lookup ---------------------------------------------------------
 
     def get(self, ref, attr: str) -> Optional[AttrIndex]:
@@ -598,15 +663,22 @@ class AttrIndexStore:
         key = (ref.cls, attr)
         if key not in self.declared:
             return None
-        table = self.store.table(ref)
+        store = self.store
+        table = store.table(ref)
         cached = self._indexes.get(key)
         if cached is not None and cached.table is table:
             return cached
-        db = self.store.db
-        values = [db.entity(oid).get(attr) for oid in table.oids]
-        index = AttrIndex(table, attr, values)
+        index = None
+        if store.lender is not None:
+            index = store.through_lender(
+                lambda live: live.attrs.get(ref, attr),
+                lambda index: index.table is table,
+                extents=(ref.cls,), attrs=(key,))
+        if index is None:
+            index = AttrIndex(table, attr,
+                              store.db.attr_column(table.oids, attr))
+            self.built += 1
         self._indexes[key] = index
-        self.built += 1
         return index
 
     def get_if_ready(self, ref, attr: str) -> Optional[AttrIndex]:
@@ -623,11 +695,14 @@ class AttrIndexStore:
 
     # -- event application (called by CompactStore._apply) --------------
 
-    def apply_insert(self, oid, appended: Dict[int, InternTable]) -> None:
-        db = self.store.db
-        for index in self._indexes.values():
+    def apply_insert(self, attrs: Dict[str, Any],
+                     appended: Dict[int, InternTable]) -> None:
+        """``attrs``: the inserted object's attribute values by name."""
+        for key, index in self._indexes.items():
             if id(index.table) in appended:
-                index.append(db.entity(oid).get(index.attr))
+                if index.lent:
+                    index = self._fork(key, index)
+                index.append(attrs.get(index.attr))
                 self.appended += 1
 
     def apply_delete(self,
@@ -643,13 +718,31 @@ class AttrIndexStore:
     def apply_set_attribute(self, payload: Dict[str, Any]) -> None:
         name = payload.get("name")
         oid_value = payload.get("oid")
-        for index in self._indexes.values():
+        for key, index in self._indexes.items():
             if index.attr != name:
                 continue
             dense = index.table.index.get(oid_value)
             if dense is not None:
+                if index.lent:
+                    index = self._fork(key, index)
                 index.set_value(dense, payload.get("value"))
                 self.updated += 1
+
+    def _fork(self, key: Tuple[str, str], index: AttrIndex) -> AttrIndex:
+        """Swap a lent index for a private fork before maintaining it:
+        the snapshots that share ``index`` keep it as it is."""
+        index = self._indexes[key] = index.fork()
+        self.store.forked += 1
+        return index
+
+    def repoint(self, old: InternTable, new: InternTable) -> None:
+        """The owning store forked intern table ``old`` into ``new``:
+        the indexes over it follow (a lent one as a fork of its own)."""
+        for key, index in self._indexes.items():
+            if index.table is old:
+                if index.lent:
+                    index = self._fork(key, index)
+                index.table = new
 
     def purge_tables(self, dropped_keys: Set[Any]) -> None:
         stale = [key for key, index in self._indexes.items()

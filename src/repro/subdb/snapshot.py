@@ -18,12 +18,16 @@ Readers therefore block only for the duration of a single mutation (or
 once — or written once — never blocks again.
 
 :class:`SnapshotUniverse` wraps a snapshot in the full
-:class:`~repro.subdb.universe.Universe` interface, with its own compact
-store (intern tables and CSR adjacency built from pinned data — the
-snapshot's constant version means they are never invalidated) and its
-own subdatabase registry seeded from the source universe.  Backward
-chaining through a provider materializes into the snapshot's registry
-only; the live universe is never written by a reader.
+:class:`~repro.subdb.universe.Universe` interface, with its own
+subdatabase registry seeded from the source universe and a compact
+store that *adopts* the live store's intern tables, CSR adjacency and
+value indexes instead of rebuilding them: the live store forks a
+structure it has lent before maintaining it in place, so what a reader
+adopted never changes, and what a reader misses is built through the
+live store while the stamps it reads stand where they were pinned (see
+:mod:`repro.subdb.adjindex`).  Backward chaining through a provider
+materializes into the snapshot's registry only; the live registry and
+rule base are never written by a reader.
 
 Concurrent *schema evolution* is outside the protocol: a SCHEMA event
 poisons the snapshot, and any subsequent fall-through read raises
@@ -243,6 +247,31 @@ class DatabaseSnapshot:
             self._check_open()
             return self.db.entity(oid).get(attr)
 
+    def attr_column(self, oids: Iterable[OID], attr: str) -> List[Any]:
+        """``attr`` of every object of ``oids``, in order — pre-images
+        first, the rest from the live entities, under *one* acquisition
+        of the read lock (a per-object :meth:`entity` takes it once per
+        object: 107 ms against 19 ms for a 12k-row column)."""
+        pinned = self._entities
+        live = self.db._entities
+        out = []
+        fell_through = False
+        with self.db.read_locked():
+            for oid in oids:
+                entity = pinned.get(oid)
+                if entity is None:
+                    if not fell_through:
+                        self._check_open()
+                        fell_through = True
+                    try:
+                        entity = live[oid]
+                    except KeyError:
+                        raise UnknownObjectError(
+                            f"no object with OID {oid!r} in snapshot at "
+                            f"version {self.version}") from None
+                out.append(entity.get(attr))
+        return out
+
     def get_attribute(self, oid: OID, name: str) -> Any:
         self.schema.attribute(self.entity(oid).cls, name)
         return self.attr_value(oid, name)
@@ -266,7 +295,17 @@ class DatabaseSnapshot:
         return maps[0] if from_owner else maps[1]
 
     def link_count(self, link) -> int:
-        return sum(len(t) for t in self._link_maps(link.key)[0].values())
+        """Counts without pinning: no writer has touched an unpinned
+        link since the pin (the write hook would have copied it), so
+        the live index *is* the pinned one."""
+        pinned = self._links.get(link.key)
+        if pinned is None:
+            with self.db.read_locked():
+                pinned = self._links.get(link.key)
+                if pinned is None:
+                    self._check_open()
+                    return self.db.link_count(link)
+        return sum(len(targets) for targets in pinned[0].values())
 
     def link_pairs(self, link) -> Set[Tuple[OID, OID]]:
         return {(owner, target)
@@ -309,12 +348,11 @@ def snapshot_universe(source) -> "SnapshotUniverse":
     atomically under the database's read lock."""
     with source.db.read_locked():
         snap = DatabaseSnapshot(source.db, _locked=True)
-        registry = dict(source._subdbs)
-        declared = set(source.compact.attrs.declared)
-    pinned = SnapshotUniverse(snap, registry)
-    # Value-index declarations carry over: snapshot readers probe the
-    # same declared indexes (built privately over pinned extents).
-    pinned.compact.attrs.declared.update(declared)
+        pinned = SnapshotUniverse(snap, dict(source._subdbs))
+        # Under the read lock the live store *is* the pinned state:
+        # the snapshot adopts its intern tables, CSR indexes, value
+        # indexes and index declarations instead of rebuilding them.
+        pinned.compact.adopt(source.compact)
     return pinned
 
 

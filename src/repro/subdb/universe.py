@@ -380,7 +380,9 @@ class Universe:
         """The cached valid value index, or ``None`` — never builds."""
         return self.compact.attrs.get_if_ready(ref, attr)
 
-    def index_stats(self) -> list:
-        """Per-declared-index statistics plus store-level maintenance
-        counters (``\\index stats``)."""
-        return self.compact.attrs.stats()
+    def index_stats(self) -> Dict[str, Any]:
+        """``{"indexes": per-declared-index statistics, "store": the
+        compact store's build / maintenance / snapshot-sharing
+        counters}`` (``\\index stats``)."""
+        return {"indexes": self.compact.attrs.stats(),
+                "store": self.compact.stats()}

@@ -289,6 +289,447 @@ class TestConcurrentReaders:
 
 
 # ---------------------------------------------------------------------------
+# Snapshots sharing the live store's structures copy-on-write.
+# ---------------------------------------------------------------------------
+
+
+SHARED_QUERIES = [
+    "context Course[credit_hours >= 3] * Section",
+    "context Course[c# < 5000]",
+    "context Course[title = 'Fresh']",
+    "context Teacher * Section * Course",
+    "context Department * Course",
+]
+
+
+def _shared_engine() -> RuleEngine:
+    """The paper database behind an engine with three value indexes, and
+    one extra course holding the highest dense id and a credit_hours
+    value of its own (so that deleting it remaps no other bucket)."""
+    engine = RuleEngine(build_paper_database().db)
+    for attr in ("c#", "credit_hours", "title"):
+        engine.universe.declare_index("Course", attr)
+    engine.db.insert("Course", "last", **{"c#": 9900, "title": "Last",
+                                          "credit_hours": 77})
+    return engine
+
+
+def _answers(processor: QueryProcessor):
+    return [_dump(processor.execute(text).subdatabase)
+            for text in SHARED_QUERIES]
+
+
+def _scratch_answers(db: Database):
+    """The set-based executor over a universe of its own: no intern
+    table, CSR or value index in common with anything under test."""
+    return _answers(QueryProcessor(Universe(db), compact=False))
+
+
+def _fingerprint(store) -> dict:
+    """Every array, list and map of every structure a store holds, by
+    value — equal before and after a write iff nothing a pinned reader
+    shares was mutated."""
+    out = {}
+    for key, table in store.interner._tables.items():
+        out["table", key] = (len(table), table.full_id_set,
+                             tuple(table.values), tuple(table.oids),
+                             dict(table.index))
+    for key, index in store._adj.items():
+        out["adj", key] = (len(index.offsets) - 1, tuple(index.offsets),
+                           tuple(index.neighbors), tuple(index.src.values),
+                           tuple(index.tgt.values))
+    for key, index in store.attrs._indexes.items():
+        out["attr", key] = (
+            tuple(index.values), tuple(index.table.values),
+            {value: tuple(ids) for value, ids in index.buckets.items()},
+            tuple(index.num_values), tuple(index.num_ids),
+            {t: (tuple(vals), tuple(ids))
+             for t, (vals, ids) in index.typed.items()},
+            index.none_count, index.num_count, dict(index.type_counts))
+    return out
+
+
+class TestSharedSnapshotStructures:
+    """A pinned session adopts the live store's intern tables, CSR and
+    value indexes; the live store forks what it has lent before
+    maintaining it in place.  Nothing a reader shares may ever change."""
+
+    def _last(self, db):
+        return max(db.extent("Course"), key=lambda oid: oid.value)
+
+    def _insert(self, db):
+        # credit_hours 4 and title 'Fresh' land in buckets no DELETE of
+        # the last course remapped.
+        db.insert("Course", "fresh", **{"c#": 4100, "title": "Fresh",
+                                        "credit_hours": 4})
+
+    def _set(self, db):
+        course = min(db.extent("Course"), key=lambda oid: oid.value)
+        db.set_attribute(course, "credit_hours", 4)
+        db.set_attribute(course, "c#", 6500)
+        db.set_attribute(course, "title", "Fresh")
+
+    @pytest.mark.parametrize("writes", [
+        ("delete", "insert"), ("set",), ("insert",),
+        ("insert", "set", "delete", "insert"),
+    ], ids="+".join)
+    def test_pinned_structures_survive_live_maintenance(self, writes):
+        engine = _shared_engine()
+        db = engine.db
+        warm = engine.snapshot_session()
+        _answers(warm)           # builds everything through the live store
+        warm.universe.close()
+        pin = engine.snapshot_session()
+        store = pin.universe.compact
+        assert store.interner._tables and store._adj \
+            and len(store.attrs._indexes) == 3, "nothing was adopted"
+        assert store.tables_built == store.indexes_built \
+            == store.attrs.built == 0
+        shared = _fingerprint(store)
+        expected = _answers(pin)
+        assert expected == _scratch_answers(db)
+        assert _fingerprint(store) == shared   # reads built nothing new
+        for step, kind in enumerate(writes):
+            if kind == "delete":
+                db.delete(self._last(db))
+            elif kind == "insert":
+                self._insert(db)
+            else:
+                self._set(db)
+            context = f"after {'+'.join(writes[:step + 1])}"
+            assert _fingerprint(store) == shared, \
+                f"{context}: a structure shared with the pin was mutated"
+            assert _answers(pin) == expected, context
+            fresh = engine.snapshot_session()
+            try:
+                assert _answers(fresh) == _scratch_answers(db), context
+            finally:
+                fresh.universe.close()
+        assert engine.universe.compact.forked > 0
+        pin.universe.close()
+
+    def test_repin_adopts_instead_of_rebuilding(self):
+        engine = _shared_engine()
+        live = engine.universe.compact
+        first = engine.snapshot_session()
+        _answers(first)
+        first.universe.close()
+        assert live.built_shared > 0 and live.built_private == 0
+        built = (live.tables_built, live.indexes_built, live.attrs.built)
+        edges = set(live._adj)
+        self._insert(engine.db)
+        second = engine.snapshot_session()
+        try:
+            assert _answers(second) == _scratch_answers(engine.db)
+            store = second.universe.compact
+            assert (store.tables_built, store.indexes_built,
+                    store.attrs.built) == (0, 0, 0)
+        finally:
+            second.universe.close()
+        # The extent sizes moved, so the planner may cross an edge in a
+        # direction nobody indexed yet; nothing else may be built.
+        crossed = len(set(live._adj) - edges)
+        assert (live.tables_built, live.indexes_built - crossed,
+                live.attrs.built) == built, "the re-pin rebuilt something"
+        stats = engine.universe.index_stats()["store"]
+        assert stats["adopted"] > 0 and stats["forked"] > 0
+        assert stats["built_private"] == 0
+
+    def test_private_build_only_for_a_pin_older_than_the_stamps(self):
+        """Pin, foreign write into the footprint, first read on the old
+        pin: the live structures are no longer the pinned state, so the
+        old pin builds from its pre-images — and a pin taken after the
+        write builds through the live store again."""
+        engine = _shared_engine()
+        live = engine.universe.compact
+        old = engine.snapshot_session()
+        expected = _scratch_answers(engine.db)
+        self._insert(engine.db)
+        assert _answers(old) == expected
+        assert live.built_private > 0
+        assert old.universe.compact.tables_built > 0
+        # Course moved; Teacher, Section and Department did not, and
+        # came through the live store all the same.
+        assert live.built_shared > 0
+        private = live.built_private
+        new = engine.snapshot_session()
+        assert _answers(new) == _scratch_answers(engine.db)
+        assert live.built_private == private
+        assert new.universe.compact.tables_built == 0
+        assert _answers(old) == expected
+        old.universe.close()
+        new.universe.close()
+
+    def test_sharing_counters_count_what_the_pin_kept(self):
+        """``built_shared`` counts a structure the pinned store keeps,
+        ``built_private`` a private build that ran — a structure the
+        live store built over tables that are no longer the pin's is
+        neither kept, nor lent, nor counted shared."""
+        from repro.subdb.refs import ClassRef
+        engine = _shared_engine()
+        live = engine.universe.compact
+        for cls in ("Teacher", "Section", "Course", "Department"):
+            engine.universe.intern_table(ClassRef(cls))
+        pin = engine.snapshot_session()
+        store = pin.universe.compact
+        live.clear()     # the live store interns again, from nothing
+        assert _answers(pin) == _scratch_answers(engine.db)
+        assert store.tables_built == 0     # all four were adopted
+        assert live.built_shared == 0
+        assert live.built_private == \
+            store.indexes_built + store.attrs.built > 0
+        assert not any(index.lent for index in live._adj.values())
+        assert not any(index.lent
+                       for index in live.attrs._indexes.values())
+        # A declaration the live universe dropped after the pin: the
+        # pin still has it, and builds the index from its pre-images.
+        private = live.built_private
+        engine.universe.drop_index("Course", "title")
+        store.attrs._indexes.pop(("Course", "title"))
+        assert pin.universe.attr_index(ClassRef("Course"), "title") \
+            is not None
+        assert live.built_private == private + 1
+        assert live.built_shared == 0
+        pin.universe.close()
+
+    def test_pin_inside_an_open_batch_adopts_nothing(self):
+        """Mid-batch the live store has not heard the batch's events
+        yet, so it is not the pinned state: the pin builds privately."""
+        engine = _shared_engine()
+        db = engine.db
+        warm = engine.snapshot_session()
+        _answers(warm)
+        warm.universe.close()
+        live = engine.universe.compact
+        adopted, shared = live.adopted, live.built_shared
+        with db.batch():
+            self._insert(db)
+            pin = engine.snapshot_session()
+            expected = _scratch_answers(db)
+            assert _answers(pin) == expected
+            assert (live.adopted, live.built_shared) == (adopted, shared)
+            assert pin.universe.compact.tables_built > 0
+            self._set(db)
+        assert _answers(pin) == expected
+        pin.universe.close()
+        fresh = engine.snapshot_session()
+        assert _answers(fresh) == _scratch_answers(db)
+        fresh.universe.close()
+
+    def test_private_index_build_reads_the_column_under_one_lock(self):
+        """The fallback build of an old pin reads pre-images first and
+        the rest live, in one read-lock acquisition per column — not
+        one per object."""
+        from repro.subdb.refs import ClassRef
+        engine = _shared_engine()
+        db = engine.db
+        for k in range(200):
+            db.insert("Course", f"bulk{k}", **{"c#": 100 + k,
+                                               "title": f"B{k}",
+                                               "credit_hours": 2})
+        old = engine.snapshot_session()
+        snap = old.universe.snapshot
+        changed = min(db.extent("Course"), key=lambda oid: oid.value)
+        was = db.entity(changed)["c#"]
+        db.set_attribute(changed, "c#", 1)      # pre-image pinned
+        self._insert(db)                        # extent stamp moves
+        acquired = []
+        acquire = db._rw.acquire_read
+        db._rw.acquire_read = lambda: (acquired.append(1), acquire())[1]
+        try:
+            index = old.universe.attr_index(ClassRef("Course"), "c#")
+        finally:
+            del db._rw.acquire_read
+        assert engine.universe.compact.built_private > 0
+        assert len(acquired) <= 6, (
+            f"{len(acquired)} read-lock acquisitions for a "
+            f"{len(index)}-row column")
+        assert len(index) == len(snap.extent("Course")) == 205
+        assert index.values[index.table.index[changed.value]] == was
+        assert list(index.probe("=", 1)[1]) == []
+        old.universe.close()
+
+    def test_link_count_does_not_pin(self):
+        engine = _shared_engine()
+        db = engine.db
+        link = db.schema.resolve_link("Teacher", "Section").link
+        snap = engine.universe.snapshot().snapshot
+        count = db.link_count(link)
+        assert snap.link_count(link) == count
+        assert link.key not in snap._links, "counting pinned the link"
+        teacher = next(oid for oid in sorted(db.extent("Teacher"))
+                       if not db.linked(oid, link))
+        db.associate(teacher, "teaches", min(db.extent("Section")))
+        assert db.link_count(link) == count + 1
+        assert snap.link_count(link) == count   # the writer pinned it
+        snap.close()
+
+    def test_readers_repin_and_probe_while_writer_inserts_and_deletes(self):
+        """Two readers re-pinning and probing, one writer inserting and
+        deleting: every pin's table, index and answer describe exactly
+        its pinned extent — no phantom dense id, no stale row."""
+        import sys
+        from repro.subdb.refs import ClassRef
+        engine = _shared_engine()
+        db = engine.db
+        ref = ClassRef("Course")
+        stop = threading.Event()
+        errors = []
+
+        def writer():
+            own = []
+            try:
+                for k in range(600):
+                    if stop.is_set():
+                        break
+                    if k % 3 == 2:
+                        db.delete(own.pop(0))
+                    else:
+                        own.append(db.insert(
+                            "Course", f"w{k}",
+                            **{"c#": 7000 + k, "title": f"W{k}",
+                               "credit_hours": 1 + k % 5}).oid)
+            except Exception as exc:  # pragma: no cover - fail the test
+                errors.append(("writer", exc))
+            finally:
+                stop.set()
+
+        def reader(index):
+            try:
+                pins = 0
+                while not stop.is_set() or pins < 3:
+                    qp = engine.snapshot_session()
+                    try:
+                        snap = qp.universe.snapshot
+                        extent = set(snap.extent("Course"))
+                        want = {oid for oid in extent
+                                if snap.attr_value(oid, "c#") >= 7000}
+                        result = qp.execute("context Course[c# >= 7000]")
+                        got = {p.values[0]
+                               for p in result.subdatabase.patterns}
+                        assert got == want, (
+                            f"pin at {qp.universe.pinned_version}: "
+                            f"{len(got - want)} phantom, "
+                            f"{len(want - got)} missing rows")
+                        table = qp.universe.intern_table(ref)
+                        assert set(table.oids) == extent
+                        assert table.full_id_set == \
+                            frozenset(range(len(extent)))
+                        attr = qp.universe.attr_index(ref, "c#")
+                        assert attr.table is table
+                        assert len(attr) == len(extent)
+                        _, ids = attr.probe("!=", None)
+                        assert list(ids) == list(range(len(extent)))
+                    finally:
+                        qp.universe.close()
+                    pins += 1
+            except Exception as exc:
+                errors.append((f"reader{index}", exc))
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,))
+                       for i in range(2)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+        assert not errors, errors[0]
+        assert not any(thread.is_alive() for thread in threads)
+        live = engine.universe.compact
+        assert live.adopted > 0 and live.forked > 0
+
+    def test_readers_pin_while_the_writer_queries_the_live_universe(self):
+        """The writer thread also *reads* the live universe between its
+        writes — queries, a rule target, an index re-declared — and each
+        miss fills the live store's maps holding no lock at all.  Pins
+        taken meanwhile must neither trip over a map that grows under
+        them nor adopt anything but their pinned state."""
+        import sys
+        engine = _shared_engine()
+        engine.add_rule("if context Teacher * Section * Course "
+                        "then Teacher_course (Teacher, Course)", label="R1")
+        db = engine.db
+        teaches = db.schema.resolve_link("Teacher", "Section")
+        teacher, section = min(
+            (teacher.value, section.value, teacher, section)
+            for teacher in db.extent("Teacher")
+            for section in db.neighbors(teacher, teaches))[2:]
+        stop = threading.Event()
+        errors = []
+
+        def writer():
+            linked = True
+            try:
+                for k in range(800):
+                    if stop.is_set():
+                        break
+                    # Drops the link's CSR indexes; the queries below
+                    # re-insert them into the live map.
+                    if linked:
+                        db.dissociate(teacher, "teaches", section)
+                    else:
+                        db.associate(teacher, "teaches", section)
+                    linked = not linked
+                    if k % 2:
+                        engine.universe.drop_index("Course", "title")
+                        engine.universe.declare_index("Course", "title")
+                    engine.processor.execute(
+                        "context Teacher * Section * Course[title = 'Last']")
+                    # Re-derived after the write: its extent tables are
+                    # dropped and interned again.
+                    engine.query("context Teacher_course:Teacher * "
+                                 "Teacher_course:Course")
+            except Exception as exc:  # pragma: no cover - fail the test
+                errors.append(("writer", exc))
+            finally:
+                stop.set()
+
+        def reader(index):
+            # Reader 0 checks what it pinned; the others only pin, as
+            # fast as they can — adoption is where the maps are read.
+            try:
+                pins = 0
+                while not stop.is_set() or pins < 3:
+                    qp = engine.snapshot_session()
+                    try:
+                        if index == 0:
+                            oracle = QueryProcessor(qp.universe,
+                                                    compact=False)
+                            assert _answers(qp) == _answers(oracle), \
+                                f"pin at {qp.universe.pinned_version}"
+                    finally:
+                        qp.universe.close()
+                    pins += 1
+            except Exception as exc:
+                errors.append((f"reader{index}", exc))
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,))
+                       for i in range(3)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+        assert not errors, errors[0]
+        assert not any(thread.is_alive() for thread in threads)
+        assert engine.universe.compact.adopted > 0
+
+
+# ---------------------------------------------------------------------------
 # Budgets cancelling runaway evaluation.
 # ---------------------------------------------------------------------------
 

@@ -1182,3 +1182,162 @@ class TestDifferentialFootprints:
         for _, engine in engines:
             busy = {p.values[0] for p in engine.derive("Busy").patterns}
             assert faculty not in busy
+
+
+class TestDifferentialSharedSnapshots:
+    """Shared-snapshot tier: several sessions pinned at different
+    versions of one mutating database, all sharing the live universe's
+    event-maintained intern tables, CSR and value indexes copy-on-write.
+    Writes are the footprint tier's (INSERT / SET_ATTRIBUTE / DELETE /
+    ASSOCIATE / DISSOCIATE / BATCH, one composition cascade, one SCHEMA
+    change), with value indexes declared and dropped between pins.
+    After **every** write, every open session must answer byte for byte
+    what the set-based oracle answered on the version it pinned, and a
+    freshly pinned session what the oracle answers on the live state.
+    Sessions ask a different sample of the queries each time, so old
+    pins keep missing structures: built through the live store while
+    the stamps stand, privately once they have moved."""
+
+    SESSIONS = 3
+    INDEXED = TestDifferentialIndexes.INDEXED
+
+    @staticmethod
+    def _queries(rng: random.Random) -> List[str]:
+        """Five corpus queries plus four anchored on an indexable
+        condition over the classes the writes insert into and update:
+        two bare selections (a fresh, unlinked object shows up nowhere
+        else), one ``*`` and one ``!`` hop (the complement is taken
+        over the whole interned target extent)."""
+        texts: List[str] = []
+        while len(texts) < 5:
+            text = _random_spec(rng).text()
+            if text not in texts:
+                texts.append(text)
+        written = ("Course", "Teacher", "Department", "Section")
+        for index, cls in enumerate(rng.sample(written, 4)):
+            text = f"context {cls}[{rng.choice(CONDITIONS[cls])}]"
+            if index >= 2:
+                text += (f" {'*!'[index - 2]} "
+                         f"{rng.choice(ADJACENT[cls])}")
+            texts.append(text)
+        return texts
+
+    @staticmethod
+    def _oracle(db, queries: List[str]) -> Dict[str, tuple]:
+        """Set-based answers over a universe of its own — no structure
+        in common with the engine or its sessions."""
+        scratch = QueryProcessor(Universe(db), compact=False)
+        return {text: _outcome(scratch, text) for text in queries}
+
+    def test_open_sessions_match_oracle_on_their_pinned_version(self):
+        from repro.model.evolution import drop_association
+        writer = TestDifferentialFootprints()
+        expired = ("error", "SnapshotExpiredError")
+        cases = max(CASES // 10, 6)
+        failures: List[str] = []
+        kinds_seen = set()
+        totals = dict.fromkeys(("adopted", "forked", "built_shared",
+                                "built_private"), 0)
+        writes = 0
+        for case in range(cases):
+            seed = DB_SEED * 800_000 + case
+            rng = random.Random(seed)
+            db = writer._fresh_db()
+            engine = RuleEngine(db)
+            declared = set(rng.sample(self.INDEXED, 6))
+            for cls, attr in sorted(declared):
+                engine.universe.declare_index(cls, attr)
+            queries = self._queries(rng)
+            hot = EMPTY
+            for text in queries:
+                try:
+                    query = parse_query(text)
+                    hot |= footprint_of(chain_terms(query.context.chain),
+                                        query.where, db.schema)
+                except ReproError:
+                    pass
+            #: (processor, oracle answers at its pin, pinned version)
+            sessions: List[Tuple[QueryProcessor, Dict[str, tuple], int]] = []
+
+            def pin():
+                sessions.append((engine.snapshot_session(),
+                                 self._oracle(db, queries), db.version))
+
+            def compare(session, texts, context, may_expire=False):
+                processor, expected, version = session
+                for text in texts:
+                    got = _outcome(processor, text)
+                    if got != expected[text] and \
+                            not (may_expire and got == expired):
+                        failures.append(
+                            f"seed={seed} {context}: session pinned at "
+                            f"{version} answers {text!r} as {got[0]}"
+                            f"{'[' + got[1] + ']' if got[0] == 'error' else ''}"
+                            f", oracle at that version {expected[text][0]}")
+
+            pin()
+            compare(sessions[0], rng.sample(queries, 4), "initially")
+            own: List = []
+            steps = rng.randint(8, 12)
+            cascade_at, schema_at = sorted(rng.sample(range(steps), 2))
+            for step in range(steps):
+                tick = case * 100 + step
+                if rng.random() < 0.3:
+                    # Declarations move between pins: open sessions
+                    # keep the ones they pinned.
+                    pair = rng.choice(self.INDEXED)
+                    if pair in declared:
+                        declared.discard(pair)
+                        engine.universe.drop_index(*pair)
+                    else:
+                        declared.add(pair)
+                        engine.universe.declare_index(*pair)
+                if step == cascade_at:
+                    writer._cascade(db, tick)
+                    kind = "cascade"
+                elif step == schema_at:
+                    drop_association(db, "Department", "staff")
+                    kind = "schema"
+                else:
+                    kind = writer._write(db, rng, tick, own, hot)
+                if kind is None:
+                    continue
+                writes += 1
+                kinds_seen.add(kind)
+                context = f"after write {step} ({kind})"
+                for session in sessions:
+                    # A SCHEMA event expires what a pin has not read
+                    # yet (the documented limit of the protocol).
+                    compare(session, rng.sample(queries, 3), context,
+                            may_expire=kind == "schema")
+                if kind == "schema":
+                    for session in sessions:
+                        session[0].universe.close()
+                    sessions.clear()
+                pin()
+                # Half the queries now; the rest this pin first asks
+                # when later writes have moved the live store on.
+                compare(sessions[-1], rng.sample(queries, 4),
+                        f"fresh pin {context}")
+                while len(sessions) > self.SESSIONS:
+                    victim = sessions.pop(rng.randrange(len(sessions) - 1))
+                    victim[0].universe.close()
+                if len(failures) >= 5:
+                    break
+            for name, count in engine.universe.compact.stats().items():
+                if name in totals:
+                    totals[name] += count
+            for session in sessions:
+                session[0].universe.close()
+            db.remove_listener(engine._on_update)
+            if len(failures) >= 5:
+                break
+        assert not failures, (
+            f"{len(failures)} shared-snapshot mismatch(es) over "
+            f"{writes} writes:\n" + "\n".join(failures))
+        assert writes >= cases * 4, "write generator produced too little"
+        assert {"batch", "cascade", "schema", "associate", "dissociate",
+                "set_attribute", "insert", "delete"} <= kinds_seen, \
+            kinds_seen
+        assert all(totals.values()), (
+            f"a sharing path was never taken: {totals} — tier vacuous")

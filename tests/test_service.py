@@ -270,6 +270,8 @@ class TestEndpoints:
         assert stats["rules"]  # the paper rules
         assert stats["workers"]["mode"] in ("thread", "process")
         assert "cache" in stats
+        assert {"adopted", "forked", "built_shared", "built_private",
+                "tables_built", "indexes_built"} <= set(stats["compact"])
 
     def test_unknown_op(self, client):
         with pytest.raises(ServiceError) as exc:

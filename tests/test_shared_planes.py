@@ -301,3 +301,95 @@ class TestProcessExecution:
         qp.execute(self.CHAIN)
         qp.close()
         assert planes.live_planes() == []
+
+
+class TestPlanesOverAdoptedStructures:
+    """A pinned session exports planes from structures it *shares* with
+    the live store.  Once the live store has forked and moved on, the
+    old export must stay what the old pin reads, and must be rejected
+    — not silently attached — under the new version's token."""
+
+    CHAIN = TestProcessExecution.CHAIN
+
+    def test_plane_from_adopted_index_goes_stale_when_live_forks(self):
+        from repro import RuleEngine
+        from repro.storage.serialize import subdatabase_to_dict
+        from repro.subdb.adjindex import AdjacencyIndex
+        db = generate_university(
+            GeneratorConfig(departments=2, courses=12, students=60,
+                            teachers=8, prereqs_per_course=1),
+            seed=29).db
+        engine = RuleEngine(db, workers=4, worker_mode="process")
+        sessions = []
+
+        def pin():
+            session = engine.snapshot_session()
+            session.evaluator.min_parallel_rows = 1
+            sessions.append(session)
+            return session
+
+        def exports(session):
+            manager = session.evaluator._process_executor.manager
+            return {key: entry for key, entry in manager._entries.items()
+                    if isinstance(entry.source, AdjacencyIndex)}
+
+        try:
+            warm = pin()
+            warm.execute(self.CHAIN)        # builds through the live store
+            old = pin()
+            before = subdatabase_to_dict(
+                old.execute(self.CHAIN, name="x").subdatabase)
+            assert old.evaluator.last_metrics.worker_mode == "process"
+            old_exports = exports(old)
+            assert old_exports, "the old pin exported no adjacency plane"
+            live = engine.universe.compact
+            for key, entry in old_exports.items():
+                assert entry.source is live._adj[key], \
+                    "the exported index is not the shared one"
+                assert entry.source.lent
+            shapes = {key: (entry.source.epoch, len(entry.source.offsets))
+                      for key, entry in old_exports.items()}
+
+            teacher = db.insert("Teacher", name="Fresh", **{"SS#": "999"})
+            db.associate(teacher, "teaches", min(db.extent("Section")))
+
+            # The write reached the hops that read Teacher or teaches;
+            # Section -> Student is still the pinned state, still shared.
+            touched = {key for key in old_exports
+                       if ("base", "Teacher") in key[3:]}
+            assert touched and touched != set(old_exports)
+            for key, entry in old_exports.items():
+                if key in touched:
+                    assert live._adj.get(key) is not entry.source, \
+                        "the live store kept maintaining a lent index"
+                else:
+                    assert live._adj[key] is entry.source
+                assert shapes[key] == (entry.source.epoch,
+                                       len(entry.source.offsets))
+            new = pin()
+            after = subdatabase_to_dict(
+                new.execute(self.CHAIN, name="x").subdatabase)
+            assert after != before
+            assert after == subdatabase_to_dict(QueryProcessor(
+                Universe(db)).execute(self.CHAIN, name="x").subdatabase)
+            new_exports = exports(new)
+            assert set(new_exports) == set(old_exports)
+            for key in touched:
+                entry, fresh = old_exports[key], new_exports[key]
+                assert fresh.token != entry.token
+                assert fresh.source is not entry.source
+                stale = entry.manifest()["offsets"]
+                with pytest.raises(planes.StalePlaneError):
+                    planes.SharedPlane.attach(stale[0],
+                                              expected_token=fresh.token)
+            # The old pin still reads — and re-attaches — its own export.
+            assert subdatabase_to_dict(
+                old.execute(self.CHAIN, name="x").subdatabase) == before
+            assert exports(old).keys() == old_exports.keys()
+            for key, entry in exports(old).items():
+                assert entry is old_exports[key]
+        finally:
+            for session in sessions:
+                session.close()
+                session.universe.close()
+            engine.close()

@@ -163,6 +163,21 @@ class TestMetricsCommand:
         assert "patterns_out: 3" in text
 
 
+class TestIndexCommand:
+    def test_index_stats_shows_the_store_counters(self, shell):
+        sh, out = shell
+        sh.handle("\\index add Course c#")
+        sh.handle("context Course [c# >= 6000] * Section")
+        sh.handle("\\index stats")
+        text = output(out)
+        assert "Course.c#: 4 rows" in text
+        store = next(line for line in text.splitlines()
+                     if line.startswith("store: "))
+        for counter in ("tables_built=", "indexes_built=", "adopted=0",
+                        "forked=0", "built_shared=0", "built_private=0"):
+            assert counter in store
+
+
 class TestCacheCommand:
     def test_cache_reports_off_by_default(self, shell):
         sh, out = shell
