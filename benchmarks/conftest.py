@@ -8,8 +8,9 @@ Scales (objects ≈ students + courses·sections + staff):
 * ``large``  — ~2k objects, ~8k links
 
 Each benchmark reports its scale through the pytest-benchmark group and
-param name, so ``pytest benchmarks/ --benchmark-only`` prints the series
-each EXPERIMENTS.md row records.
+param name, so ``pytest benchmarks/ --benchmark-enable --benchmark-only``
+prints the series each EXPERIMENTS.md row records (plain ``pytest`` runs
+each benchmark once, untimed: ``pyproject.toml`` disables the timing).
 """
 
 from __future__ import annotations

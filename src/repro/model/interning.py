@@ -31,11 +31,13 @@ class InternTable:
     OID (keyed by the raw integer value so encoding costs one C-level
     dict probe instead of a Python-level ``OID.__hash__`` call).  The
     dense order is sorted by OID value, so the same data always interns
-    identically — differential tests rely on this determinism.
+    identically — differential tests rely on this determinism — and
+    sorting dense-id rows sorts them by OID value, which is what lets a
+    result render without decoding (:meth:`label_column`).
     """
 
     __slots__ = ("key", "oids", "values", "index", "token", "_full_ids",
-                 "lent")
+                 "lent", "labels")
 
     def __init__(self, key: Any, extent: Iterable[OID],
                  token: Any = None):
@@ -54,6 +56,11 @@ class InternTable:
         #: Set once a pinned snapshot shares this table: the owning
         #: store then appends to a :meth:`fork`, never to this object.
         self.lent = False
+        #: ``labels[i]`` is ``repr(oids[i])`` — built on first render
+        #: (:meth:`label_column`), then kept in step by :meth:`append`,
+        #: :meth:`fork` and :meth:`without`.  Always a prefix of the
+        #: full column; a short one is rebuilt when next read.
+        self.labels: Optional[list] = None
 
     def fork(self) -> "InternTable":
         """A private shallow copy (same OID objects, own columns and
@@ -67,6 +74,8 @@ class InternTable:
         twin.token = self.token
         twin._full_ids = self._full_ids
         twin.lent = False
+        labels = self.labels
+        twin.labels = None if labels is None else labels[:]
         return twin
 
     def append(self, oid: OID) -> int:
@@ -87,6 +96,12 @@ class InternTable:
         self.values.append(oid.value)
         self.index[oid.value] = i
         self._full_ids = None
+        labels = self.labels
+        # Extend only a column that is exactly the old extent: one built
+        # after the ``oids`` append above already holds ``oid``, and a
+        # short one is rebuilt by the next reader.
+        if labels is not None and len(labels) == i:
+            labels.append(repr(oid))
         return i
 
     def without(self, oid: OID) -> "InternTable":
@@ -97,10 +112,29 @@ class InternTable:
         keep their snapshot while new work re-interns against the
         replacement.
         """
-        return InternTable(self.key,
-                           (o for o in self.oids if o is not oid
-                            and o.value != oid.value),
-                           self.token)
+        table = InternTable(self.key,
+                            (o for o in self.oids if o is not oid
+                             and o.value != oid.value),
+                            self.token)
+        labels = self.labels
+        dead = self.index.get(oid.value)
+        if labels is not None and dead is not None:
+            table.labels = labels[:dead] + labels[dead + 1:]
+        return table
+
+    def label_column(self) -> list:
+        """``repr`` of every member, in dense order — what a rendered
+        row prints for each id, with no OID touched per row.
+
+        Built whole on first use and published by one assignment, never
+        extended in place: the owning store may be appending to this
+        table (:meth:`append` keeps a published column in step) while
+        another thread renders a result interned against it.  A column
+        shorter than the extent lost such a race and is rebuilt."""
+        labels = self.labels
+        if labels is None or len(labels) < len(self.oids):
+            labels = self.labels = [repr(oid) for oid in self.oids]
+        return labels
 
     def __len__(self) -> int:
         return len(self.oids)

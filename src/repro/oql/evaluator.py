@@ -364,11 +364,16 @@ class PatternEvaluator:
         return exec_
 
     def close(self) -> None:
-        """Unlink every shared-memory plane this evaluator exported.
-        Idempotent; the worker pools are process-global and survive
-        (they are torn down once at interpreter exit)."""
+        """Unlink every shared-memory plane this evaluator exported and
+        drop its memos — a probe memo holds a value index and the intern
+        table under it.  Idempotent, and the evaluator stays usable (the
+        memos refill on demand); the worker pools are process-global and
+        survive (they are torn down once at interpreter exit)."""
         if self._process_exec is not None:
             self._process_exec.close()
+        self._extent_cache.clear()
+        self._probe_cache.clear()
+        self.result_cache.clear()
 
     # ------------------------------------------------------------------
     # Entry point

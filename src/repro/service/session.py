@@ -19,6 +19,19 @@ from repro.oql.budget import QueryBudget
 from repro.oql.query import QueryProcessor, QueryResult
 
 
+def _release(processor: Optional[QueryProcessor]) -> None:
+    """Unpin a superseded session processor and drop what it holds.
+
+    The processor, its snapshot universe and the universe's provider
+    closure reference one another, so only the cyclic collector frees
+    them — which, between collections, leaves every superseded pin's
+    intern tables, CSR and value indexes alive.  Closing the universe
+    and the evaluator drops those now."""
+    if processor is not None:
+        processor.universe.close()
+        processor.close()
+
+
 class ServerSession:
     """One connection's pinned view of the engine.
 
@@ -81,15 +94,13 @@ class ServerSession:
     def _drop_snapshot(self) -> None:
         with self._lock:
             processor, self._processor = self._processor, None
-        if processor is not None:
-            processor.universe.close()
+        _release(processor)
 
     def close(self) -> None:
         with self._lock:
             self._closed = True
             processor, self._processor = self._processor, None
-        if processor is not None:
-            processor.universe.close()
+        _release(processor)
 
     # -- evaluation -----------------------------------------------------
 

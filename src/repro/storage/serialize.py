@@ -8,6 +8,7 @@ choose their own encoding; :mod:`repro.storage.session` wraps this with
 from __future__ import annotations
 
 import warnings as _warnings
+from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 from repro.errors import DataError, SchemaError
@@ -219,16 +220,24 @@ def database_from_dict(doc: Dict[str, Any], schema: Schema) -> Database:
 
 
 def subdatabase_to_dict(subdb: Subdatabase) -> Dict[str, Any]:
-    """Serialize a materialized subdatabase (patterns by OID value)."""
+    """Serialize a materialized subdatabase (patterns by OID value,
+    Nulls first; an undecoded result is read from its raw-value
+    columns)."""
+    columns = subdb.sorted_columns(attrgetter("values"), None,
+                                   nulls_last=False)
+    if columns is not None:
+        patterns = [list(row) for row in zip(*columns)]
+    else:
+        patterns = sorted(
+            ([None if v is None else v.value for v in p.values]
+             for p in subdb.patterns),
+            key=lambda row: [(-1 if v is None else v) for v in row])
     return {
         "name": subdb.name,
         "slots": [ref.slot for ref in subdb.intension.slots],
         "edges": [{"i": e.i, "j": e.j, "kind": e.kind, "label": e.label}
                   for e in subdb.intension.edges],
-        "patterns": sorted(
-            ([None if v is None else v.value for v in p.values]
-             for p in subdb.patterns),
-            key=lambda row: [(-1 if v is None else v) for v in row]),
+        "patterns": patterns,
         "derived_info": {
             slot: {
                 "ref": info.ref.slot,

@@ -111,13 +111,23 @@ class DatabaseSnapshot:
         removed from in place, and an in-flight ``_emit`` iterating it on
         a writer thread must not have an element shifted out from under
         its cursor (a skipped listener would be a missed invalidation
-        for some *other* subscriber)."""
+        for some *other* subscriber).
+
+        The pinned pieces are dropped with the hook — no writer copies
+        pre-images for a closed snapshot any more, so a read it misses
+        raises :class:`SnapshotExpiredError` instead of falling through
+        to the live state."""
         with self.db.read_locked():
             self.db.unregister_snapshot_hook(self)
             try:
                 self.db.remove_listener(self._on_event)
             except ValueError:
                 pass
+            if self._poisoned is None:
+                self._poisoned = "snapshot closed"
+            self._extents.clear()
+            self._links.clear()
+            self._entities.clear()
 
     def __enter__(self) -> "DatabaseSnapshot":
         return self
@@ -386,7 +396,14 @@ class SnapshotUniverse(Universe):
         return self.db
 
     def close(self) -> None:
+        """Unpin, and release what the pin holds now rather than when
+        the cyclic collector gets to it (the universe and its compact
+        store reference each other, as do the provider closures of a
+        snapshot session): a superseded pin's intern tables, CSR and
+        value indexes are the pre-fork versions nothing else shares.
+        Results already produced keep their own tables."""
         self.db.close()
+        self.compact.clear()
 
     def __enter__(self) -> "SnapshotUniverse":
         return self

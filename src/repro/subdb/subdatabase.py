@@ -11,9 +11,10 @@ generalization links.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import OQLSemanticError
+from repro.model.interning import InternTable
 from repro.model.oid import OID
 from repro.subdb.derived import DerivedClassInfo
 from repro.subdb.intension import Edge, IntensionalPattern
@@ -71,20 +72,21 @@ class Subdatabase:
                                Dict[str, DerivedClassInfo]] = None
                            ) -> "Subdatabase":
         """A subdatabase over interned rows, decoded to OID patterns
-        only when :attr:`patterns` is first read.
+        only when :attr:`patterns` is first read — rendering it
+        (:meth:`describe`, :meth:`sorted_columns`) decodes nothing.
 
         ``rows`` are dense-id tuples aligned to ``tables`` (per-slot
-        intern tables, whose decode columns are immutable snapshots —
-        later database mutations cannot skew a deferred decode).  The
-        caller vouches that every row has the intension's width; the
-        compact evaluator builds rows from the intension itself.
+        intern tables, whose existing ids never change meaning — later
+        database mutations cannot skew a deferred decode).  The caller
+        vouches that every row has the intension's width; the compact
+        evaluator builds rows from the intension itself.
         """
         subdb = cls.__new__(cls)
         subdb.name = name
         subdb.intension = intension
         subdb._patterns = None
-        subdb._interned = (rows if isinstance(rows, (list, set, frozenset))
-                           else list(rows), list(tables))
+        subdb._interned = (rows if isinstance(rows, (set, frozenset))
+                           else set(rows), list(tables))
         subdb.derived_info = dict(derived_info or {})
         return subdb
 
@@ -247,6 +249,36 @@ class Subdatabase:
                          for v in pattern.values)
         return [p.values for p in sorted(self.patterns, key=sort_key)]
 
+    def sorted_columns(self, column_of, null: Any,
+                       nulls_last: bool = True) -> Optional[List[list]]:
+        """The rows of an undecoded result in OID-value order, one list
+        per slot of ``column_of(table)[id]`` (Null as ``null``) — or
+        ``None`` once :attr:`patterns` has been decoded.
+
+        No row is decoded: an intern table's dense order *is* OID-value
+        order, so sorting the id tuples — a Null slot standing in as
+        ``len(table)`` (``nulls_last``) or ``-1`` — is the order of
+        :meth:`sorted_rows` (or, with Nulls first, of
+        :func:`~repro.storage.serialize.subdatabase_to_dict`)."""
+        interned = self._interned
+        if interned is None:
+            return None
+        rows, tables = interned
+        sentinels = [len(table) if nulls_last else -1 for table in tables]
+        if any(None in row for row in rows):
+            rows = [tuple(s if v is None else v
+                          for v, s in zip(row, sentinels)) for row in rows]
+        columns = []
+        for ids, table, sentinel in zip(zip(*sorted(rows)), tables,
+                                        sentinels):
+            lookup = column_of(table)
+            if sentinel in ids:
+                columns.append([null if v == sentinel else lookup[v]
+                                for v in ids])
+            else:
+                columns.append(list(map(lookup.__getitem__, ids)))
+        return columns
+
     def labels(self) -> Set[Tuple[Optional[str], ...]]:
         """Patterns as tuples of OID labels — the representation the
         paper's figures use (``(t1, s2, c1)``); unlabeled OIDs render as
@@ -257,15 +289,20 @@ class Subdatabase:
     def describe(self) -> str:
         lines = [f"subdatabase {self.name!r}",
                  self.intension.describe(),
-                 f"patterns ({len(self.patterns)}):"]
-        for row in self.sorted_rows():
-            rendered = ", ".join("Null" if v is None else repr(v)
-                                 for v in row)
-            lines.append(f"  ({rendered})")
+                 f"patterns ({len(self)}):"]
+        columns = self.sorted_columns(InternTable.label_column, "Null")
+        if columns is not None:
+            lines.extend(f"  ({row})"
+                         for row in map(", ".join, zip(*columns)))
+        else:
+            for row in self.sorted_rows():
+                rendered = ", ".join("Null" if v is None else repr(v)
+                                     for v in row)
+                lines.append(f"  ({rendered})")
         for record in self.derived_info.values():
             lines.append(f"  induced: {record.induced_generalization}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
         return (f"Subdatabase({self.name!r}, slots={list(self.slot_names)}, "
-                f"{len(self.patterns)} patterns)")
+                f"{len(self)} patterns)")

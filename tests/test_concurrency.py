@@ -728,6 +728,148 @@ class TestSharedSnapshotStructures:
         assert not any(thread.is_alive() for thread in threads)
         assert engine.universe.compact.adopted > 0
 
+    def test_readers_render_while_the_writer_inserts_and_queries_live(self):
+        """Label columns under concurrent renders.  The writer inserts
+        and deletes Students, queries the live universe (a rule target
+        among the queries, so fresh tables keep appearing) and hands
+        each live result to both readers, which render it while the
+        writer goes on appending to the base tables the result is
+        interned against; the readers also pin and render.  No reader
+        may index past a label column, print a wrong label, or disagree
+        with the set-based oracle on its pin."""
+        import sys
+        from repro.subdb.pattern import decode_rows
+        from repro.subdb.subdatabase import Subdatabase
+        from repro.university.generator import (GeneratorConfig,
+                                                generate_university)
+        engine = RuleEngine(generate_university(GeneratorConfig(),
+                                                seed=5).db)
+        engine.universe.declare_index("Student", "GPA")
+        engine.add_rule("if context Student[GPA >= 3.0] * Section "
+                        "then Honors (Student, Section)", label="H")
+        db = engine.db
+        queries = ["context Student[GPA >= 3.5] * Section",
+                   "context Honors:Student * Honors:Section",
+                   "context Student[GPA < 2.3]"]
+        handed = [None]
+        stop = threading.Event()
+        errors = []
+
+        def writer():
+            own = []
+            try:
+                for k in range(400):
+                    if stop.is_set():
+                        break
+                    if k % 4 == 3:
+                        db.delete(own.pop(0))
+                    else:
+                        own.append(db.insert(
+                            "Student", f"w{k}",
+                            **{"SS#": f"9-{k:06d}", "name": f"W{k}",
+                               "GPA": 2.0 + (k % 20) / 10}).oid)
+                    result = engine.processor.execute(
+                        queries[k % 3], name="q").subdatabase
+                    rows, tables = result._interned
+                    expected = Subdatabase(
+                        "q", result.intension,
+                        decode_rows(rows, tables)).describe()
+                    handed[0] = (result, expected)
+            except Exception as exc:  # pragma: no cover - fail the test
+                errors.append(("writer", exc))
+            finally:
+                stop.set()
+
+        def render_handed():
+            item = handed[0]
+            if item is not None:
+                assert item[0].describe() == item[1], "live result"
+
+        def reader(index):
+            try:
+                pins = 0
+                while not stop.is_set() or pins < 3:
+                    render_handed()
+                    qp = engine.snapshot_session()
+                    render_handed()
+                    try:
+                        text = queries[(pins + index) % 3]
+                        oracle = QueryProcessor(qp.universe, compact=False)
+                        assert qp.execute(text, name="q").render() == \
+                            oracle.execute(text, name="q").render(), \
+                            f"pin at {qp.universe.pinned_version}"
+                    finally:
+                        qp.universe.close()
+                    pins += 1
+            except Exception as exc:
+                errors.append((f"reader{index}", exc))
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,))
+                       for i in range(2)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+        assert not errors, errors[0]
+        assert not any(thread.is_alive() for thread in threads)
+        table = engine.universe.compact.interner.get(("base", "Student"))
+        assert table.label_column() == [repr(oid) for oid in table.oids]
+
+    def test_first_label_builds_race_each_other_and_appends(self):
+        """The window the test above only grazes, held open: two
+        renderers build one fresh table's label column at once while its
+        owner appends.  Each must get a column covering every id that
+        existed when it asked, and the table must end exact."""
+        import sys
+        from repro.model.interning import InternTable
+        from repro.model.oid import OID
+        failures = []
+
+        def render(table, barrier):
+            barrier.wait()
+            for _ in range(3):
+                members = list(table.oids)
+                column = table.label_column()
+                if column[:len(members)] != [repr(o) for o in members]:
+                    failures.append(len(members))
+
+        def append(table, barrier):
+            barrier.wait()
+            for k in range(20):
+                table.append(OID(10_000 + k, f"n{k}"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(40):
+                table = InternTable(("base", "X"),
+                                    [OID(v, f"x{v}" if v % 2 else None)
+                                     for v in range(1, 2001)])
+                barrier = threading.Barrier(3)
+                threads = [threading.Thread(target=render,
+                                            args=(table, barrier)),
+                           threading.Thread(target=render,
+                                            args=(table, barrier)),
+                           threading.Thread(target=append,
+                                            args=(table, barrier))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert table.label_column() == \
+                    [repr(o) for o in table.oids], f"trial {trial}"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, f"{len(failures)} renders got a wrong column"
+
 
 # ---------------------------------------------------------------------------
 # Budgets cancelling runaway evaluation.
