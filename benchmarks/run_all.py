@@ -18,16 +18,6 @@ Usage::
     python benchmarks/run_all.py --seed 7         # re-seed datasets
     python benchmarks/run_all.py --baseline benchmarks/baseline_pr3.json \
         --max-regression 2.0                      # fail on TC regression
-    python benchmarks/run_all.py --min-parallel-speedup 2.0  # gate the
-        # parallel group's speedup over its sequential twins (opt-in:
-        # thread speedup needs real cores; on a single-core or
-        # GIL-saturated runner the measurement is meaningless, so the
-        # default run only *records* the ratio and always verifies that
-        # parallel results are byte-identical to sequential ones)
-    python benchmarks/run_all.py --min-process-speedup 2.0  # same gate
-        # for the process-mode scenarios (shared-memory planes +
-        # worker processes); also opt-in for the same reason — CI's
-        # multicore job enables it, a 1-CPU container cannot
     python benchmarks/run_all.py --max-null-overhead-pct 3.0  # fail when
         # the estimated cost of tracing-off instrumentation guards
         # exceeds this percentage of the untraced median (the
@@ -73,7 +63,6 @@ from repro.rules.control import (  # noqa: E402
     RuleChainingMode,
 )
 from repro.rules.engine import RuleEngine  # noqa: E402
-from repro.storage.serialize import subdatabase_to_dict  # noqa: E402
 from repro.subdb import Universe  # noqa: E402
 from repro.university import (  # noqa: E402
     GeneratorConfig,
@@ -180,90 +169,6 @@ for _scale in ("small", "medium", "large"):
               SCALES[_scale].students, quick=_scale != "large")
     def _build(scale=_scale):
         return _query_runner(_scaled(scale), "context Student * Section")
-
-
-# ---------------------------------------------------------------------------
-# Partition-parallel execution (K=4 workers over anchor-id ranges)
-# ---------------------------------------------------------------------------
-
-def _canonical(subdb) -> bytes:
-    doc = subdatabase_to_dict(subdb)
-    doc["name"] = "_"
-    return json.dumps(doc, sort_keys=True).encode()
-
-
-def _parallel_runner(data, text: str, workers: int = 4,
-                     worker_mode: str = "thread"):
-    """Time the partitioned executor (thread or process mode); parity
-    against the sequential executor is asserted up front — a parallel
-    speedup that changes the answer is not a speedup."""
-    sequential = QueryProcessor(Universe(data.db))
-    parallel = QueryProcessor(Universe(data.db), workers=workers,
-                              worker_mode=worker_mode)
-    parallel.evaluator.min_parallel_rows = 1
-    if _canonical(sequential.execute(text).subdatabase) \
-            != _canonical(parallel.execute(text).subdatabase):
-        raise AssertionError(
-            f"{worker_mode} execution not byte-identical for {text!r}")
-
-    def run():
-        parallel.execute(text)
-        return parallel.evaluator.last_metrics.snapshot()
-
-    return run
-
-
-#: parallel scenario -> its sequential twin, for the speedup report.
-PARALLEL_PAIRS: Dict[str, str] = {}
-
-#: process scenario -> its sequential twin (gated by
-#: ``--min-process-speedup`` on multi-core runners).
-PROCESS_PAIRS: Dict[str, str] = {}
-
-for _scale in ("small", "medium", "large"):
-    @scenario(f"parallel-wide-fanout-{_scale}", "parallel",
-              "chain-match", SCALES[_scale].students,
-              quick=_scale != "large")
-    def _build(scale=_scale):
-        return _parallel_runner(
-            _scaled(scale),
-            "context Department * Course * Section * Student")
-
-    PARALLEL_PAIRS[f"parallel-wide-fanout-{_scale}"] = \
-        f"wide-fanout-{_scale}"
-
-    @scenario(f"parallel-extent-scan-{_scale}", "parallel",
-              "chain-match", SCALES[_scale].students,
-              quick=_scale != "large")
-    def _build(scale=_scale):
-        return _parallel_runner(_scaled(scale),
-                                "context Student * Section")
-
-    PARALLEL_PAIRS[f"parallel-extent-scan-{_scale}"] = \
-        f"extent-scan-{_scale}"
-
-    @scenario(f"process-wide-fanout-{_scale}", "parallel",
-              "chain-match", SCALES[_scale].students,
-              quick=_scale != "large")
-    def _build(scale=_scale):
-        return _parallel_runner(
-            _scaled(scale),
-            "context Department * Course * Section * Student",
-            worker_mode="process")
-
-    PROCESS_PAIRS[f"process-wide-fanout-{_scale}"] = \
-        f"wide-fanout-{_scale}"
-
-    @scenario(f"process-extent-scan-{_scale}", "parallel",
-              "chain-match", SCALES[_scale].students,
-              quick=_scale != "large")
-    def _build(scale=_scale):
-        return _parallel_runner(_scaled(scale),
-                                "context Student * Section",
-                                worker_mode="process")
-
-    PROCESS_PAIRS[f"process-extent-scan-{_scale}"] = \
-        f"extent-scan-{_scale}"
 
 
 # ---------------------------------------------------------------------------
@@ -398,24 +303,6 @@ for _depth in _TC_CONFIGS:
     def _build(depth=_depth):
         return _query_runner(_dataset(_TC_CONFIGS[depth]),
                              "context Course * Course_1 ^*")
-
-for _mode in ("thread", "process"):
-    _prefix = "parallel" if _mode == "thread" else "process"
-
-    @scenario(f"{_prefix}-loop-closure-deep", "parallel", "loop-eval",
-              _TC_CONFIGS["deep"].courses)
-    def _build(mode=_mode):
-        return _parallel_runner(_dataset(_TC_CONFIGS["deep"]),
-                                "context Course * Course_1 ^*",
-                                worker_mode=mode)
-
-    if _mode == "thread":
-        PARALLEL_PAIRS["parallel-loop-closure-deep"] = \
-            "loop-closure-deep"
-    else:
-        PROCESS_PAIRS["process-loop-closure-deep"] = \
-            "loop-closure-deep"
-
 
 for _bound in ("^1", "^2", "^4"):
     @scenario(f"bounded-loop-{_bound.lstrip('^')}", "transitive_closure",
@@ -817,11 +704,6 @@ def run_scenario(spec: Scenario, rounds: int) -> dict:
         "rounds": rounds,
         "metrics": metrics,
     }
-    if isinstance(metrics, dict) and "worker_mode" in metrics:
-        # Surface how the scenario actually executed (the evaluator
-        # falls back to serial when the anchor is too small).
-        record["worker_mode"] = metrics["worker_mode"]
-        record["workers"] = metrics.get("workers_used")
     return record
 
 
@@ -857,38 +739,6 @@ def check_regression(results: List[dict], baseline_path: Path,
     return failures
 
 
-def _pair_speedups(results: List[dict],
-                   pairs: Dict[str, str]) -> List[dict]:
-    """Measured speedup of each partitioned scenario over its
-    sequential twin (best-of-rounds), for the report and the opt-in
-    gates."""
-    by_name = {record["name"]: record for record in results}
-    report = []
-    for parallel_name, sequential_name in sorted(pairs.items()):
-        parallel = by_name.get(parallel_name)
-        sequential = by_name.get(sequential_name)
-        if parallel is None or sequential is None:
-            continue
-        seq_ms = sequential.get("min_ms") or sequential["median_ms"]
-        par_ms = parallel.get("min_ms") or parallel["median_ms"]
-        report.append({
-            "parallel": parallel_name,
-            "sequential": sequential_name,
-            "sequential_ms": seq_ms,
-            "parallel_ms": par_ms,
-            "speedup": round(seq_ms / par_ms, 3) if par_ms else None,
-        })
-    return report
-
-
-def parallel_speedups(results: List[dict]) -> List[dict]:
-    return _pair_speedups(results, PARALLEL_PAIRS)
-
-
-def process_speedups(results: List[dict]) -> List[dict]:
-    return _pair_speedups(results, PROCESS_PAIRS)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--quick", action="store_true",
@@ -910,21 +760,6 @@ def main(argv=None) -> int:
     parser.add_argument("--min-gate-ms", type=float, default=1.0,
                         help="skip gating scenarios whose baseline is "
                              "faster than this (too noisy to compare)")
-    parser.add_argument("--min-parallel-speedup", type=float,
-                        default=None,
-                        help="fail when a parallel scenario's speedup "
-                             "over its sequential twin falls below this "
-                             "ratio (opt-in: only meaningful on "
-                             "multi-core runners; parity is always "
-                             "checked regardless)")
-    parser.add_argument("--min-process-speedup", type=float,
-                        default=None,
-                        help="fail when a process-mode scenario's "
-                             "speedup over its sequential twin falls "
-                             "below this ratio (opt-in: needs real "
-                             "cores — a single-CPU container cannot "
-                             "speed anything up; parity is always "
-                             "checked regardless)")
     parser.add_argument("--max-null-overhead-pct", type=float,
                         default=3.0,
                         help="fail when the estimated tracing-off guard "
@@ -952,10 +787,8 @@ def main(argv=None) -> int:
         print(f"{spec.group:20s} {spec.name:28s} "
               f"{record['median_ms']:10.3f} ms")
 
-    from repro.oql import kernels, parallel as mp_parallel
+    from repro.oql import kernels
 
-    speedups = parallel_speedups(results)
-    proc_speedups = process_speedups(results)
     overhead = tracing_overhead(results)
     warm = cache_speedups(results)
     churn = cache_churn(results)
@@ -971,60 +804,16 @@ def main(argv=None) -> int:
             "python": sys.version.split()[0],
             "cpus": os.cpu_count(),
             "cpus_available": cpus_available,
-            "mp_start_method": mp_parallel.start_method(),
             "numpy_kernels": kernels.numpy_active(),
             "scenarios": len(results),
         },
         "results": results,
-        "parallel_speedups": speedups,
-        "process_speedups": proc_speedups,
         "tracing_overhead": overhead,
         "cache_speedups": warm,
         "cache_churn": churn,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {args.out} ({len(results)} scenarios)")
-
-    if speedups:
-        print(f"\nthread-parallel speedup over sequential twins "
-              f"(cpus={os.cpu_count()}, "
-              f"available={cpus_available}):")
-        for entry in speedups:
-            print(f"  {entry['parallel']:32s} {entry['speedup']:.2f}x "
-                  f"({entry['sequential_ms']:.2f} ms -> "
-                  f"{entry['parallel_ms']:.2f} ms)")
-        if args.min_parallel_speedup is not None:
-            slow = [entry for entry in speedups
-                    if entry["speedup"] is not None
-                    and entry["speedup"] < args.min_parallel_speedup]
-            if slow:
-                print(f"\nPARALLEL SPEEDUP below "
-                      f"{args.min_parallel_speedup:.2f}x:",
-                      file=sys.stderr)
-                for entry in slow:
-                    print(f"  {entry['parallel']}: "
-                          f"{entry['speedup']:.2f}x", file=sys.stderr)
-                return 1
-
-    if proc_speedups:
-        print(f"\nprocess-parallel speedup over sequential twins "
-              f"(start method {mp_parallel.start_method()}):")
-        for entry in proc_speedups:
-            print(f"  {entry['parallel']:32s} {entry['speedup']:.2f}x "
-                  f"({entry['sequential_ms']:.2f} ms -> "
-                  f"{entry['parallel_ms']:.2f} ms)")
-        if args.min_process_speedup is not None:
-            slow = [entry for entry in proc_speedups
-                    if entry["speedup"] is not None
-                    and entry["speedup"] < args.min_process_speedup]
-            if slow:
-                print(f"\nPROCESS SPEEDUP below "
-                      f"{args.min_process_speedup:.2f}x:",
-                      file=sys.stderr)
-                for entry in slow:
-                    print(f"  {entry['parallel']}: "
-                          f"{entry['speedup']:.2f}x", file=sys.stderr)
-                return 1
 
     if overhead:
         print("\ntracing overhead (traced ratio; estimated "

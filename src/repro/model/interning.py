@@ -18,7 +18,6 @@ and validity tokens.
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.model.oid import OID
@@ -160,14 +159,6 @@ class InternTable:
         if ids is None:
             ids = self._full_ids = frozenset(range(len(self.oids)))
         return ids
-
-    def plane_arrays(self) -> Dict[str, array]:
-        """The table's frozen *plane* representation: its flat int64
-        columns, ready for export as shared-memory segments
-        (:mod:`repro.subdb.planes`).  ``values`` is the dense-id →
-        raw-OID-value decode column; dense ids themselves are positional
-        so nothing else needs to cross a process boundary."""
-        return {"values": array("q", self.values)}
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return f"InternTable({self.key!r}, {len(self.oids)} oids)"

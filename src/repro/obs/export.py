@@ -5,7 +5,7 @@ franca for flame views: each span becomes one complete event
 (``"ph": "X"``) with microsecond timestamps relative to the tracer
 epoch, the recording thread as ``tid``, and attributes/counters merged
 into ``args``.  Load the saved file in ``chrome://tracing`` or
-https://ui.perfetto.dev to browse partition fan-out and per-join-step
+https://ui.perfetto.dev to browse per-request and per-join-step
 timings visually.
 """
 
@@ -85,7 +85,7 @@ def render_tree(root) -> str:
         lines.append(prefix + branch + _format_span(span))
         child_prefix = prefix + ("   " if is_last else "│  ")
         # Render children in start order regardless of the (possibly
-        # racy) order partition workers attached themselves.
+        # racy) order children on other threads attached themselves.
         children = sorted(span.children, key=lambda s: s.start_us)
         for index, child in enumerate(children):
             emit(child, child_prefix, index == len(children) - 1)

@@ -20,10 +20,10 @@ path free of generator/``__enter__`` machinery and lets the off-path
 share the exact code shape of the on-path.
 
 Span trees are stitched per-thread: each thread keeps its own stack of
-open spans, so nesting is automatic within a thread, and cross-thread
-children (partition workers) pass an explicit ``parent=`` captured on
-the dispatching thread.  Completed root spans are handed to the
-tracer's :class:`~repro.obs.recorder.TraceRecorder` ring buffer.
+open spans, so nesting is automatic within a thread, and a span started
+on another thread on a request's behalf passes an explicit ``parent=``
+captured on the dispatching thread.  Completed root spans are handed to
+the tracer's :class:`~repro.obs.recorder.TraceRecorder` ring buffer.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ class Tracer:
         """Open a span.
 
         With no explicit ``parent`` the innermost open span on the
-        calling thread is used; partition workers pass the dispatcher's
-        span explicitly to stitch across threads.
+        calling thread is used; work handed to another thread passes
+        the dispatcher's span explicitly to stitch across threads.
         """
         stack = self._stack()
         if parent is None and stack:
@@ -189,7 +189,7 @@ class Tracer:
         if parent is None:
             self.recorder.record(span)
         else:
-            # Partition workers append to a shared parent concurrently.
+            # Children on other threads may append concurrently.
             with self._lock:
                 parent.children.append(span)
 

@@ -11,8 +11,8 @@ failure instead of monopolizing the engine.
 Budgets are *shareable*: one budget object may cover a whole derivation
 cascade (a query plus every rule it backward-chains through), so the
 row counter and the clock accumulate across sub-evaluations.  The
-counters are lock-protected, so partitions of a parallel evaluation can
-charge the same budget concurrently.
+counters are lock-protected, so threads sharing one budget can charge
+it concurrently.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class QueryBudget:
         self._started_at: Optional[float] = None
         self._rows = 0
         #: Enforcement calls served since the last (re)start — an
-        #: unlocked, approximate tally (concurrent partitions may lose
+        #: unlocked, approximate tally (concurrent chargers may lose
         #: increments) surfaced as a span counter by the tracer.
         self.checks = 0
 
@@ -177,8 +177,8 @@ class QueryBudget:
 
     def charge_rows(self, n: int) -> None:
         """Account ``n`` generated rows; raise when the total passes
-        ``max_rows``.  Thread-safe (parallel partitions share one
-        budget)."""
+        ``max_rows``.  Thread-safe (a budget may be shared across
+        threads)."""
         if n:
             self.checks += 1
             with self._lock:

@@ -36,10 +36,7 @@ from the context subdatabase.
 
 from __future__ import annotations
 
-import time
-import weakref
 from array import array
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -62,13 +59,11 @@ from repro.oql.ast import (
 )
 from repro.model.interning import InternTable
 from repro.oql import kernels
-from repro.oql import parallel
 from repro.oql.cache import (DEFAULT_CACHE_BYTES, ResultCache, clone_result,
                              fingerprint, result_nbytes)
 from repro.oql.footprint import Footprint, footprint_of
-from repro.oql.planner import (OPTIMIZE_MODES, JoinPlan, Planner,
-                               edge_footprint)
-from repro.subdb import attrindex, planes
+from repro.oql.planner import OPTIMIZE_MODES, JoinPlan, Planner
+from repro.subdb import attrindex
 from repro.subdb.intension import Edge, IntensionalPattern
 from repro.subdb.pattern import ExtensionalPattern, subsume, subsume_rows
 from repro.subdb.refs import ClassRef
@@ -122,15 +117,6 @@ class EvaluationMetrics:
     patterns_out: int = 0
     #: Loop levels materialized (0 for non-loop evaluations).
     loop_levels: int = 0
-    #: Workers actually used (1 = sequential execution).
-    workers_used: int = 1
-    #: How partitioned work ran: ``"serial"`` when nothing was
-    #: partitioned, else ``"thread"`` or ``"process"``.
-    worker_mode: str = "serial"
-    #: Per-partition records of parallel plan executions: dicts with
-    #: ``partition``, ``anchor_rows``, ``rows_out``, ``ms``, ``mode``
-    #: (and ``cpu_ms``/``pid`` for process partitions).
-    partitions: List[dict] = field(default_factory=list)
     #: Which budget limit tripped ("none" when the evaluation finished
     #: inside its budget, or ran without one).
     budget_verdict: str = "none"
@@ -169,8 +155,6 @@ class EvaluationMetrics:
             "patterns_subsumed": self.patterns_subsumed,
             "patterns_out": self.patterns_out,
             "loop_levels": self.loop_levels,
-            "workers_used": self.workers_used,
-            "worker_mode": self.worker_mode,
             "budget_verdict": self.budget_verdict,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
@@ -234,40 +218,11 @@ class PatternEvaluator:
                  max_depth: int = 1000,
                  optimize: Union[bool, str] = "cost",
                  compact: bool = True,
-                 workers: int = 1,
-                 worker_mode: str = "thread",
-                 min_parallel_rows: int = 256,
                  cache_bytes: int = 0,
                  auto_index_min_rows: int = 0):
         if on_cycle not in ("error", "stop"):
             raise ValueError("on_cycle must be 'error' or 'stop'")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if worker_mode not in ("thread", "process"):
-            raise ValueError("worker_mode must be 'thread' or 'process'")
         self.universe = universe
-        #: Partition-parallel plan execution: when > 1, the anchor
-        #: extent of a compact plan splits into up to ``workers``
-        #: contiguous ranges of interned ids evaluated on a worker
-        #: pool, merged in partition order (results are identical to
-        #: sequential execution, row for row).
-        self.workers = workers
-        #: ``"thread"`` partitions run on a shared thread pool over the
-        #: live in-process arrays (zero setup cost, but compute-bound
-        #: hops serialize on the GIL); ``"process"`` ships partitions to
-        #: a persistent process pool over shared-memory planes — true
-        #: multicore, at the price of plane export and result pickling.
-        self.worker_mode = worker_mode
-        # The process-partition coordinator, created on first process
-        # dispatch; its PlaneManager caches adjacency exports across
-        # queries.  The finalizer unlinks every plane if the evaluator
-        # is dropped without close().
-        self._process_exec: Optional[parallel.ProcessPartitionExecutor] = \
-            None
-        self._process_finalizer = None
-        #: Anchor extents below this size always run sequentially —
-        #: thread dispatch costs more than the join saves.
-        self.min_parallel_rows = min_parallel_rows
         #: Ambient budget applied to every evaluation that does not
         #: pass an explicit one (the rule engine sets it for the
         #: duration of a budgeted derivation cascade).
@@ -325,15 +280,6 @@ class PatternEvaluator:
         self._extent_cache: Dict[ClassTerm, Tuple[Footprint,
                                                   Tuple[int, ...],
                                                   Set[OID]]] = {}
-        # Terms whose latest filtered extent came *entirely* from value
-        # index probes (no residual conjuncts): ``(token, ids, index)``
-        # with ids the sorted dense candidates.  Validated against the
-        # same token as the extent memo, and consumed by the
-        # process-dispatch path to export the filter as a reusable
-        # shared plane instead of a per-query ephemeral one.
-        self._probe_cache: Dict[ClassTerm,
-                                Tuple[Tuple[int, ...], array,
-                                      attrindex.AttrIndex]] = {}
         # How each term's filtered extent was last computed ("index",
         # "index+scan", or "scan") — stamped onto every JoinPlan as its
         # per-slot access annotation (visible in explain output).
@@ -355,24 +301,11 @@ class PatternEvaluator:
         # always append to their own call's metrics.
         self._metrics = self.last_metrics
 
-    @property
-    def _process_executor(self) -> parallel.ProcessPartitionExecutor:
-        exec_ = self._process_exec
-        if exec_ is None:
-            exec_ = self._process_exec = parallel.ProcessPartitionExecutor()
-            self._process_finalizer = weakref.finalize(self, exec_.close)
-        return exec_
-
     def close(self) -> None:
-        """Unlink every shared-memory plane this evaluator exported and
-        drop its memos — a probe memo holds a value index and the intern
-        table under it.  Idempotent, and the evaluator stays usable (the
-        memos refill on demand); the worker pools are process-global and
-        survive (they are torn down once at interpreter exit)."""
-        if self._process_exec is not None:
-            self._process_exec.close()
+        """Drop the evaluator's memos (filtered extents and cached
+        results).  Idempotent, and the evaluator stays usable: the memos
+        refill on demand."""
         self._extent_cache.clear()
-        self._probe_cache.clear()
         self.result_cache.clear()
 
     # ------------------------------------------------------------------
@@ -399,9 +332,7 @@ class PatternEvaluator:
         prev_metrics = self._metrics
         self._metrics = metrics
         tracer = obs.TRACER
-        span = tracer.start("query", result=name, compact=self.compact,
-                            workers=self.workers,
-                            worker_mode=self.worker_mode) \
+        span = tracer.start("query", result=name, compact=self.compact) \
             if tracer is not None else None
         if span is not None:
             metrics.trace_id = span.trace_id
@@ -562,9 +493,8 @@ class PatternEvaluator:
         self.extent_filter_evals += 1
         if len(self._extent_cache) > 1024:
             self._extent_cache.clear()
-            self._probe_cache.clear()
             self._extent_access.clear()
-        filtered = self._probe_extent(term, token)
+        filtered = self._probe_extent(term)
         if filtered is None:
             extent = self.universe.extent(term.ref)
             getter_for = self._getter_for(term)
@@ -596,8 +526,7 @@ class PatternEvaluator:
 
         return getter_for
 
-    def _probe_extent(self, term: ClassTerm,
-                      token: Tuple[int, ...]) -> Optional[Set[OID]]:
+    def _probe_extent(self, term: ClassTerm) -> Optional[Set[OID]]:
         """Serve a term's filtered extent from declared value indexes,
         or return ``None`` to scan.
 
@@ -647,10 +576,8 @@ class PatternEvaluator:
             decode = index_used.table.oids
             if not residual:
                 filtered = {decode[i] for i in ids}
-                self._probe_cache[term] = (token, ids, index_used)
                 self._extent_access[term] = "index"
             else:
-                self._probe_cache.pop(term, None)
                 self._extent_access[term] = "index+scan"
                 getter_for = self._getter_for(term)
                 filtered = set()
@@ -934,7 +861,7 @@ class PatternEvaluator:
             plan.access = self._access_modes(flat.terms)
             self._metrics.plans.append(plan)
             rows = self._execute_plan_ids(plan, resolutions, refs, tables,
-                                          filt, flat.terms)
+                                          filt)
             if span is not None:
                 span.add("rows_out", len(rows))
             return rows
@@ -946,41 +873,30 @@ class PatternEvaluator:
                           resolutions: List[EdgeResolution],
                           refs: List[ClassRef],
                           tables: List[InternTable],
-                          filt: List[Optional[frozenset]],
-                          terms: Optional[List[ClassTerm]] = None
+                          filt: List[Optional[frozenset]]
                           ) -> List[Tuple[int, ...]]:
         """Run a join plan over interned ids.
 
         Each hop runs as a vectorized columnar kernel
         (:mod:`repro.oql.kernels`): one CSR gather per step over the
-        whole partition, an int-membership semi-join filter only when
+        whole row set, an int-membership semi-join filter only when
         the slot carries an intra-class condition — never a Python-level
         append per output row.
-
-        With :attr:`workers` > 1 and an anchor extent past
-        :attr:`min_parallel_rows`, the anchor ids split into contiguous
-        partitions evaluated on the shared thread pool
-        (:attr:`worker_mode` ``"thread"``) or shipped to the persistent
-        process pool over shared-memory planes (``"process"``); every
-        partition runs the identical kernel sequence and the outputs
-        concatenate in partition order, so the merged row list is equal
-        — row for row — to the sequential one.
         """
         anchor_ids = filt[plan.anchor]
         anchor = (range(len(tables[plan.anchor].oids))
                   if anchor_ids is None else sorted(anchor_ids))
         plan.actual_anchor_rows = len(anchor)
-        workers = self.workers
-        if workers > 1 and plan.steps and \
-                len(anchor) >= max(self.min_parallel_rows, 2 * workers):
-            return self._execute_partitioned(plan, resolutions, refs,
-                                             tables, filt, anchor, workers,
-                                             terms)
         specs = self._build_step_specs(plan.steps, resolutions, refs,
                                        tables, filt)
         rows, stats = self._run_plan_steps(plan.steps, specs, refs,
                                            anchor, self._budget)
-        self._merge_step_stats(plan, [stats])
+        metrics = self._metrics
+        for step, (frontier, produced) in zip(plan.steps, stats):
+            step.actual_frontier = frontier
+            step.actual_rows = produced
+            metrics.edge_traversals += frontier
+            metrics.rows_generated += produced
         return rows
 
     def _build_step_specs(self, steps,
@@ -990,11 +906,10 @@ class PatternEvaluator:
                           filt: List[Optional[frozenset]]
                           ) -> List[kernels.StepSpec]:
         """Reduce a plan's hops to kernel step specs over the live CSR
-        arrays.  Building them also forces every lazily-built shared
-        structure (adjacency indexes, and the interner entries
-        underneath) on the calling thread — including any
-        provider-driven derivation (backward chaining) an adjacency
-        build may trigger — so partition workers only ever read."""
+        arrays.  Building them also forces every lazily-built structure
+        (adjacency indexes, and the interner entries underneath) —
+        including any provider-driven derivation (backward chaining) an
+        adjacency build may trigger — before the first hop runs."""
         universe = self.universe
         specs = []
         for step in steps:
@@ -1010,82 +925,18 @@ class PatternEvaluator:
                                           len(tables[tgt]), tgt_filter))
         return specs
 
-    def _probe_plane_entry(self, term: ClassTerm, ref: ClassRef,
-                           table: InternTable,
-                           filt_ids: Optional[frozenset]
-                           ) -> Optional[tuple]:
-        """The exportable value-index filter for one slot, if its
-        filtered extent came entirely from index probes: ``(plane key,
-        plane token, sorted ids, source index)``.  The entry is only
-        valid while the term token and index epoch that produced it
-        hold — the plane manager re-validates both at export, and the
-        token folds them in, so a stale export can never be attached."""
-        if filt_ids is None:
-            return None
-        entry = self._probe_cache.get(term)
-        memo = self._extent_cache.get(term)
-        if entry is None or memo is None:
-            return None
-        token, ids, index = entry
-        if index.table is not table or len(ids) != len(filt_ids):
-            return None
-        if token != self.universe.version_vector(memo[0]):
-            return None
-        key = ("attrfilter", table.key, index.attr, repr(term.condition))
-        ptoken = planes.vector_token((key, token, index.epoch))
-        return key, ptoken, ids, index
-
-    def _step_meta(self, steps, resolutions: List[EdgeResolution],
-                   refs: List[ClassRef], tables: List[InternTable],
-                   filt: List[Optional[frozenset]],
-                   terms: Optional[List[ClassTerm]] = None) -> List[dict]:
-        """The process-dispatch twin of :meth:`_build_step_specs`:
-        per hop, the adjacency index plus the stable cache key and
-        version token the plane manager validates exports against.
-        A slot whose filter was fully index-derived additionally
-        carries a ``filter_plane`` entry, so the coordinator exports
-        the candidate ids as a *cached* shared plane (reused across
-        queries while the index holds) instead of a per-query
-        ephemeral segment."""
-        universe = self.universe
-        meta = []
-        for step in steps:
-            forward = step.direction == "right"
-            src = step.edge if forward else step.edge + 1
-            tgt = step.slot
-            resolution = resolutions[step.edge]
-            adj = universe.adjacency(resolution, forward,
-                                     refs[src], refs[tgt])
-            key = universe.compact._adj_spec(resolution, forward,
-                                             adj.src.key, adj.tgt.key)
-            token = planes.vector_token(
-                (key, universe.version_vector(edge_footprint(
-                    resolution, refs[src], refs[tgt]))))
-            ids = filt[tgt]
-            entry = {"op": step.op, "forward": forward,
-                     "index": adj, "key": key, "token": token,
-                     "tgt_size": len(tables[tgt]),
-                     "tgt_filter": (None if ids is None
-                                    else array("q", sorted(ids))),
-                     "filter_plane": None}
-            if terms is not None and ids is not None:
-                entry["filter_plane"] = self._probe_plane_entry(
-                    terms[tgt], refs[tgt], tables[tgt], ids)
-            meta.append(entry)
-        return meta
-
     def _run_plan_steps(self, steps, specs: List[kernels.StepSpec],
                         refs: List[ClassRef], anchor_ids,
                         budget: Optional[QueryBudget]
                         ) -> Tuple[List[Tuple[int, ...]],
                                    List[Tuple[int, int]]]:
-        """The hop loop of a compact plan over one anchor partition.
+        """The hop loop of a compact plan.
 
         Rows stay columnar between hops and materialize as tuples once
         at the end.  Returns the rows plus per-step ``(distinct
-        frontier, rows after)`` counts; metrics are *not* touched here —
-        the caller merges the stats, so partitions can run this
-        concurrently.
+        frontier, rows after)`` counts; the caller records them only
+        once every hop has run, so a budget trip leaves the plan's
+        actuals unset.
         """
         tracer = obs.TRACER
         stats: List[Tuple[int, int]] = []
@@ -1111,136 +962,6 @@ class PatternEvaluator:
                 if sspan is not None:
                     tracer.finish(sspan)
         return kernels.columns_to_rows(cols), stats
-
-    def _merge_step_stats(self, plan: JoinPlan,
-                          stats_list: List[List[Tuple[int, int]]]) -> None:
-        """Fold per-partition step stats into the plan's actuals and the
-        evaluation metrics (partition frontiers sum: overlapping
-        endpoints across partitions each did the lookup work)."""
-        metrics = self._metrics
-        for index, step in enumerate(plan.steps):
-            frontier = sum(stats[index][0] for stats in stats_list)
-            produced = sum(stats[index][1] for stats in stats_list)
-            step.actual_frontier = frontier
-            step.actual_rows = produced
-            metrics.edge_traversals += frontier
-            metrics.rows_generated += produced
-
-    def _execute_partitioned(self, plan: JoinPlan,
-                             resolutions: List[EdgeResolution],
-                             refs: List[ClassRef],
-                             tables: List[InternTable],
-                             filt: List[Optional[frozenset]],
-                             anchor, workers: int,
-                             terms: Optional[List[ClassTerm]] = None
-                             ) -> List[Tuple[int, ...]]:
-        """Split the anchor ids into contiguous partitions and run the
-        plan's kernel sequence over each — on the shared thread pool,
-        or on the persistent process pool over shared-memory planes."""
-        if self.worker_mode == "process":
-            return self._execute_partitioned_process(
-                plan, resolutions, refs, tables, filt, anchor, workers,
-                terms)
-        budget = self._budget
-        specs = self._build_step_specs(plan.steps, resolutions, refs,
-                                       tables, filt)
-        # Probe structures are built once here rather than lazily on
-        # the workers (the lazy build is a benign but wasteful race).
-        for spec in specs:
-            spec.probe()
-            if kernels.numpy_active():
-                spec.np_mask()
-        bounds = parallel.partition_bounds(len(anchor), workers)
-        results: List[Optional[List[Tuple[int, ...]]]] = \
-            [None] * len(bounds)
-        stats_list: List[Optional[List[Tuple[int, int]]]] = \
-            [None] * len(bounds)
-        timings: List[dict] = [{} for _ in bounds]
-
-        tracer = obs.TRACER
-        # Captured on the dispatching thread: workers open their span
-        # with this explicit parent, stitching the partition subtrees
-        # under the query span across threads.
-        parent_span = tracer.current_span() if tracer is not None else None
-
-        def run(index: int, lo: int, hi: int) -> None:
-            pspan = tracer.start("partition", parent=parent_span,
-                                 partition=index, mode="thread") \
-                if tracer is not None else None
-            started = time.perf_counter()
-            try:
-                out, stats = self._run_plan_steps(plan.steps, specs, refs,
-                                                  anchor[lo:hi], budget)
-                results[index] = out
-                stats_list[index] = stats
-                timings[index].update(
-                    partition=index, anchor_rows=hi - lo,
-                    rows_out=len(out), mode="thread",
-                    ms=(time.perf_counter() - started) * 1000.0)
-                if pspan is not None:
-                    pspan.add("rows_out", len(out))
-            finally:
-                if pspan is not None:
-                    pspan.add("anchor_rows", hi - lo)
-                    tracer.finish(pspan)
-
-        pool = parallel.thread_pool(workers)
-        futures = [pool.submit(run, index, lo, hi)
-                   for index, (lo, hi) in enumerate(bounds)]
-        futures_wait(futures)
-        # Every future is done.  Merge what finished, then surface the
-        # first failure (a budget trip in one partition trips the
-        # shared budget in all of them).
-        finished = [stats for stats in stats_list if stats is not None]
-        if finished:
-            self._merge_step_stats(plan, finished)
-        metrics = self._metrics
-        metrics.workers_used = max(metrics.workers_used, len(bounds))
-        metrics.worker_mode = "thread"
-        metrics.partitions.extend(t for t in timings if t)
-        for future in futures:
-            error = future.exception()
-            if error is not None:
-                raise error
-        return [row for part_rows in results for row in part_rows]
-
-    def _execute_partitioned_process(self, plan: JoinPlan,
-                                     resolutions: List[EdgeResolution],
-                                     refs: List[ClassRef],
-                                     tables: List[InternTable],
-                                     filt: List[Optional[frozenset]],
-                                     anchor, workers: int,
-                                     terms: Optional[List[ClassTerm]] = None
-                                     ) -> List[Tuple[int, ...]]:
-        """Ship the plan's hops to the persistent process pool: only
-        segment names, partition bounds and budget limits cross the
-        pipe; workers attach the planes read-only and return packed
-        int64 columns, merged here in partition order."""
-        meta = self._step_meta(plan.steps, resolutions, refs, tables,
-                               filt, terms)
-        tracer = obs.TRACER
-        parent_span = tracer.current_span() if tracer is not None else None
-        rows, stats_list, infos = self._process_executor.run_chain(
-            meta, anchor, workers, self._budget)
-        self._merge_step_stats(plan, stats_list)
-        metrics = self._metrics
-        metrics.workers_used = max(metrics.workers_used, len(infos))
-        metrics.worker_mode = "process"
-        for info in infos:
-            record = dict(info, mode="process")
-            metrics.partitions.append(record)
-            if tracer is not None:
-                # Stitched post hoc (the worker ran in another process):
-                # wall/CPU spend rides as span attributes.
-                pspan = tracer.start("partition", parent=parent_span,
-                                     partition=record["partition"],
-                                     mode="process", pid=record["pid"])
-                pspan.add("anchor_rows", record["anchor_rows"])
-                pspan.add("rows_out", record["rows_out"])
-                pspan.set("wall_ms", round(record["ms"], 3))
-                pspan.set("cpu_ms", round(record["cpu_ms"], 3))
-                tracer.finish(pspan)
-        return rows
 
     def _evaluate_chain_compact(self, flat: _Flattened,
                                 name: str) -> Subdatabase:
@@ -1468,20 +1189,6 @@ class PatternEvaluator:
         frontier = self._match_range_ids(flat, 0, n - 1, extents,
                                          resolutions, refs, tables, filt)
         total_rows = len(frontier)
-        workers = self.workers
-        if workers > 1 and \
-                len(frontier) >= max(self.min_parallel_rows, 2 * workers):
-            # Hierarchies rooted at distinct level-1 rows are
-            # independent, so the closure partitions shared-nothing
-            # over the frontier.  The cross-query loop-body memo is
-            # skipped here: per-partition expansion tables only cover
-            # the anchors their slice reached.
-            kept_rows, extended = self._closure_partitioned(
-                frontier, resolutions, refs, tables, filt, n, body,
-                max_level, count is None, workers, terms)
-            return self._loop_materialize(name, terms, resolutions,
-                                          tables, kept_rows,
-                                          total_rows + extended, n, body)
         # Loop rows grow from slot 0, so one covers another exactly when
         # the shorter is its prefix — and prefixes only arise by direct
         # ancestry.  A row is therefore subsumed iff it gets extended at
@@ -1573,17 +1280,7 @@ class PatternEvaluator:
             cache.store(memo_key, memo_vector, dict(expansions), nbytes)
         # The final frontier was never expanded: all of it survives.
         kept_rows.extend(frontier)
-        return self._loop_materialize(name, terms, resolutions, tables,
-                                      kept_rows, total_rows, n, body)
-
-    def _loop_materialize(self, name: str, terms: List[ClassTerm],
-                          resolutions: List[EdgeResolution],
-                          tables: List[InternTable],
-                          kept_rows: List[Tuple[int, ...]],
-                          total_rows: int, n: int,
-                          body: int) -> Subdatabase:
-        """Pad the surviving closure rows to the deepest level reached
-        and decode them — shared by the serial and partitioned loops."""
+        # Pad the surviving rows to the deepest level reached.
         levels_reached = max(
             (1 + (len(row) - n) // body for row in kept_rows), default=1)
         intension = self._loop_intension(terms, resolutions,
@@ -1597,162 +1294,6 @@ class PatternEvaluator:
                          for t in range(width)]
         return Subdatabase.from_interned_rows(name, intension, kept,
                                               decode_tables)
-
-    def _body_specs(self, resolutions: List[EdgeResolution],
-                    refs: List[ClassRef], tables: List[InternTable],
-                    filt: List[Optional[frozenset]],
-                    n: int) -> List[kernels.StepSpec]:
-        """Kernel specs for one forward traversal of a loop's cycle
-        body (hops ``k -> k+1``; loops admit only ``*`` hops)."""
-        universe = self.universe
-        specs = []
-        for k in range(n - 1):
-            adj = universe.adjacency(resolutions[k], True,
-                                     refs[k], refs[k + 1])
-            ids = filt[k + 1]
-            tgt_filter = None if ids is None else array("q", sorted(ids))
-            specs.append(kernels.StepSpec("*", True, adj.offsets,
-                                          adj.neighbors,
-                                          len(tables[k + 1]), tgt_filter))
-        return specs
-
-    def _body_meta(self, resolutions: List[EdgeResolution],
-                   refs: List[ClassRef], tables: List[InternTable],
-                   filt: List[Optional[frozenset]], n: int,
-                   terms: Optional[List[ClassTerm]] = None) -> List[dict]:
-        """Process-dispatch metadata for a loop's cycle-body hops."""
-        universe = self.universe
-        meta = []
-        for k in range(n - 1):
-            resolution = resolutions[k]
-            adj = universe.adjacency(resolution, True,
-                                     refs[k], refs[k + 1])
-            key = universe.compact._adj_spec(resolution, True,
-                                             adj.src.key, adj.tgt.key)
-            token = planes.vector_token(
-                (key, universe.version_vector(edge_footprint(
-                    resolution, refs[k], refs[k + 1]))))
-            ids = filt[k + 1]
-            entry = {"op": "*", "forward": True, "index": adj,
-                     "key": key, "token": token,
-                     "tgt_size": len(tables[k + 1]),
-                     "tgt_filter": (None if ids is None
-                                    else array("q", sorted(ids))),
-                     "filter_plane": None}
-            if terms is not None and ids is not None:
-                entry["filter_plane"] = self._probe_plane_entry(
-                    terms[k + 1], refs[k + 1], tables[k + 1], ids)
-            meta.append(entry)
-        return meta
-
-    def _closure_partitioned(self, frontier: List[Tuple[int, ...]],
-                             resolutions: List[EdgeResolution],
-                             refs: List[ClassRef],
-                             tables: List[InternTable],
-                             filt: List[Optional[frozenset]],
-                             n: int, body: int, max_level: int,
-                             unbounded: bool, workers: int,
-                             terms: Optional[List[ClassTerm]] = None
-                             ) -> Tuple[List[Tuple[int, ...]], int]:
-        """Run the semi-naive closure with the level-1 frontier split
-        across workers (threads over the live arrays, or processes over
-        shared-memory planes); returns ``(kept rows, extended-row
-        total)``.  Worker-side cycle/non-termination markers translate
-        here into the same :class:`CyclicDataError`\\ s the serial loop
-        raises — the coordinator owns the intern tables that name the
-        offending instance."""
-        budget = self._budget
-        metrics = self._metrics
-        tracer = obs.TRACER
-        parent_span = tracer.current_span() if tracer is not None else None
-        try:
-            if self.worker_mode == "process":
-                meta = self._body_meta(resolutions, refs, tables, filt, n,
-                                       terms)
-                kept, stats_list, infos = \
-                    self._process_executor.run_closure(
-                        meta, frontier, body, max_level, self.on_cycle,
-                        unbounded, workers, budget)
-                for info, stats in zip(infos, stats_list):
-                    record = dict(info, mode="process",
-                                  level=stats["level"])
-                    metrics.partitions.append(record)
-                    if tracer is not None:
-                        pspan = tracer.start("partition",
-                                             parent=parent_span,
-                                             partition=record["partition"],
-                                             mode="process",
-                                             pid=record["pid"])
-                        pspan.add("anchor_rows", record["anchor_rows"])
-                        pspan.add("rows_out", record["rows_out"])
-                        pspan.add("level", stats["level"])
-                        pspan.set("wall_ms", round(record["ms"], 3))
-                        pspan.set("cpu_ms", round(record["cpu_ms"], 3))
-                        tracer.finish(pspan)
-            else:
-                specs = self._body_specs(resolutions, refs, tables,
-                                         filt, n)
-                for spec in specs:
-                    spec.probe()
-                    if kernels.numpy_active():
-                        spec.np_mask()
-                bounds = parallel.partition_bounds(len(frontier), workers)
-                results: List[Optional[List[Tuple[int, ...]]]] = \
-                    [None] * len(bounds)
-                stats_list = [None] * len(bounds)
-
-                def run(index: int, lo: int, hi: int) -> None:
-                    pspan = tracer.start("partition", parent=parent_span,
-                                         partition=index, mode="thread") \
-                        if tracer is not None else None
-                    started = time.perf_counter()
-                    try:
-                        out, stats = kernels.closure_partition(
-                            frontier[lo:hi], specs, body, max_level,
-                            self.on_cycle, budget, unbounded)
-                        results[index] = out
-                        stats_list[index] = stats
-                        metrics.partitions.append({
-                            "partition": index, "anchor_rows": hi - lo,
-                            "rows_out": len(out), "mode": "thread",
-                            "level": stats["level"],
-                            "ms": (time.perf_counter() - started)
-                                  * 1000.0})
-                        if pspan is not None:
-                            pspan.add("rows_out", len(out))
-                            pspan.add("level", stats["level"])
-                    finally:
-                        if pspan is not None:
-                            pspan.add("anchor_rows", hi - lo)
-                            tracer.finish(pspan)
-
-                pool = parallel.thread_pool(workers)
-                futures = [pool.submit(run, index, lo, hi)
-                           for index, (lo, hi) in enumerate(bounds)]
-                futures_wait(futures)
-                stats_list = [s for s in stats_list if s is not None]
-                for future in futures:
-                    error = future.exception()
-                    if error is not None:
-                        raise error
-                kept = [row for part in results for row in part]
-        except kernels.CycleHit as hit:
-            raise CyclicDataError(
-                f"instance {tables[-1].oids[hit.dense_id]!r} repeats in "
-                f"a loop hierarchy; the paper assumes the traversed "
-                f"relationship is acyclic (use on_cycle='stop' to "
-                f"truncate)")
-        except kernels.NonTerminating:
-            raise CyclicDataError(
-                f"unbounded loop did not terminate within "
-                f"{self.max_depth} levels")
-        extended = sum(s["extended"] for s in stats_list)
-        metrics.rows_generated += extended
-        metrics.edge_traversals += sum(s["edge_traversals"]
-                                       for s in stats_list)
-        metrics.workers_used = max(metrics.workers_used, len(stats_list))
-        metrics.worker_mode = self.worker_mode
-        return kept, extended
 
     def _expand_anchors(self, anchors: Set[int],
                         expansions: Dict[int, Tuple[Tuple[int, ...], ...]],

@@ -2,45 +2,37 @@
 
 The compact executor's inner loops used to materialize every joined row
 as a Python tuple — one interpreter-level append *per output row*.
-These kernels keep a partition's rows **columnar** (one int64 vector
-per slot) while the plan runs, so a join hop becomes a handful of bulk
+These kernels keep a plan's rows **columnar** (one int64 vector per
+slot) while it runs, so a join hop becomes a handful of bulk
 operations: per input row, one C-level slice copy of its CSR neighbor
 run plus one replication of the existing columns by the neighbor
 counts.  Rows only become tuples once, after the last hop.
 
 Two interchangeable implementations sit behind a feature probe:
 
-* a **numpy** path (when importable and not disabled via
-  ``REPRO_NO_NUMPY=1``): the whole hop is fancy-indexed — offsets
-  gather, prefix-sum index expansion, boolean-mask semi-join filter,
-  ``np.repeat`` column replication — with zero per-row Python;
+* a **numpy** path (when importable): the whole hop is fancy-indexed —
+  offsets gather, prefix-sum index expansion, boolean-mask semi-join
+  filter, ``np.repeat`` column replication — with zero per-row Python;
 * a **pure-``array``/``memoryview``** fallback with one Python-level
   iteration per *input* row (not per output row) and C-level
-  ``frombytes`` neighbor copies.
+  ``frombytes`` neighbor copies.  numpy is not a declared dependency,
+  so this is the only path on an install without it; tests pin it by
+  setting ``kernels._np = None``.
 
-Both read the same :class:`StepSpec` buffers, which may be live
-``array("q")`` objects (in-process execution) or ``memoryview``\\ s
-over attached shared-memory planes (worker processes,
-:mod:`repro.subdb.planes`) — the kernels are the single join
-implementation shared by the serial path, the thread partitions, and
-the process workers, which is what keeps all three byte-identical.
+Both read the same :class:`StepSpec` buffers and produce identical
+rows in identical order.
 
 Budget enforcement is duck-typed: anything with ``CHECK_EVERY``,
-``check_time()``, ``charge_rows(n)`` and ``check_level(level)`` works —
-a :class:`~repro.oql.budget.QueryBudget` in-process, a
-:class:`~repro.oql.parallel.WorkerBudget` (shared cancellation flag +
-local deadline) inside a worker.
+``check_time()`` and ``charge_rows(n)`` works (in practice a
+:class:`~repro.oql.budget.QueryBudget`).
 """
 
 from __future__ import annotations
 
-import os
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 try:
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError("numpy disabled by REPRO_NO_NUMPY")
     import numpy as _np
 except ImportError:  # pragma: no cover - environment-dependent
     _np = None
@@ -52,29 +44,14 @@ def numpy_active() -> bool:
     return _np is not None
 
 
-class CycleHit(Exception):
-    """A loop hierarchy revisited an instance under ``on_cycle="error"``
-    — carries the dense id so the coordinator (which owns the intern
-    tables) can name the instance in the user-facing error."""
-
-    def __init__(self, dense_id: int):
-        super().__init__(dense_id)
-        self.dense_id = dense_id
-
-
-class NonTerminating(Exception):
-    """An unbounded loop still had a live frontier at the depth bound."""
-
-
 class StepSpec:
     """One join hop reduced to flat buffers.
 
-    ``offsets``/``neighbors`` are the CSR arrays (any int64 buffer);
+    ``offsets``/``neighbors`` are the CSR ``array("q")``\\ s;
     ``tgt_filter`` is the slot's filtered extent as a *sorted*
     ``array("q")`` — ``None`` when the filter kept the whole extent.
-    Derived probe structures (masks, numpy views) are built lazily and
-    cached; specs are built once per query on the dispatching thread,
-    then read concurrently.
+    Derived probe structures (masks, numpy views) are built lazily on
+    first use and cached.
     """
 
     __slots__ = ("op", "forward", "offsets", "neighbors", "tgt_size",
@@ -136,13 +113,13 @@ class StepSpec:
 # ----------------------------------------------------------------------
 
 def anchor_column(ids):
-    """The partition's anchor ids as one column (a range, a sorted
-    list, or an ``array("q")`` slice)."""
+    """The plan's anchor ids as one column (a range or a sorted
+    list)."""
     if _np is not None:
         if isinstance(ids, range):
             return _np.arange(ids.start, ids.stop, dtype=_np.int64)
         return _np.fromiter(ids, dtype=_np.int64, count=len(ids))
-    return ids if isinstance(ids, array) else array("q", ids)
+    return array("q", ids)
 
 
 def columns_to_rows(cols) -> List[Tuple[int, ...]]:
@@ -153,27 +130,12 @@ def columns_to_rows(cols) -> List[Tuple[int, ...]]:
     return list(zip(*[col.tolist() for col in cols]))
 
 
-def columns_to_bytes(cols) -> List[bytes]:
-    """Pack columns for a cross-process return (one int64 blob each)."""
-    return [col.tobytes() for col in cols]
-
-
-def rows_from_column_bytes(blobs: Sequence[bytes]) -> List[Tuple[int, ...]]:
-    """Rebuild row tuples from a worker's packed columns."""
-    cols = []
-    for blob in blobs:
-        col = array("q")
-        col.frombytes(blob)
-        cols.append(col)
-    return columns_to_rows(cols)
-
-
 # ----------------------------------------------------------------------
 # One join hop
 # ----------------------------------------------------------------------
 
 def execute_step(cols, spec: StepSpec, budget=None):
-    """Extend a columnar partition across one hop.
+    """Extend the row columns across one hop.
 
     Returns ``(new_cols, distinct_frontier)``; the new target column is
     appended (``forward``) or prepended.  Neighbor order within a row
@@ -228,8 +190,7 @@ def _step_star_numpy(cols, spec, budget):
 def _step_star_arrays(cols, spec, budget):
     off = spec.offsets
     nbr_b = spec.nbr_bytes()
-    nbr_q = memoryview(spec.neighbors).cast("B").cast("q") \
-        if not isinstance(spec.neighbors, memoryview) else spec.neighbors
+    nbr_q = memoryview(spec.neighbors)
     ends = cols[-1] if spec.forward else cols[0]
     probe = spec.probe()
     out = array("q")
@@ -328,24 +289,6 @@ def _replicate(col, counts: Sequence[int], total: int) -> array:
     return out
 
 
-def run_steps(specs: Sequence[StepSpec], anchor_ids, budget=None):
-    """Run a whole plan's hop sequence over one anchor partition.
-
-    Returns ``(columns, stats)`` with per-step ``(distinct frontier,
-    rows after)`` counts — the same stats contract as the evaluator's
-    traced step loop, so partition results merge uniformly whether they
-    ran in-process or in a worker."""
-    cols = [anchor_column(anchor_ids)]
-    stats: List[Tuple[int, int]] = []
-    for spec in specs:
-        if not len(cols[0]):
-            stats.append((0, 0))
-            continue
-        cols, frontier = execute_step(cols, spec, budget)
-        stats.append((frontier, len(cols[0]) if cols else 0))
-    return cols, stats
-
-
 # ----------------------------------------------------------------------
 # Sorted-id set algebra (value-index probe composition)
 # ----------------------------------------------------------------------
@@ -437,94 +380,3 @@ def sorted_complement(size: int, a) -> array:
     out.extend(range(prev, size))
     return out
 
-
-# ----------------------------------------------------------------------
-# Loop closure over one frontier partition
-# ----------------------------------------------------------------------
-
-def closure_partition(frontier: List[Tuple[int, ...]],
-                      body_specs: Sequence[StepSpec],
-                      body: int, max_level: int, on_cycle: str,
-                      budget=None, unbounded: bool = False):
-    """Run the semi-naive closure to completion over one slice of the
-    level-1 frontier.
-
-    Hierarchies growing from distinct level-1 rows are independent, so
-    partitions share nothing but the (read-only) adjacency buffers —
-    each partition memoizes its own anchor expansions.  Matches the
-    serial loop's semantics: a row is kept exactly when it stops
-    growing, ``on_cycle="error"`` raises :class:`CycleHit`, an
-    unbounded loop with a live frontier at ``max_level`` raises
-    :class:`NonTerminating`.
-
-    Returns ``(kept_rows, stats)`` where stats counts the extended-row
-    deltas, the distinct-endpoint traversals, and the last level
-    reached.
-    """
-    kept: List[Tuple[int, ...]] = []
-    expansions: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
-    level = 1
-    total_extended = 0
-    edge_traversals = 0
-    while frontier and level < max_level:
-        level += 1
-        if budget is not None:
-            budget.check_level(level)
-            budget.check_time()
-        new_anchors = {row[-1] for row in frontier} - expansions.keys()
-        if new_anchors:
-            edge_traversals += _expand_anchor_ids(
-                new_anchors, expansions, body_specs, budget)
-        extended: List[Tuple[int, ...]] = []
-        append = extended.append
-        next_check = budget.CHECK_EVERY if budget is not None else None
-        charged = 0
-        for row in frontier:
-            grew = False
-            for extension in expansions[row[-1]]:
-                last = extension[-1]
-                if any(row[p] == last for p in range(0, len(row), body)):
-                    if on_cycle == "error":
-                        raise CycleHit(last)
-                    continue
-                append(row + extension)
-                grew = True
-            if not grew:
-                kept.append(row)
-            if next_check is not None and len(extended) >= next_check:
-                budget.charge_rows(len(extended) - charged)
-                charged = len(extended)
-                budget.check_time()
-                next_check = charged + budget.CHECK_EVERY
-        if budget is not None:
-            budget.charge_rows(len(extended) - charged)
-        total_extended += len(extended)
-        frontier = extended
-    if unbounded and frontier and level >= max_level:
-        raise NonTerminating()
-    kept.extend(frontier)
-    return kept, {"extended": total_extended,
-                  "edge_traversals": edge_traversals,
-                  "level": level}
-
-
-def _expand_anchor_ids(anchors: Set[int],
-                       expansions: Dict[int, Tuple[Tuple[int, ...], ...]],
-                       body_specs: Sequence[StepSpec], budget) -> int:
-    """One-cycle body expansion of each anchor id, via the columnar
-    step kernels; memoized into ``expansions``."""
-    cols = [anchor_column(sorted(anchors))]
-    traversals = 0
-    for spec in body_specs:
-        if not len(cols[0]):
-            break
-        cols, frontier = execute_step(cols, spec, budget)
-        traversals += frontier
-    for anchor in anchors:
-        expansions[anchor] = ()
-    grouped: Dict[int, List[Tuple[int, ...]]] = {}
-    for row in columns_to_rows(cols):
-        grouped.setdefault(row[0], []).append(row[1:])
-    for anchor, exts in grouped.items():
-        expansions[anchor] = tuple(exts)
-    return traversals

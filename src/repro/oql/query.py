@@ -55,15 +55,12 @@ class QueryProcessor:
 
     def __init__(self, universe: Universe, on_cycle: str = "error",
                  operations: Optional[OperationRegistry] = None,
-                 compact: bool = True, workers: int = 1,
-                 worker_mode: str = "thread",
-                 min_parallel_rows: int = 256,
+                 compact: bool = True,
                  cache_bytes: int = 0,
                  auto_index_min_rows: int = 0):
         self.universe = universe
         self.evaluator = PatternEvaluator(
-            universe, on_cycle=on_cycle, compact=compact, workers=workers,
-            worker_mode=worker_mode, min_parallel_rows=min_parallel_rows,
+            universe, on_cycle=on_cycle, compact=compact,
             cache_bytes=cache_bytes,
             auto_index_min_rows=auto_index_min_rows)
         if operations is None:
@@ -73,7 +70,7 @@ class QueryProcessor:
         self._result_counter = 0
 
     def close(self) -> None:
-        """Release the evaluator's shared-memory planes (idempotent)."""
+        """Drop the evaluator's memos (idempotent)."""
         self.evaluator.close()
 
     def _next_name(self) -> str:

@@ -83,21 +83,18 @@ class RuleEngine:
     def __init__(self, db: Database, controller: str = "result",
                  on_cycle: str = "error",
                  operations: Optional[OperationRegistry] = None,
-                 compact: bool = True, workers: int = 1,
-                 worker_mode: str = "thread",
+                 compact: bool = True,
                  maintenance_budget: Optional[QueryBudget] = None,
                  cache_bytes: int = 0):
         self.db = db
         self.universe = Universe(db)
         self.universe.provider = self._provide
         self.evaluator = PatternEvaluator(self.universe, on_cycle=on_cycle,
-                                          compact=compact, workers=workers,
-                                          worker_mode=worker_mode,
+                                          compact=compact,
                                           cache_bytes=cache_bytes)
         self.processor = QueryProcessor(self.universe, on_cycle=on_cycle,
                                         operations=operations,
-                                        compact=compact, workers=workers,
-                                        worker_mode=worker_mode,
+                                        compact=compact,
                                         cache_bytes=cache_bytes)
         # One planner-statistics memo per engine: the derivation
         # evaluator, the query processor and every snapshot session read
@@ -114,7 +111,6 @@ class RuleEngine:
         self._compact = compact
         self._operations = operations
         self._cache_bytes = cache_bytes
-        self._worker_mode = worker_mode
         self.rules: List[DeductiveRule] = []
         self._by_target: Dict[str, List[DeductiveRule]] = {}
         #: target -> (direct, transitive) footprint: one walk per rule,
@@ -470,16 +466,9 @@ class RuleEngine:
         finally:
             if sspan is not None:
                 tracer.finish(sspan)
-        # Workers/mode track the live evaluator (the shell's \workers
-        # retargets both at runtime).  The snapshot pins its own compact
-        # store, so any planes the session exports stay valid — and
-        # alive — for exactly as long as the session's queries run;
-        # close() (or the evaluator finalizer) unlinks them.
         processor = QueryProcessor(snapshot, on_cycle=self._on_cycle,
                                    operations=self._operations,
                                    compact=self._compact,
-                                   workers=self.evaluator.workers,
-                                   worker_mode=self.evaluator.worker_mode,
                                    cache_bytes=self._cache_bytes)
         processor.evaluator.planner.statistics.share(
             self.processor.evaluator.planner.statistics)
@@ -509,9 +498,7 @@ class RuleEngine:
         return processor
 
     def close(self) -> None:
-        """Release shared-memory planes held by this engine's
-        evaluators (idempotent; worker pools are process-global and
-        outlive the engine)."""
+        """Drop the memos of this engine's evaluators (idempotent)."""
         self.evaluator.close()
         self.processor.close()
 

@@ -31,9 +31,6 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--backend-kind", default="json",
                         choices=["json", "sqlite"])
     parser.add_argument("--max-concurrency", type=int, default=8)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--worker-mode", default="thread",
-                        choices=["thread", "process"])
     parser.add_argument("--cache-bytes", type=int, default=0)
     parser.add_argument("--data-dir", metavar="DIR",
                         help="directory for session save/restore ops")
@@ -53,7 +50,6 @@ def main(argv: Optional[List[str]] = None) -> None:
     config = ServiceConfig(
         host=args.host, port=args.port,
         max_concurrency=args.max_concurrency,
-        workers=args.workers, worker_mode=args.worker_mode,
         cache_bytes=args.cache_bytes,
         backend_path=args.backend, backend_kind=args.backend_kind,
         data_dir=args.data_dir, trace=args.trace)

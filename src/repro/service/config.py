@@ -2,8 +2,8 @@
 
 One :class:`ServiceConfig` collects everything the service composes
 from the layers below it: the admission-control knobs (concurrency
-limiter, frame cap, budget caps), the evaluator configuration the PR 5–7
-layers added (``workers``/``worker_mode``/``cache_bytes``), optional
+limiter, frame cap, budget caps), the evaluator's result-cache budget
+(``cache_bytes``), optional
 durable storage (``backend_path``/``backend_kind`` — every served write
 is then WAL-journaled), and tracing.
 """
@@ -56,10 +56,7 @@ class ServiceConfig:
     #: RESYNC frame carrying the full current result.
     subscription_max_pending: int = 256
 
-    # -- engine composition (PR 5-7 layers) ----------------------------
-    #: Partition workers per evaluation and their mode, as \\workers.
-    workers: int = 1
-    worker_mode: str = "thread"
+    # -- engine composition --------------------------------------------
     #: Result-cache budget in bytes (0: off), as \\cache.
     cache_bytes: int = 0
     #: When set, a durable WAL-backed backend is opened (or recovered)
@@ -89,8 +86,6 @@ class ServiceConfig:
             raise ValueError("max_subscriptions must be >= 1")
         if self.subscription_max_pending < 1:
             raise ValueError("subscription_max_pending must be >= 1")
-        if self.worker_mode not in ("thread", "process"):
-            raise ValueError("worker_mode must be 'thread' or 'process'")
 
     def budget_caps(self) -> Dict[str, Any]:
         """The budget ceilings as a limits mapping."""

@@ -170,19 +170,14 @@ class QueryService:
         self.streaming = StreamingSubscriptions(self)
 
     def _apply_engine_config(self, engine) -> None:
-        """Push workers/worker_mode/cache config into the engine's
-        evaluators (same pairing the shell's \\workers and \\cache
-        commands retarget)."""
-        config = self.config
-        evaluators = {id(engine.processor.evaluator):
-                      engine.processor.evaluator,
-                      id(engine.evaluator): engine.evaluator}
-        for evaluator in evaluators.values():
-            evaluator.workers = config.workers
-            evaluator.worker_mode = config.worker_mode
-            if config.cache_bytes > 0:
-                evaluator.result_cache.max_bytes = config.cache_bytes
-                evaluator.result_cache.enabled = True
+        """Push the result-cache config into the engine's evaluators
+        (the pair the shell's \\cache command retargets)."""
+        cache_bytes = self.config.cache_bytes
+        if cache_bytes <= 0:
+            return
+        for evaluator in (engine.processor.evaluator, engine.evaluator):
+            evaluator.result_cache.max_bytes = cache_bytes
+            evaluator.result_cache.enabled = True
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -558,8 +553,6 @@ class QueryService:
             "db": engine.db.stats(),
             "rules": [rule.label or rule.target
                       for rule in engine.rules],
-            "workers": {"count": engine.processor.evaluator.workers,
-                        "mode": engine.processor.evaluator.worker_mode},
             "cache": cache.stats(),
             "compact": engine.universe.compact.stats(),
             "subscriptions": self.streaming.stats(),

@@ -29,10 +29,6 @@ with a backslash::
                           "off", "stats" (entries, bytes, hit/miss
                           counters), or "clear"; bare \\cache reports
                           the current state
-    \\workers [N] [MODE]   partition-parallel execution; N is the
-                          worker count (1 = serial) and MODE is
-                          "threads" or "processes"; bare \\workers
-                          reports the current setting
     \\index [ARG]          secondary value indexes over base-class
                           attributes; ARG is "add CLS ATTR" (declare —
                           equality and range conditions on that
@@ -108,7 +104,6 @@ class Shell:
             "budget": self._cmd_budget,
             "trace": self._cmd_trace,
             "cache": self._cmd_cache,
-            "workers": self._cmd_workers,
             "index": self._cmd_index,
             "why": self._cmd_why,
             "stats": self._cmd_stats,
@@ -262,17 +257,6 @@ class Shell:
             return True
         for key, value in self._last_metrics.snapshot().items():
             self._print(f"{key}: {value}")
-        for part in self._last_metrics.partitions:
-            extra = ""
-            if part.get("mode") == "process":
-                extra = (f" [{part['mode']} pid={part['pid']} "
-                         f"cpu={part['cpu_ms']:.2f} ms]")
-            elif part.get("mode"):
-                extra = f" [{part['mode']}]"
-            self._print(f"partition {part['partition']}: "
-                        f"{part['anchor_rows']} anchor rows -> "
-                        f"{part['rows_out']} rows in {part['ms']:.2f} ms"
-                        f"{extra}")
         described = self._last_metrics.describe_plans()
         if described:
             self._print(described)
@@ -419,47 +403,6 @@ class Shell:
             evaluators.append(derivation)
         return evaluators
 
-    def _cmd_workers(self, argument: str) -> bool:
-        evaluators = self._evaluators()
-        current = evaluators[0]
-        if not argument:
-            if current.workers <= 1:
-                self._print("workers: 1 (serial)")
-            else:
-                self._print(f"workers: {current.workers} "
-                            f"({current.worker_mode} mode)")
-            return True
-        workers = None
-        mode = None
-        for part in argument.split():
-            word = part.lower()
-            if word in ("thread", "threads"):
-                mode = "thread"
-            elif word in ("process", "processes"):
-                mode = "process"
-            else:
-                try:
-                    workers = int(part)
-                except ValueError:
-                    self._print("usage: \\workers [N] "
-                                "[threads|processes]")
-                    return True
-                if workers < 1:
-                    self._print("worker count must be >= 1")
-                    return True
-        for evaluator in evaluators:
-            if workers is not None:
-                evaluator.workers = workers
-            if mode is not None:
-                evaluator.worker_mode = mode
-        workers = current.workers
-        if workers <= 1:
-            self._print("workers: 1 (serial)")
-        else:
-            self._print(f"workers: {workers} "
-                        f"({current.worker_mode} mode)")
-        return True
-
     def _cmd_index(self, argument: str) -> bool:
         word, _, rest = argument.partition(" ")
         word = word.lower()
@@ -511,8 +454,7 @@ class Shell:
                     f"distinct={entry['distinct']}, "
                     f"numeric={entry['numeric']}, "
                     f"none={entry['none']}"
-                    + (f", other: {others}" if others else "")
-                    + f", epoch {entry['epoch']}")
+                    + (f", other: {others}" if others else ""))
             self._print("store: " + ", ".join(
                 f"{name}={count}" for name, count
                 in stats["store"].items()))

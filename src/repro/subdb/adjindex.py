@@ -64,7 +64,7 @@ class AdjacencyIndex:
     """
 
     __slots__ = ("src", "tgt", "offsets", "neighbors", "link_key", "token",
-                 "epoch", "lent")
+                 "lent")
 
     def __init__(self, src: InternTable, tgt: InternTable,
                  rows: Sequence[Sequence[int]],
@@ -86,11 +86,6 @@ class AdjacencyIndex:
         #: Identity-compared validity token (the subdatabase object for
         #: derived-association indexes).
         self.token = token
-        #: In-place mutation counter: INSERT deltas append to the CSR
-        #: arrays without replacing the object, so consumers that cache
-        #: *copies* of the arrays (shared-memory plane exports) compare
-        #: this alongside object identity.
-        self.epoch = 0
         #: Set once a pinned snapshot shares this index: the owning
         #: store then appends to a :meth:`fork`, never to this object.
         self.lent = False
@@ -105,7 +100,6 @@ class AdjacencyIndex:
         twin.neighbors = self.neighbors[:]
         twin.link_key = self.link_key
         twin.token = self.token
-        twin.epoch = self.epoch
         twin.lent = False
         return twin
 
@@ -115,13 +109,6 @@ class AdjacencyIndex:
 
     def pair_count(self) -> int:
         return len(self.neighbors)
-
-    def plane_arrays(self) -> Dict[str, array]:
-        """The index's frozen *plane* representation — the CSR arrays as
-        named int64 buffers for shared-memory export
-        (:mod:`repro.subdb.planes`).  Exports are copies: later in-place
-        appends bump :attr:`epoch` so cached exports re-snapshot."""
-        return {"offsets": self.offsets, "neighbors": self.neighbors}
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (f"AdjacencyIndex({self.src.key!r} -> {self.tgt.key!r}, "
@@ -271,7 +258,6 @@ class CompactStore:
             if is_identity and id(index.tgt) in appended:
                 index.neighbors.append(index.tgt.index[oid.value])
             index.offsets.append(len(index.neighbors))
-            index.epoch += 1
             self.indexes_appended += 1
         # The event's own record of the new object, not the database's:
         # inside a replayed BATCH the object may be gone again already.

@@ -47,15 +47,10 @@ event-granular invalidation path adjacency indexes use: INSERT appends
 one posting in place, DELETE remaps to the replacement intern table,
 SET_ATTRIBUTE re-buckets exactly one posting, ASSOCIATE/DISSOCIATE touch
 nothing, and schema changes clear (declarations survive clears).
-``epoch`` counts in-place mutations so shared-memory plane exports
-(:mod:`repro.subdb.planes`) of index-derived row sets revalidate, and
-:meth:`AttrIndex.plane_arrays` freezes the numeric column with an
-order-preserving int64 encoding (:func:`encode_ordered`).
 """
 
 from __future__ import annotations
 
-import struct
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -72,12 +67,6 @@ FALLBACK = "fallback"
 
 _EMPTY = array("q")
 
-_SIGN = 1 << 63
-#: Integers beyond ±2**53 do not round-trip through float64; the
-#: exported encoded column flags them (probing the live index is exact —
-#: it bisects Python values, never the encoding).
-EXACT_INT_BOUND = 2 ** 53
-
 
 def _is_num(value: Any) -> bool:
     """Numeric for comparison purposes — matches ``conditions.compare``:
@@ -87,25 +76,6 @@ def _is_num(value: Any) -> bool:
 
 def _is_nan(value: Any) -> bool:
     return isinstance(value, float) and value != value
-
-
-def encode_ordered(value: Any) -> int:
-    """Order-preserving int64 encoding of a numeric value.
-
-    Maps float64 totally-ordered onto signed int64 (the classic
-    sign-flip trick: non-negative floats set the sign bit, negative
-    floats invert all bits), so a frozen plane of encoded keys supports
-    numpy ``searchsorted`` probes.  Ints are encoded through ``float``;
-    beyond :data:`EXACT_INT_BOUND` that is lossy, which is why exported
-    planes carry an exactness flag and live probes never use this.
-    """
-    # ``+ 0.0`` collapses -0.0 onto 0.0 so equal floats encode equally.
-    bits = struct.unpack("<q", struct.pack("<d", float(value) + 0.0))[0]
-    if bits >= 0:
-        return bits
-    # Negative floats: bigger raw bit patterns mean smaller values, so
-    # flip them below zero in reverse (-inf encodes most negative).
-    return ~bits - _SIGN
 
 
 class AttrIndex:
@@ -120,7 +90,7 @@ class AttrIndex:
 
     __slots__ = ("table", "attr", "values", "buckets", "num_values",
                  "num_ids", "typed", "unordered", "none_count", "num_count",
-                 "type_counts", "broken", "epoch", "lent", "_owned")
+                 "type_counts", "broken", "lent", "_owned")
 
     def __init__(self, table: InternTable, attr: str,
                  values: List[Any]):
@@ -146,8 +116,6 @@ class AttrIndex:
         #: Set when a value defeats the hash index (unhashable):
         #: every probe then reports :data:`FALLBACK`.
         self.broken = False
-        #: In-place mutation counter for shared-plane revalidation.
-        self.epoch = 0
         #: Set once a pinned snapshot shares this index: the owning
         #: store then maintains a :meth:`fork`, never this object.
         self.lent = False
@@ -222,7 +190,6 @@ class AttrIndex:
         twin.num_count = self.num_count
         twin.type_counts = dict(self.type_counts)
         twin.broken = self.broken
-        twin.epoch = self.epoch
         twin.lent = False
         twin._owned = set()
         return twin
@@ -348,7 +315,6 @@ class AttrIndex:
         so every posting insert lands at the end of its array."""
         i = len(self.values)
         self.values.append(value)
-        self.epoch += 1
         if self.broken:
             return
         if _is_nan(value):
@@ -372,7 +338,6 @@ class AttrIndex:
         if old is value or (type(old) is type(value) and old == value):
             return
         self.values[i] = value
-        self.epoch += 1
         if self.broken:
             return
         if _is_nan(old):
@@ -417,7 +382,6 @@ class AttrIndex:
         index.attr = self.attr
         index.values = self.values[:dead] + self.values[dead + 1:]
         index.broken = False
-        index.epoch = 0
         index.lent = False
         index.unordered = set(self.unordered)
         # Only buckets holding a dense id >= dead change under the
@@ -525,27 +489,6 @@ class AttrIndex:
         if not values:
             del self.typed[t]
 
-    # ------------------------------------------------------------------
-    # Shared-memory export
-    # ------------------------------------------------------------------
-
-    def plane_arrays(self) -> Dict[str, array]:
-        """The index's frozen *plane* representation: the sorted numeric
-        column as order-preserving int64 keys (:func:`encode_ordered`)
-        plus the parallel dense-id column and a one-element exactness
-        flag (0 when some int exceeded float64's exact range).  Exports
-        are copies; in-place maintenance bumps :attr:`epoch` so cached
-        exports re-snapshot (same contract as
-        :meth:`~repro.subdb.adjindex.AdjacencyIndex.plane_arrays`)."""
-        exact = 1
-        keys = array("q")
-        for v in self.num_values:
-            if isinstance(v, int) and abs(v) > EXACT_INT_BOUND:
-                exact = 0
-            keys.append(encode_ordered(v))
-        return {"num_keys": keys, "num_ids": array("q", self.num_ids),
-                "exact": array("q", [exact])}
-
     def stats(self) -> Dict[str, Any]:
         return {
             "attr": self.attr,
@@ -556,7 +499,6 @@ class AttrIndex:
             "other_types": {t.__name__: c
                             for t, c in sorted(self.type_counts.items(),
                                                key=lambda kv: kv[0].__name__)},
-            "epoch": self.epoch,
             "broken": self.broken,
         }
 

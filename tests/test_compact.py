@@ -8,12 +8,14 @@ canonical session serializer.
 """
 
 import json
+from array import array
 
 import pytest
 
 from repro import QueryProcessor, RuleEngine, Universe
 from repro.errors import CyclicDataError
 from repro.model.database import Database
+from repro.oql import kernels
 from repro.oql.planner import OPTIMIZE_MODES
 from repro.storage.serialize import subdatabase_to_dict
 from repro.university import build_paper_database, build_sdb
@@ -185,3 +187,55 @@ class TestDifferentialPaperRules:
         fast = _paper_engine(True, "cost")
         slow = _paper_engine(False, "cost")
         assert fast.evaluator.compact and not slow.evaluator.compact
+
+
+# ---------------------------------------------------------------------------
+# Vectorized kernels: numpy and the array fallback must agree exactly
+# ---------------------------------------------------------------------------
+
+
+def _run_steps(specs, anchor):
+    """The evaluator's hop loop, minus tracing and plan bookkeeping:
+    ``(rows, per-step (distinct frontier, rows after))``."""
+    cols = [kernels.anchor_column(anchor)]
+    stats = []
+    for spec in specs:
+        if not len(cols[0]):
+            stats.append((0, 0))
+            continue
+        cols, frontier = kernels.execute_step(cols, spec)
+        stats.append((frontier, len(cols[0])))
+    return kernels.columns_to_rows(cols), stats
+
+
+class TestKernelParity:
+    # CSR over 4 sources: 0->{1,2}, 1->{2}, 2->{}, 3->{0,3}
+    OFFSETS = array("q", [0, 2, 3, 3, 5])
+    NEIGHBORS = array("q", [1, 2, 2, 0, 3])
+
+    def _spec(self, op="*", tgt_filter=None):
+        return kernels.StepSpec(op=op, forward=True,
+                                offsets=self.OFFSETS,
+                                neighbors=self.NEIGHBORS, tgt_size=4,
+                                tgt_filter=tgt_filter)
+
+    def test_star_and_bang_agree_across_modes(self, monkeypatch):
+        results = {}
+        for mode, disable in (("numpy", False), ("fallback", True)):
+            if disable:
+                monkeypatch.setattr(kernels, "_np", None)
+            specs = [self._spec("*"), self._spec("!")]
+            results[mode] = _run_steps(specs, range(4))
+            monkeypatch.undo()
+        assert results["numpy"] == results["fallback"]
+
+    def test_filter_respected_in_both_modes(self, monkeypatch):
+        keep = array("q", [2])
+        rows = {}
+        for mode, disable in (("numpy", False), ("fallback", True)):
+            if disable:
+                monkeypatch.setattr(kernels, "_np", None)
+            rows[mode], _ = _run_steps([self._spec("*", keep)], range(4))
+            monkeypatch.undo()
+        assert rows["numpy"] == rows["fallback"]
+        assert all(row[-1] == 2 for row in rows["numpy"])

@@ -1,10 +1,9 @@
 """Differential stress harness: seeded random queries and rules over a
-generated University database, executed by four independent engines —
-the compact interned executor, the original set-of-OIDs executor, the
-thread-partitioned executor (4 workers), and the process-partitioned
-executor (4 worker processes over shared-memory planes) — which must
-agree byte for byte on every case (through the canonical session
-serializer).
+generated University database, executed by three engines — the compact
+interned executor, the original set-of-OIDs executor, and the compact
+executor with its kernels pinned to the pure-``array`` fallback (numpy
+switched off around that column's own calls) — which must agree byte
+for byte on every case (through the canonical session serializer).
 
 The case count is tunable: ``DIFFERENTIAL_CASES`` in the environment
 (default 100; CI runs the quick tier on push and 1000 nightly).  Every
@@ -18,6 +17,7 @@ disagrees, alongside its seed.
 import json
 import os
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -25,6 +25,7 @@ import pytest
 
 from repro import QueryProcessor, RuleEngine, Universe, obs
 from repro.errors import ReproError
+from repro.oql import kernels
 from repro.oql.footprint import EMPTY, chain_terms, footprint_of
 from repro.oql.parser import parse_query
 from repro.oql.subscribe import SubscriptionManager, canonical_rows
@@ -165,6 +166,36 @@ def _random_spec(rng: random.Random) -> QuerySpec:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _without_numpy():
+    """Pin the kernels' pure-``array`` fallback for one block."""
+    saved = kernels._np
+    kernels._np = None
+    try:
+        yield
+    finally:
+        kernels._np = saved
+
+
+class _Fallback:
+    """The ``compact-fallback`` column: a processor or engine whose
+    every method call runs under :func:`_without_numpy` — and only its
+    own calls, so the other columns keep the numpy path."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if not callable(attr):
+            return attr
+
+        def call(*args, **kwargs):
+            with _without_numpy():
+                return attr(*args, **kwargs)
+        return call
+
+
 @pytest.fixture(scope="module")
 def university_db():
     return generate_university(GeneratorConfig(), seed=DB_SEED).db
@@ -173,21 +204,14 @@ def university_db():
 @pytest.fixture(scope="module")
 def executors(university_db):
     """(label, QueryProcessor) tuples sharing one base database: the
-    serial compact executor, the set-based original, the thread
-    partitioner, and the process partitioner over shared-memory planes
-    — the 3-way (serial/threads/processes) parity tier plus the
-    set-based cross-check."""
+    compact executor, the set-based original, and the compact executor
+    on the kernels' array fallback."""
     compact = QueryProcessor(Universe(university_db), compact=True)
     setbased = QueryProcessor(Universe(university_db), compact=False)
-    parallel = QueryProcessor(Universe(university_db), compact=True,
-                              workers=4)
-    parallel.evaluator.min_parallel_rows = 1
-    process = QueryProcessor(Universe(university_db), compact=True,
-                             workers=4, worker_mode="process")
-    process.evaluator.min_parallel_rows = 1
-    yield [("compact", compact), ("set-based", setbased),
-           ("parallel-4", parallel), ("process-4", process)]
-    process.close()
+    fallback = _Fallback(QueryProcessor(Universe(university_db),
+                                        compact=True))
+    return [("compact", compact), ("set-based", setbased),
+            ("compact-fallback", fallback)]
 
 
 def _outcome(processor: QueryProcessor, text: str):
@@ -273,42 +297,39 @@ class TestDifferentialQueries:
             for label, outcome in outcomes[1:]:
                 assert outcome == reference, (text, label)
 
-    def test_parallel_executor_actually_parallelizes(self, executors):
-        """The harness must not silently compare four sequential runs:
-        at least one generated case has to take the partitioned path."""
-        parallel = executors[2][1]
-        parallel.execute("context Student * Section * Course")
-        assert parallel.evaluator.last_metrics.workers_used > 1
-        assert parallel.evaluator.last_metrics.worker_mode == "thread"
+    def test_fallback_column_runs_without_numpy(self, executors,
+                                                monkeypatch):
+        """The harness must not silently compare numpy with numpy: the
+        fallback column's joins go through the array kernels, the other
+        columns' do not, and numpy is back once the call returns."""
+        calls = []
+        replicate = kernels._replicate
 
-    def test_process_executor_actually_uses_processes(self, executors):
-        """Same guard for the process tier: workers must be real child
-        processes (distinct PIDs in the partition records)."""
-        process = executors[3][1]
-        process.execute("context Student * Section * Course")
-        metrics = process.evaluator.last_metrics
-        assert metrics.workers_used > 1
-        assert metrics.worker_mode == "process"
-        pids = {part["pid"] for part in metrics.partitions}
-        assert pids and os.getpid() not in pids
+        def spy(*args):
+            calls.append(kernels._np)
+            return replicate(*args)
+
+        monkeypatch.setattr(kernels, "_replicate", spy)
+        numpy = kernels._np
+        text = "context Student * Section * Course"
+        executors[2][1].execute(text)
+        assert calls and all(np is None for np in calls)
+        assert kernels._np is numpy
+        if numpy is not None:
+            del calls[:]
+            executors[0][1].execute(text)
+            assert not calls
 
 
 class TestDifferentialRules:
     """Rule-shaped subset: the same chains packaged as deductive rules,
-    derived through four RuleEngine configurations."""
+    derived through three RuleEngine configurations."""
 
     def _engines(self, db) -> List[Tuple[str, RuleEngine]]:
-        compact = RuleEngine(db, compact=True)
-        setbased = RuleEngine(db, compact=False)
-        parallel = RuleEngine(db, compact=True, workers=4)
-        parallel.evaluator.min_parallel_rows = 1
-        parallel.processor.evaluator.min_parallel_rows = 1
-        process = RuleEngine(db, compact=True, workers=4,
-                             worker_mode="process")
-        process.evaluator.min_parallel_rows = 1
-        process.processor.evaluator.min_parallel_rows = 1
-        return [("compact", compact), ("set-based", setbased),
-                ("parallel-4", parallel), ("process-4", process)]
+        return [("compact", RuleEngine(db, compact=True)),
+                ("set-based", RuleEngine(db, compact=False)),
+                ("compact-fallback",
+                 _Fallback(RuleEngine(db, compact=True)))]
 
     def test_seeded_random_rules_agree(self, university_db):
         cases = max(CASES // 10, 5)
@@ -442,8 +463,8 @@ class TestDifferentialCache:
 
 class TestDifferentialIndexes:
     """Value-index tier: the seeded corpus re-run against executors with
-    every CONDITIONS attribute indexed — serial, thread-partitioned and
-    process-partitioned — interleaved with random writes (inserts,
+    every CONDITIONS attribute indexed — on numpy and on the kernels'
+    array fallback — interleaved with random writes (inserts,
     attribute updates, deletes), must match a scan-only executor byte
     for byte, including which queries error and with what.  The indexed
     side must actually probe, or the tier is vacuous."""
@@ -455,17 +476,14 @@ class TestDifferentialIndexes:
                ("Faculty", "rank"), ("Student", "GPA"), ("Grad", "GPA"))
 
     def _executors(self, db):
-        def indexed(**kw):
-            processor = QueryProcessor(Universe(db), compact=True,
-                                       min_parallel_rows=1, **kw)
+        def indexed():
+            processor = QueryProcessor(Universe(db), compact=True)
             for cls, attr in self.INDEXED:
                 processor.universe.declare_index(cls, attr)
             return processor
         return [("scan", QueryProcessor(Universe(db), compact=True)),
                 ("indexed", indexed()),
-                ("indexed-threads", indexed(workers=4)),
-                ("indexed-process", indexed(workers=4,
-                                            worker_mode="process"))]
+                ("indexed-fallback", _Fallback(indexed()))]
 
     def _write(self, db, rng: random.Random, tick: int,
                own: List) -> None:
@@ -521,7 +539,7 @@ class TestDifferentialIndexes:
     def test_maintenance_keeps_built_indexes_exact(self):
         """Directed maintenance check: build the indexes, then verify
         parity survives each write kind individually — the maintainers
-        must update in place (epoch advances), not just invalidate."""
+        must update the built index in place, not just invalidate."""
         db = generate_university(GeneratorConfig(), seed=DB_SEED).db
         indexed = QueryProcessor(Universe(db), compact=True)
         indexed.universe.declare_index("Course", "c#")
@@ -535,7 +553,7 @@ class TestDifferentialIndexes:
         ref = ClassRef("Course")
         index = indexed.universe.attr_index_if_ready(ref, "c#")
         assert index is not None, "probe did not build the index"
-        epoch = index.epoch
+        rows = len(index)
         course = db.insert("Course", "mx1",
                            **{"c#": 4321, "title": "M",
                               "credit_hours": 2}).oid
@@ -543,7 +561,8 @@ class TestDifferentialIndexes:
         for text in queries:
             assert _outcome(indexed, text) == _outcome(plain, text)
         live = indexed.universe.attr_index_if_ready(ref, "c#")
-        assert live is not None and live.epoch > epoch, (
+        assert live is index and len(live) == rows + 1 \
+            and live.values[-1] == 1234, (
             "writes should maintain the built index in place")
         db.delete(course)
         for text in queries:

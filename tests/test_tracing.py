@@ -111,7 +111,7 @@ class TestTracerMechanics:
         assert parent is root
 
         def worker(index):
-            span = tracer.start("child", parent=parent, partition=index)
+            span = tracer.start("child", parent=parent, index=index)
             tracer.finish(span)
 
         threads = [threading.Thread(target=worker, args=(i,))
@@ -121,7 +121,7 @@ class TestTracerMechanics:
         for thread in threads:
             thread.join()
         tracer.finish(root)
-        assert sorted(c.attrs["partition"] for c in root.children) == \
+        assert sorted(c.attrs["index"] for c in root.children) == \
             [0, 1, 2, 3]
         assert root.children[0].trace_id == root.trace_id
         assert_well_formed(root)
