@@ -38,12 +38,6 @@ except ImportError:  # pragma: no cover - environment-dependent
     _np = None
 
 
-def numpy_active() -> bool:
-    """Whether the numpy fast path is in use (tests monkeypatch
-    ``kernels._np = None`` to pin the fallback)."""
-    return _np is not None
-
-
 class StepSpec:
     """One join hop reduced to flat buffers.
 

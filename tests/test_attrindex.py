@@ -271,3 +271,39 @@ class TestStoreLifecycle:
         universe.declare_index("Course", "c#")
         derived = ClassRef("Course", subdb="Derived")
         assert universe.attr_index(derived, "c#") is None
+
+
+class TestIndexedSelection:
+    """A declared index answers a selective term with one probe, no
+    per-entity condition evaluation and the scan's rows — counted, not
+    timed, so the probe-vs-scan gap repeats on any machine."""
+
+    @pytest.mark.parametrize("text", ["context Item[key = 200]",
+                                      "context Item[measure < 100.0]"])
+    def test_selective_term_is_one_probe(self, text):
+        from repro.model.database import Database
+        from repro.model.schema import DClass, Schema
+        from repro.oql.query import QueryProcessor
+        from repro.subdb.universe import Universe
+        schema = Schema("items")
+        schema.add_eclass("Item")
+        for attr, kind in (("key", int), ("measure", float),
+                           ("category", str)):
+            schema.add_attribute("Item", attr, DClass(attr, kind))
+        db = Database(schema)
+        for i in range(400):
+            db.insert("Item", f"i{i}", key=i, category=f"c{i % 8}",
+                      measure=(i * 7919) % 10_000 / 10.0)
+        indexed = Universe(db)
+        for attr in ("key", "measure", "category"):
+            indexed.declare_index("Item", attr)
+        answers = []
+        for universe in (indexed, Universe(db)):
+            processor = QueryProcessor(universe)
+            answers.append((processor.execute(text).subdatabase,
+                            processor.evaluator.last_metrics))
+        (rows, metrics), (scan_rows, scan_metrics) = answers
+        assert (metrics.index_probes, metrics.extent_filter_evals) == (1, 0)
+        assert metrics.index_rows == len(rows) > 0
+        assert scan_metrics.extent_filter_evals == 400
+        assert sorted(rows.labels()) == sorted(scan_rows.labels())

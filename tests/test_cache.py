@@ -257,11 +257,19 @@ class TestCrossQueryCache:
         assert second.subdatabase.name != first.subdatabase.name
 
     def test_unrelated_write_keeps_entry_warm(self, paper):
+        # Department is outside the query's footprint, so a churn of
+        # inserts there must leave every re-read a hit.
         qp = self._qp(paper)
         qp.execute(QUERY)
-        paper.db.insert("Department", "d_new", name="Astronomy")
-        result = qp.execute(QUERY)
-        assert result.metrics.cache_hits == 1
+        cache = qp.evaluator.result_cache
+        hits, misses = cache.hits, cache.misses
+        writes = 20
+        for tick in range(writes):
+            paper.db.insert("Department", f"d_new{tick}",
+                            name=f"Astronomy{tick}")
+            result = qp.execute(QUERY)
+            assert result.metrics.cache_hits == 1
+        assert (cache.hits - hits, cache.misses - misses) == (writes, 0)
 
     def test_related_write_invalidates(self, paper):
         qp = self._qp(paper)

@@ -175,6 +175,10 @@ class TestClosureProperty:
         assert names == {"Smith", "Jones"}
         assert engine.stats.derivations["Teacher_course"] == 1
         assert engine.stats.derivations["Grad_teachers"] == 1
+        # One derivation per level; a re-query is served from the memo.
+        assert engine.stats.total_derivations() == 3
+        engine.query("context Phd_grad_teachers:Teacher select name")
+        assert engine.stats.total_derivations() == 3
 
     def test_affected_by_event_transitive(self, engine):
         engine.add_rule(R2)

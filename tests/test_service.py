@@ -502,6 +502,9 @@ class TestAdmissionControl:
                 assert c.ping()["pong"] is True
                 counters = c.stats()["server"]
                 assert counters["shed_total"] >= 1
+                # Every request was either admitted or shed.
+                assert counters["requests_total"] == \
+                    counters["admitted_total"] + counters["shed_total"]
 
     def test_concurrent_connections_under_limit_all_served(self,
                                                            paper_service):
@@ -830,9 +833,12 @@ class TestLiveSubscriptions:
         engine = paper_service.engine
         host, port = paper_service.address
         with ServiceClient(host, port) as watcher, \
+                ServiceClient(host, port) as echo, \
                 ServiceClient(host, port) as writer:
             res = watcher.subscribe("context Teacher * Section")
             sid = res["subscription"]
+            echo_sid = echo.subscribe("context Teacher * Section")[
+                "subscription"]
             assert res["kind"] == "snapshot" and res["seq"] == 0
             assert res["incremental"] is True
             assert res["footprint"] == ("extents: Section, Teacher "
@@ -862,6 +868,11 @@ class TestLiveSubscriptions:
             writer.update({"kind": "dissociate", "owner": pair[0],
                            "name": "teaches", "target": pair[1]})
             assert watcher.next_delta(sid, timeout=0.5) is None
+            # A second subscriber saw each relevant write exactly once.
+            frames = echo.drain_deltas(echo_sid, idle=0.5)
+            assert [(f["kind"], f["seq"], f["added"], f["removed"])
+                    for f in frames] == [("delta", 1, [list(pair)], []),
+                                         ("delta", 2, [], [list(pair)])]
 
     def test_soak_concurrent_subscribers_fold_to_serial(
             self, paper_service):

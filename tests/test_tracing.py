@@ -363,6 +363,27 @@ class TestInstrumentation:
         assert query.attrs["budget_verdict"] == "max_rows"
         assert query.attrs["budget_checks"] >= 1
 
+    def test_span_sites_scale_with_operators_not_rows(self):
+        """Tracing-off costs one guard per span site reached, so the
+        site count must not grow with the data: a chain opens the same
+        spans on a larger corpus, a closure one more per loop level.
+        Counted, not timed, so it repeats on any machine."""
+        corpora = [generate_university(GeneratorConfig(
+            departments=d, courses=c, students=n, prereqs_per_course=2,
+            seed=55)).db for d, c, n in ((2, 15, 30), (4, 40, 120))]
+        for text in ("context Department * Course * Section * Student",
+                     "context Course * Course_1 ^*"):
+            sites, rows = [], []
+            for db in corpora:
+                processor = QueryProcessor(Universe(db))
+                counter = obs.install(CountingTracer())
+                rows.append(len(processor.execute(text).subdatabase))
+                obs.uninstall()
+                metrics = processor.evaluator.last_metrics
+                sites.append(counter.starts - metrics.loop_levels)
+            assert rows[0] < rows[1]
+            assert sites[0] == sites[1]
+
 
 # ---------------------------------------------------------------------------
 # Hypothesis properties over the differential generator.
