@@ -20,14 +20,14 @@
 
 Chain matching is planned and executed in two layers:
 
-* a :class:`~repro.oql.planner.Planner` chooses a contiguous join order
-  (``optimize="naive" | "greedy" | "cost"``) from extent sizes and link
-  fan-out statistics, emitting a :class:`~repro.oql.planner.JoinPlan`;
+* a :class:`~repro.oql.planner.Planner` chooses the contiguous join
+  order of least estimated cost from extent sizes and link fan-out
+  statistics, emitting a :class:`~repro.oql.planner.JoinPlan`;
 * a *frontier-batched executor* runs the plan hop by hop: one bulk
   neighbor lookup per hop over the distinct frontier endpoints, one
   set intersection (or difference, for ``!``) per distinct endpoint —
-  never per row.  All three strategies produce identical results; only
-  the join order and hence the intermediate row counts differ.
+  never per row.  Every contiguous join order produces identical
+  results; only the intermediate row counts differ.
 
 The Where subclause is applied afterwards: inter-class comparisons and
 aggregation conditions (``COUNT ... by ...``) drop extensional patterns
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.errors import (CyclicDataError, OQLSemanticError,
@@ -62,7 +62,7 @@ from repro.oql import kernels
 from repro.oql.cache import (DEFAULT_CACHE_BYTES, ResultCache, clone_result,
                              fingerprint, result_nbytes)
 from repro.oql.footprint import Footprint, footprint_of
-from repro.oql.planner import OPTIMIZE_MODES, JoinPlan, Planner
+from repro.oql.planner import JoinPlan, Planner
 from repro.subdb import attrindex
 from repro.subdb.intension import Edge, IntensionalPattern
 from repro.subdb.pattern import ExtensionalPattern, subsume, subsume_rows
@@ -216,10 +216,8 @@ class PatternEvaluator:
 
     def __init__(self, universe: Universe, on_cycle: str = "error",
                  max_depth: int = 1000,
-                 optimize: Union[bool, str] = "cost",
                  compact: bool = True,
-                 cache_bytes: int = 0,
-                 auto_index_min_rows: int = 0):
+                 cache_bytes: int = 0):
         if on_cycle not in ("error", "stop"):
             raise ValueError("on_cycle must be 'error' or 'stop'")
         self.universe = universe
@@ -244,20 +242,8 @@ class PatternEvaluator:
         self.on_cycle = on_cycle
         #: Safety bound on unbounded-loop depth.
         self.max_depth = max_depth
-        #: Join-order strategy (the paper's "search engine of the
-        #: underlying OO DBMS"): ``"cost"`` plans via cardinality
-        #: estimates over extent/fan-out statistics, ``"greedy"``
-        #: anchors at the smallest filtered extent and grows towards
-        #: the smaller neighbor, ``"naive"`` joins left-to-right.
-        #: ``True``/``False`` are accepted as aliases for
-        #: ``"cost"``/``"naive"``.  Results are identical in all modes.
-        if isinstance(optimize, bool):
-            optimize = "cost" if optimize else "naive"
-        if optimize not in OPTIMIZE_MODES:
-            raise ValueError(
-                f"optimize must be a bool or one of {OPTIMIZE_MODES}")
-        self.optimize = optimize
-        #: The statistics-backed join planner (cached against the
+        #: The statistics-backed join planner (the paper's "search
+        #: engine of the underlying OO DBMS"; cached against the
         #: universe's data version).
         self.planner = Planner(universe)
         #: The cross-query result cache (LRU, byte-bounded, keyed by
@@ -284,12 +270,6 @@ class PatternEvaluator:
         # "index+scan", or "scan") — stamped onto every JoinPlan as its
         # per-slot access annotation (visible in explain output).
         self._extent_access: Dict[ClassTerm, str] = {}
-        #: Opt-in auto-build heuristic: when > 0, a full filtered-extent
-        #: scan over at least this many objects declares a value index
-        #: on every own-attribute-vs-literal conjunct it evaluated, so
-        #: the *next* evaluation probes instead of scanning.  0 (the
-        #: default) disables it — indexes are declared explicitly.
-        self.auto_index_min_rows = auto_index_min_rows
         #: Filtered-extent computations that missed the memo (the
         #: regression observable for per-class extent-cache scoping).
         self.extent_filter_evals = 0
@@ -503,7 +483,6 @@ class PatternEvaluator:
                                                getter_for(oid))}
             self._metrics.extent_filter_evals += len(extent)
             self._extent_access[term] = "scan"
-            self._maybe_auto_index(term, len(extent))
         self._extent_cache[term] = (footprint, token, filtered)
         self._metrics.extent_objects += len(filtered)
         return filtered
@@ -625,23 +604,6 @@ class PatternEvaluator:
             return None
         return ids, index
 
-    def _maybe_auto_index(self, term: ClassTerm, extent_size: int) -> None:
-        """The opt-in auto-build heuristic: after a large enough full
-        scan, declare an index on each own-attribute-vs-literal
-        conjunct so the next evaluation probes instead."""
-        threshold = self.auto_index_min_rows
-        if not threshold or extent_size < threshold or \
-                term.ref.subdb is not None:
-            return
-        for conj in conditions.and_conjuncts(term.condition):
-            normalized = conditions.literal_comparison(conj)
-            if normalized is None:
-                continue
-            try:
-                self.universe.declare_index(term.ref.cls, normalized[0])
-            except UnknownAttributeError:
-                pass
-
     def _access_modes(self, terms: List[ClassTerm]
                       ) -> Tuple[Optional[str], ...]:
         """Per-slot access annotation for a plan: ``None`` for an
@@ -669,7 +631,7 @@ class PatternEvaluator:
             if tracer is not None else None
         try:
             plan = self.planner.plan(refs, flat.ops, resolutions, sizes,
-                                     start, end, strategy=self.optimize)
+                                     start, end)
             plan.access = self._access_modes(flat.terms)
             self._metrics.plans.append(plan)
             rows = self._execute_plan(plan, extents, resolutions)
@@ -857,7 +819,7 @@ class PatternEvaluator:
             if tracer is not None else None
         try:
             plan = self.planner.plan(refs, flat.ops, resolutions, sizes,
-                                     start, end, strategy=self.optimize)
+                                     start, end)
             plan.access = self._access_modes(flat.terms)
             self._metrics.plans.append(plan)
             rows = self._execute_plan_ids(plan, resolutions, refs, tables,

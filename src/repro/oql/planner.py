@@ -18,15 +18,10 @@ back to the coarse ``data_version`` token — their contents carry no
 stamps.
 
 :class:`Planner` turns a flattened chain plus the *actual* filtered
-extent sizes into a :class:`JoinPlan` under one of three strategies:
-
-* ``"naive"``  — anchor at the leftmost slot, always extend right (the
-  textbook left-to-right join; the ablation floor);
-* ``"greedy"`` — anchor at the smallest filtered extent, grow towards
-  the smaller adjacent extent (the previous heuristic, kept as an
-  ablation mode);
-* ``"cost"``   — dynamic programming over all contiguous intervals,
-  minimizing the estimated total number of intermediate rows.
+extent sizes into a :class:`JoinPlan` by dynamic programming over all
+contiguous intervals, minimizing the estimated total number of
+intermediate rows.  Every contiguous order yields the same rows; only
+the intermediate row counts differ.
 
 The plan records per-step *estimated* rows; the batched executor fills
 in *actuals*, giving an EXPLAIN ANALYZE-style artifact through
@@ -44,10 +39,6 @@ from repro.oql import conditions
 from repro.oql.footprint import ALL, Footprint
 from repro.subdb.refs import ClassRef
 from repro.subdb.universe import EdgeResolution, Universe
-
-#: The recognized planning strategies, in ablation order.
-OPTIMIZE_MODES = ("naive", "greedy", "cost")
-
 
 #: Entry cap for per-entry-validated memo dicts: stale entries are only
 #: reaped on probe, so a hard cap bounds the worst-case footprint.
@@ -242,7 +233,6 @@ class PlanStep:
 class JoinPlan:
     """A full join order over slots ``start..end`` of one chain."""
 
-    strategy: str
     start: int
     end: int
     anchor: int
@@ -272,7 +262,7 @@ class JoinPlan:
         return f" [{self.access[slot]}]"
 
     def describe(self) -> str:
-        lines = [f"join plan [{self.strategy}]: anchor "
+        lines = ["join plan: anchor "
                  f"{self.slot_names[self.anchor]}"
                  f"{self._access_tag(self.anchor)} "
                  f"({self.est_anchor_rows} rows), "
@@ -289,7 +279,6 @@ class JoinPlan:
 
     def snapshot(self) -> dict:
         snap = {
-            "strategy": self.strategy,
             "anchor": self.slot_names[self.anchor],
             "order": [self.slot_names[i] for i in self.order()],
             "est_cost": round(self.est_cost, 2),
@@ -309,8 +298,8 @@ class Planner:
     def __init__(self, universe: Universe):
         self.universe = universe
         self.statistics = Statistics(universe)
-        # Chosen orders memoized per (strategy, range, refs, ops,
-        # filtered sizes) as (footprint, vector, anchor, steps, cost),
+        # Chosen orders memoized per (range, refs, ops, filtered
+        # sizes) as (footprint, vector, anchor, steps, cost),
         # each entry validated against the version vector of what its
         # fan-out estimates read — repeated evaluations of the same
         # query skip the DP, and writes outside the footprint leave the
@@ -361,13 +350,12 @@ class Planner:
         return max(float(sizes[target]) - fan * ratio, 0.0)
 
     # ------------------------------------------------------------------
-    # Strategies
+    # Join ordering
     # ------------------------------------------------------------------
 
     def plan(self, refs: Sequence[ClassRef], ops: Sequence[str],
              resolutions: Sequence[EdgeResolution],
-             sizes: Sequence[int], start: int, end: int,
-             strategy: str = "cost") -> JoinPlan:
+             sizes: Sequence[int], start: int, end: int) -> JoinPlan:
         """Plan the join over slots ``start..end``.
 
         ``sizes`` are the *filtered* extent sizes per slot of the whole
@@ -375,16 +363,12 @@ class Planner:
         so the anchor estimate is exact and filter selectivities are
         folded into every step estimate).
         """
-        if strategy not in OPTIMIZE_MODES:
-            raise ValueError(f"unknown planning strategy {strategy!r} "
-                             f"(expected one of {OPTIMIZE_MODES})")
         tracer = obs.TRACER
-        span = tracer.start("plan", strategy=strategy, start=start,
-                            end=end) if tracer is not None else None
+        span = tracer.start("plan", start=start, end=end) \
+            if tracer is not None else None
         try:
             slot_names = tuple(ref.slot for ref in refs)
-            key = (strategy, start, end, tuple(refs), tuple(ops),
-                   tuple(sizes))
+            key = (start, end, tuple(refs), tuple(ops), tuple(sizes))
             cached = self._cache.get(key)
             footprint = cached[0] if cached is not None else \
                 self._plan_footprint(refs, resolutions, start, end)
@@ -393,14 +377,8 @@ class Planner:
                 cached = None
             if cached is not None:
                 _, _, anchor, steps, cost = cached
-            elif strategy == "cost" and end > start:
-                anchor, steps, cost = self._order_cost(
-                    refs, ops, resolutions, sizes, start, end)
-            elif strategy == "greedy" and end > start:
-                anchor, steps, cost = self._order_greedy(
-                    refs, ops, resolutions, sizes, start, end)
             else:
-                anchor, steps, cost = self._order_naive(
+                anchor, steps, cost = self._best_order(
                     refs, ops, resolutions, sizes, start, end)
             if len(self._cache) >= _MEMO_CAP:
                 _evict_one(self._cache)
@@ -409,67 +387,22 @@ class Planner:
                 span.set("cached", cached is not None)
                 span.set("anchor", slot_names[anchor])
                 span.set("est_cost", round(cost, 2))
-                if strategy == "cost" and end > start:
-                    # Size of the contiguous-range DP the cost strategy
-                    # explores (each state costs one candidate plan).
-                    width = end - start + 1
-                    span.add("candidates", width * (width + 1) // 2)
-                else:
-                    span.add("candidates", 1)
+                # Size of the contiguous-range DP (each state costs
+                # one candidate plan).
+                width = end - start + 1
+                span.add("candidates", width * (width + 1) // 2)
         finally:
             if span is not None:
                 tracer.finish(span)
         # The executor mutates steps with actuals: hand out copies.
         fresh = [PlanStep(slot=s.slot, edge=s.edge, direction=s.direction,
                           op=s.op, est_rows=s.est_rows) for s in steps]
-        return JoinPlan(strategy=strategy, start=start, end=end,
-                        anchor=anchor, slot_names=slot_names,
+        return JoinPlan(start=start, end=end, anchor=anchor,
+                        slot_names=slot_names,
                         est_anchor_rows=sizes[anchor], steps=fresh,
                         est_cost=cost)
 
-    def _order_naive(self, refs, ops, resolutions, sizes, start, end):
-        """Left-to-right: anchor at ``start``, extend right each hop."""
-        est = float(sizes[start])
-        cost = est
-        steps: List[PlanStep] = []
-        for edge in range(start, end):
-            est *= self._step_selectivity(refs, ops, resolutions, sizes,
-                                          edge, "right")
-            cost += est
-            steps.append(PlanStep(slot=edge + 1, edge=edge,
-                                  direction="right", op=ops[edge],
-                                  est_rows=est))
-        return start, steps, cost
-
-    def _order_greedy(self, refs, ops, resolutions, sizes, start, end):
-        """The previous heuristic: anchor at the smallest filtered
-        extent, grow towards the smaller adjacent extent."""
-        anchor = min(range(start, end + 1), key=lambda i: sizes[i])
-        lo = hi = anchor
-        est = float(sizes[anchor])
-        cost = est
-        steps: List[PlanStep] = []
-        while lo > start or hi < end:
-            grow_left = lo > start and (
-                hi == end or sizes[lo - 1] <= sizes[hi + 1])
-            if grow_left:
-                est *= self._step_selectivity(refs, ops, resolutions,
-                                              sizes, lo - 1, "left")
-                steps.append(PlanStep(slot=lo - 1, edge=lo - 1,
-                                      direction="left", op=ops[lo - 1],
-                                      est_rows=est))
-                lo -= 1
-            else:
-                est *= self._step_selectivity(refs, ops, resolutions,
-                                              sizes, hi, "right")
-                steps.append(PlanStep(slot=hi + 1, edge=hi,
-                                      direction="right", op=ops[hi],
-                                      est_rows=est))
-                hi += 1
-            cost += est
-        return anchor, steps, cost
-
-    def _order_cost(self, refs, ops, resolutions, sizes, start, end):
+    def _best_order(self, refs, ops, resolutions, sizes, start, end):
         """Interval dynamic programming over contiguous blocks.
 
         ``best[(lo, hi)]`` holds the cheapest way to have matched the

@@ -56,13 +56,11 @@ class QueryProcessor:
     def __init__(self, universe: Universe, on_cycle: str = "error",
                  operations: Optional[OperationRegistry] = None,
                  compact: bool = True,
-                 cache_bytes: int = 0,
-                 auto_index_min_rows: int = 0):
+                 cache_bytes: int = 0):
         self.universe = universe
         self.evaluator = PatternEvaluator(
             universe, on_cycle=on_cycle, compact=compact,
-            cache_bytes=cache_bytes,
-            auto_index_min_rows=auto_index_min_rows)
+            cache_bytes=cache_bytes)
         if operations is None:
             from repro.oql.builtins import register_builtin_operations
             operations = register_builtin_operations(OperationRegistry())

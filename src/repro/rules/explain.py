@@ -148,8 +148,7 @@ def _plan_query(engine: "RuleEngine", query: Query) -> List[JoinPlan]:
                                                         term.condition)
              for term in flat.terms]
     return [evaluator.planner.plan(refs, flat.ops, resolutions, sizes,
-                                   start, end,
-                                   strategy=evaluator.optimize)
+                                   start, end)
             for start, end in flat.groups]
 
 

@@ -33,11 +33,9 @@ with a backslash::
                           attributes; ARG is "add CLS ATTR" (declare —
                           equality and range conditions on that
                           attribute then probe the index instead of
-                          scanning), "drop CLS ATTR", "stats"
-                          (per-index row/distinct/type counts), or
-                          "auto N" (auto-declare indexes for condition
-                          attributes on extents of N+ rows; "auto off"
-                          disables); bare \\index lists declarations
+                          scanning), "drop CLS ATTR", or "stats"
+                          (per-index row/distinct/type counts); bare
+                          \\index lists declarations
     \\why TARGET l1 l2 ..  justify a derived pattern (OID labels)
     \\stats                engine statistics
     \\save PATH            persist the session as JSON
@@ -393,16 +391,6 @@ class Shell:
         self._print("usage: \\cache [on|off|stats|clear]")
         return True
 
-    def _evaluators(self):
-        """The engine's pattern evaluators: the query processor's, plus
-        the derivation evaluator's when distinct (they are retargeted
-        together so queries and backward chaining agree)."""
-        evaluators = [self.engine.processor.evaluator]
-        derivation = self.engine.evaluator
-        if derivation is not evaluators[0]:
-            evaluators.append(derivation)
-        return evaluators
-
     def _cmd_index(self, argument: str) -> bool:
         word, _, rest = argument.partition(" ")
         word = word.lower()
@@ -417,9 +405,6 @@ class Shell:
                 state = f"built ({len(built.values)} rows)" \
                     if built is not None else "declared (builds on probe)"
                 self._print(f"  {cls}.{attr}: {state}")
-            auto = self._evaluators()[0].auto_index_min_rows
-            if auto:
-                self._print(f"auto-indexing: extents >= {auto} rows")
             return True
         if word in ("add", "drop"):
             parts = rest.split()
@@ -459,26 +444,8 @@ class Shell:
                 f"{name}={count}" for name, count
                 in stats["store"].items()))
             return True
-        if word == "auto":
-            value = rest.strip().lower()
-            if value in ("off", "0"):
-                threshold = 0
-            else:
-                try:
-                    threshold = int(value)
-                except ValueError:
-                    self._print("usage: \\index auto N | auto off")
-                    return True
-                if threshold < 0:
-                    self._print("threshold must be >= 0")
-                    return True
-            for evaluator in self._evaluators():
-                evaluator.auto_index_min_rows = threshold
-            self._print("auto-indexing off" if threshold == 0 else
-                        f"auto-indexing extents >= {threshold} rows")
-            return True
         self._print("usage: \\index [add CLS ATTR | drop CLS ATTR | "
-                    "stats | auto N]")
+                    "stats]")
         return True
 
     def _cmd_why(self, argument: str) -> bool:

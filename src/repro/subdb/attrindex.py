@@ -55,6 +55,8 @@ from array import array
 from bisect import bisect_left, bisect_right, insort
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.model.interning import InternTable
 
 #: Probe statuses.
@@ -511,28 +513,17 @@ def _drop_shift(values: list, ids: array,
                 dead: int) -> Tuple[list, array]:
     """Remap one (sorted values, parallel dense ids) column pair after
     deleting dense id ``dead``: drop its entry if present, decrement
-    every id above it.  Vectorized when numpy is importable; the
-    fallback is a single generator pass."""
-    from repro.oql.kernels import _np
-    if _np is not None and len(ids):
-        arr = _np.frombuffer(ids, dtype=_np.int64)
-        keep = arr != dead
-        shifted = arr[keep]
-        shifted = shifted - (shifted > dead)
-        new_ids = array("q")
-        new_ids.frombytes(shifted.astype(_np.int64).tobytes())
-        if keep.all():
-            return list(values), new_ids
-        pos = int(_np.argmin(keep))
-        return values[:pos] + values[pos + 1:], new_ids
-    new_values = []
+    every id above it (vectorized)."""
+    arr = np.frombuffer(ids, dtype=np.int64)
+    keep = arr != dead
+    shifted = arr[keep]
+    shifted = shifted - (shifted > dead)
     new_ids = array("q")
-    for value, i in zip(values, ids):
-        if i == dead:
-            continue
-        new_values.append(value)
-        new_ids.append(i - 1 if i > dead else i)
-    return new_values, new_ids
+    new_ids.frombytes(shifted.tobytes())
+    if keep.all():
+        return list(values), new_ids
+    pos = int(np.argmin(keep))
+    return values[:pos] + values[pos + 1:], new_ids
 
 
 def _range_bounds(values: list, op: str, literal: Any) -> Tuple[int, int]:

@@ -2,9 +2,9 @@
 the original set-of-OIDs executor (``compact=False``).
 
 Both executors must be observationally identical — same subdatabases,
-same intensions, same loop semantics — under every planner strategy;
-only speed differs.  Byte-level identity is asserted through the
-canonical session serializer.
+same intensions, same loop semantics — in the planned join order and in
+the left-to-right one; only speed differs.  Byte-level identity is
+asserted through the canonical session serializer.
 """
 
 import json
@@ -16,10 +16,10 @@ from repro import QueryProcessor, RuleEngine, Universe
 from repro.errors import CyclicDataError
 from repro.model.database import Database
 from repro.oql import kernels
-from repro.oql.planner import OPTIMIZE_MODES
 from repro.storage.serialize import subdatabase_to_dict
 from repro.university import build_paper_database, build_sdb
 from repro.university.schema import build_university_schema
+from tests.test_optimizer import left_to_right
 
 
 def _prereq_chain(n: int, cyclic: bool = False) -> Database:
@@ -126,7 +126,8 @@ class TestBoundedVsUnbounded:
 
 # ---------------------------------------------------------------------------
 # Differential: the paper's rules R1-R7 plus the braces query, compact
-# vs set-based, under every planner strategy.
+# vs set-based, in the planned ("cost") and the left-to-right ("naive")
+# join order.
 # ---------------------------------------------------------------------------
 
 R6_TEXT = ("if context Grad * TA * Teacher * Section * Student * "
@@ -139,12 +140,16 @@ TARGETS = ["Teacher_course", "Suggest_offer", "Deps_need_res",
            "May_teach", "Grad_teaching_grad", "First_and_third"]
 
 
-def _paper_engine(compact: bool, optimize: str) -> RuleEngine:
+ORDERS = ["naive", "cost"]
+
+
+def _paper_engine(compact: bool, order: str) -> RuleEngine:
     data = build_paper_database()
     engine = RuleEngine(data.db, compact=compact)
     engine.universe.register(build_sdb(data))
-    engine.evaluator.optimize = optimize
-    engine.processor.evaluator.optimize = optimize
+    if order == "naive":
+        left_to_right(engine.evaluator)
+        left_to_right(engine.processor.evaluator)
     engine.add_rule("if context Teacher * Section * Course "
                     "then Teacher_course (Teacher, Course)", label="R1")
     engine.add_rule(
@@ -167,18 +172,18 @@ def _paper_engine(compact: bool, optimize: str) -> RuleEngine:
 
 
 class TestDifferentialPaperRules:
-    @pytest.mark.parametrize("optimize", OPTIMIZE_MODES)
-    def test_rules_byte_identical_across_executors(self, optimize):
-        engines = [_paper_engine(compact, optimize)
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_rules_byte_identical_across_executors(self, order):
+        engines = [_paper_engine(compact, order)
                    for compact in (True, False)]
         for target in TARGETS:
             dumps = [_dump(engine.derive(target)) for engine in engines]
             assert dumps[0] == dumps[1], target
 
-    @pytest.mark.parametrize("optimize", OPTIMIZE_MODES)
-    def test_braces_query_byte_identical(self, optimize):
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_braces_query_byte_identical(self, order):
         dumps = [
-            _dump(_paper_engine(compact, optimize)
+            _dump(_paper_engine(compact, order)
                   .query(BRACES_QUERY).subdatabase)
             for compact in (True, False)]
         assert dumps[0] == dumps[1]
@@ -190,7 +195,7 @@ class TestDifferentialPaperRules:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized kernels: numpy and the array fallback must agree exactly
+# Vectorized kernels: fixed expected rows over one hand-built CSR
 # ---------------------------------------------------------------------------
 
 
@@ -200,42 +205,55 @@ def _run_steps(specs, anchor):
     cols = [kernels.anchor_column(anchor)]
     stats = []
     for spec in specs:
-        if not len(cols[0]):
-            stats.append((0, 0))
-            continue
         cols, frontier = kernels.execute_step(cols, spec)
         stats.append((frontier, len(cols[0])))
     return kernels.columns_to_rows(cols), stats
 
 
-class TestKernelParity:
-    # CSR over 4 sources: 0->{1,2}, 1->{2}, 2->{}, 3->{0,3}
+class TestKernelRows:
+    # CSR over 4 ids: 0->{1,2}, 1->{2}, 2->{}, 3->{0,3}
     OFFSETS = array("q", [0, 2, 3, 3, 5])
     NEIGHBORS = array("q", [1, 2, 2, 0, 3])
 
-    def _spec(self, op="*", tgt_filter=None):
-        return kernels.StepSpec(op=op, forward=True,
+    def _spec(self, op="*", tgt_filter=None, forward=True):
+        return kernels.StepSpec(op=op, forward=forward,
                                 offsets=self.OFFSETS,
                                 neighbors=self.NEIGHBORS, tgt_size=4,
                                 tgt_filter=tgt_filter)
 
-    def test_star_and_bang_agree_across_modes(self, monkeypatch):
-        results = {}
-        for mode, disable in (("numpy", False), ("fallback", True)):
-            if disable:
-                monkeypatch.setattr(kernels, "_np", None)
-            specs = [self._spec("*"), self._spec("!")]
-            results[mode] = _run_steps(specs, range(4))
-            monkeypatch.undo()
-        assert results["numpy"] == results["fallback"]
+    def test_star_then_bang_forward(self):
+        rows, stats = _run_steps([self._spec("*"), self._spec("!")],
+                                 range(4))
+        assert rows == [
+            (0, 1, 0), (0, 1, 1), (0, 1, 3),
+            (0, 2, 0), (0, 2, 1), (0, 2, 2), (0, 2, 3),
+            (1, 2, 0), (1, 2, 1), (1, 2, 2), (1, 2, 3),
+            (3, 0, 0), (3, 0, 3),
+            (3, 3, 1), (3, 3, 2)]
+        assert stats == [(4, 5), (4, 15)]
 
-    def test_filter_respected_in_both_modes(self, monkeypatch):
-        keep = array("q", [2])
-        rows = {}
-        for mode, disable in (("numpy", False), ("fallback", True)):
-            if disable:
-                monkeypatch.setattr(kernels, "_np", None)
-            rows[mode], _ = _run_steps([self._spec("*", keep)], range(4))
-            monkeypatch.undo()
-        assert rows["numpy"] == rows["fallback"]
-        assert all(row[-1] == 2 for row in rows["numpy"])
+    def test_filter_respected(self):
+        rows, stats = _run_steps([self._spec("*", array("q", [2]))],
+                                 range(4))
+        assert rows == [(0, 2), (1, 2)]
+        assert stats == [(4, 2)]
+        rows, stats = _run_steps([self._spec("!", array("q", [0, 3]))],
+                                 range(4))
+        assert rows == [(0, 0), (0, 3), (1, 0), (1, 3), (2, 0), (2, 3)]
+        assert stats == [(4, 6)]
+
+    def test_backward_steps_prepend(self):
+        rows, stats = _run_steps(
+            [self._spec("*", forward=False),
+             self._spec("!", array("q", [1, 3]), forward=False)],
+            [3, 0])
+        assert rows == [(3, 0, 3), (1, 3, 3), (1, 1, 0), (3, 1, 0),
+                        (1, 2, 0), (3, 2, 0)]
+        assert stats == [(2, 4), (4, 6)]
+
+    def test_empty_frontier(self):
+        for op in ("*", "!"):
+            rows, stats = _run_steps([self._spec(op), self._spec(op)], [])
+            assert rows == [] and stats == [(0, 0), (0, 0)]
+        rows, stats = _run_steps([self._spec("*"), self._spec("!")], [2])
+        assert rows == [] and stats == [(1, 0), (0, 0)]

@@ -1,9 +1,8 @@
 """Differential stress harness: seeded random queries and rules over a
-generated University database, executed by three engines — the compact
-interned executor, the original set-of-OIDs executor, and the compact
-executor with its kernels pinned to the pure-``array`` fallback (numpy
-switched off around that column's own calls) — which must agree byte
-for byte on every case (through the canonical session serializer).
+generated University database, executed by two engines — the compact
+interned executor and the original set-of-OIDs executor — which must
+agree byte for byte on every case (through the canonical session
+serializer).
 
 The case count is tunable: ``DIFFERENTIAL_CASES`` in the environment
 (default 100; CI runs the quick tier on push and 1000 nightly).  Every
@@ -17,7 +16,6 @@ disagrees, alongside its seed.
 import json
 import os
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -25,7 +23,6 @@ import pytest
 
 from repro import QueryProcessor, RuleEngine, Universe, obs
 from repro.errors import ReproError
-from repro.oql import kernels
 from repro.oql.footprint import EMPTY, chain_terms, footprint_of
 from repro.oql.parser import parse_query
 from repro.oql.subscribe import SubscriptionManager, canonical_rows
@@ -166,36 +163,6 @@ def _random_spec(rng: random.Random) -> QuerySpec:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _without_numpy():
-    """Pin the kernels' pure-``array`` fallback for one block."""
-    saved = kernels._np
-    kernels._np = None
-    try:
-        yield
-    finally:
-        kernels._np = saved
-
-
-class _Fallback:
-    """The ``compact-fallback`` column: a processor or engine whose
-    every method call runs under :func:`_without_numpy` — and only its
-    own calls, so the other columns keep the numpy path."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def __getattr__(self, name):
-        attr = getattr(self._inner, name)
-        if not callable(attr):
-            return attr
-
-        def call(*args, **kwargs):
-            with _without_numpy():
-                return attr(*args, **kwargs)
-        return call
-
-
 @pytest.fixture(scope="module")
 def university_db():
     return generate_university(GeneratorConfig(), seed=DB_SEED).db
@@ -204,14 +171,10 @@ def university_db():
 @pytest.fixture(scope="module")
 def executors(university_db):
     """(label, QueryProcessor) tuples sharing one base database: the
-    compact executor, the set-based original, and the compact executor
-    on the kernels' array fallback."""
+    compact executor and the set-based original."""
     compact = QueryProcessor(Universe(university_db), compact=True)
     setbased = QueryProcessor(Universe(university_db), compact=False)
-    fallback = _Fallback(QueryProcessor(Universe(university_db),
-                                        compact=True))
-    return [("compact", compact), ("set-based", setbased),
-            ("compact-fallback", fallback)]
+    return [("compact", compact), ("set-based", setbased)]
 
 
 def _outcome(processor: QueryProcessor, text: str):
@@ -297,39 +260,14 @@ class TestDifferentialQueries:
             for label, outcome in outcomes[1:]:
                 assert outcome == reference, (text, label)
 
-    def test_fallback_column_runs_without_numpy(self, executors,
-                                                monkeypatch):
-        """The harness must not silently compare numpy with numpy: the
-        fallback column's joins go through the array kernels, the other
-        columns' do not, and numpy is back once the call returns."""
-        calls = []
-        replicate = kernels._replicate
-
-        def spy(*args):
-            calls.append(kernels._np)
-            return replicate(*args)
-
-        monkeypatch.setattr(kernels, "_replicate", spy)
-        numpy = kernels._np
-        text = "context Student * Section * Course"
-        executors[2][1].execute(text)
-        assert calls and all(np is None for np in calls)
-        assert kernels._np is numpy
-        if numpy is not None:
-            del calls[:]
-            executors[0][1].execute(text)
-            assert not calls
-
 
 class TestDifferentialRules:
     """Rule-shaped subset: the same chains packaged as deductive rules,
-    derived through three RuleEngine configurations."""
+    derived through two RuleEngine configurations."""
 
     def _engines(self, db) -> List[Tuple[str, RuleEngine]]:
         return [("compact", RuleEngine(db, compact=True)),
-                ("set-based", RuleEngine(db, compact=False)),
-                ("compact-fallback",
-                 _Fallback(RuleEngine(db, compact=True)))]
+                ("set-based", RuleEngine(db, compact=False))]
 
     def test_seeded_random_rules_agree(self, university_db):
         cases = max(CASES // 10, 5)
@@ -462,12 +400,12 @@ class TestDifferentialCache:
 
 
 class TestDifferentialIndexes:
-    """Value-index tier: the seeded corpus re-run against executors with
-    every CONDITIONS attribute indexed — on numpy and on the kernels'
-    array fallback — interleaved with random writes (inserts,
-    attribute updates, deletes), must match a scan-only executor byte
-    for byte, including which queries error and with what.  The indexed
-    side must actually probe, or the tier is vacuous."""
+    """Value-index tier: the seeded corpus re-run against an executor with
+    every CONDITIONS attribute indexed — interleaved with random writes
+    (inserts, attribute updates, deletes), must match a scan-only
+    executor byte for byte, including which queries error and with
+    what.  The indexed side must actually probe, or the tier is
+    vacuous."""
 
     INDEXED = (("Course", "c#"), ("Course", "credit_hours"),
                ("Section", "section#"), ("Section", "textbook"),
@@ -482,8 +420,7 @@ class TestDifferentialIndexes:
                 processor.universe.declare_index(cls, attr)
             return processor
         return [("scan", QueryProcessor(Universe(db), compact=True)),
-                ("indexed", indexed()),
-                ("indexed-fallback", _Fallback(indexed()))]
+                ("indexed", indexed())]
 
     def _write(self, db, rng: random.Random, tick: int,
                own: List) -> None:

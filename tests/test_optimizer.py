@@ -1,6 +1,10 @@
-"""Tests for the greedy chain-join optimizer: result equivalence with
-the naive left-to-right join (including a hypothesis sweep), and the
-pruning behaviour it exists for."""
+"""Tests for the cost-based chain-join planner: result equivalence with
+the textbook left-to-right join (including a hypothesis sweep), and the
+pruning behaviour it exists for.
+
+The left-to-right join is a test-side reference: :func:`left_to_right`
+replaces one evaluator's order choice, so both sides run the same
+executor and differ only in join order."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from repro.model.dclass import INTEGER
 from repro.model.schema import Schema
 from repro.oql.evaluator import PatternEvaluator
 from repro.oql.parser import parse_expression, parse_query
+from repro.oql.planner import PlanStep
 from repro.subdb.universe import Universe
 from repro.university import GeneratorConfig, build_paper_database, \
     generate_university
@@ -30,6 +35,30 @@ QUERIES = [
 ]
 
 
+def left_to_right(evaluator: PatternEvaluator) -> PatternEvaluator:
+    """Make ``evaluator`` join every chain range left to right: anchor
+    at the range's first slot, extend right each hop.  Step estimates
+    and the modeled cost use the planner's own cost model, so the
+    order's ``est_cost`` is comparable with the chosen plan's."""
+    planner = evaluator.planner
+
+    def order(refs, ops, resolutions, sizes, start, end):
+        est = float(sizes[start])
+        cost = est
+        steps = []
+        for edge in range(start, end):
+            est *= planner._step_selectivity(refs, ops, resolutions,
+                                             sizes, edge, "right")
+            cost += est
+            steps.append(PlanStep(slot=edge + 1, edge=edge,
+                                  direction="right", op=ops[edge],
+                                  est_rows=est))
+        return start, steps, cost
+
+    planner._best_order = order
+    return evaluator
+
+
 @pytest.fixture(scope="module")
 def paper_universe():
     return Universe(build_paper_database().db)
@@ -44,16 +73,16 @@ class TestEquivalence:
     @pytest.mark.parametrize("text", QUERIES)
     def test_same_patterns_paper_db(self, paper_universe, text):
         expr = parse_expression(text)
-        fast = PatternEvaluator(paper_universe, optimize=True)
-        slow = PatternEvaluator(paper_universe, optimize=False)
+        fast = PatternEvaluator(paper_universe)
+        slow = left_to_right(PatternEvaluator(paper_universe))
         assert fast.evaluate(expr).patterns == \
             slow.evaluate(expr).patterns
 
     @pytest.mark.parametrize("text", QUERIES)
     def test_same_patterns_generated_db(self, generated_universe, text):
         expr = parse_expression(text)
-        fast = PatternEvaluator(generated_universe, optimize=True)
-        slow = PatternEvaluator(generated_universe, optimize=False)
+        fast = PatternEvaluator(generated_universe)
+        slow = left_to_right(PatternEvaluator(generated_universe))
         assert fast.evaluate(expr).patterns == \
             slow.evaluate(expr).patterns
 
@@ -61,22 +90,23 @@ class TestEquivalence:
         query = parse_query(
             "context Department * Course * Section * Student "
             "where COUNT(Student by Course) > 39")
-        fast = PatternEvaluator(paper_universe, optimize=True)
-        slow = PatternEvaluator(paper_universe, optimize=False)
+        fast = PatternEvaluator(paper_universe)
+        slow = left_to_right(PatternEvaluator(paper_universe))
         assert fast.evaluate(query.context, query.where).patterns == \
             slow.evaluate(query.context, query.where).patterns
 
     def test_same_loop_results(self, paper_universe):
         expr = parse_expression("Course * Course_1 ^*")
-        fast = PatternEvaluator(paper_universe, optimize=True)
-        slow = PatternEvaluator(paper_universe, optimize=False)
+        fast = PatternEvaluator(paper_universe)
+        slow = left_to_right(PatternEvaluator(paper_universe))
         assert fast.evaluate(expr).patterns == \
             slow.evaluate(expr).patterns
 
 
 class TestEquivalenceProperty:
     """Random bipartite-ish chains: A -x-> B -y-> C with arbitrary link
-    sets; both strategies must produce identical pattern sets."""
+    sets; the planned and the left-to-right join must produce identical
+    pattern sets."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -105,8 +135,8 @@ class TestEquivalenceProperty:
             db.associate(objs[("B", b)], "bc", objs[("C", c)])
         universe = Universe(db)
         expr = parse_expression(f"A {op1} B {op2} C [n < 3]")
-        fast = PatternEvaluator(universe, optimize=True)
-        slow = PatternEvaluator(universe, optimize=False)
+        fast = PatternEvaluator(universe)
+        slow = left_to_right(PatternEvaluator(universe))
         assert fast.evaluate(expr).patterns == \
             slow.evaluate(expr).patterns
 
@@ -114,24 +144,31 @@ class TestEquivalenceProperty:
 class TestPruning:
     def test_selective_filter_prunes_intermediate_rows(self):
         """With a highly selective condition at the chain's *right* end,
-        the optimized order anchors there; verify by the number of
-        distinct frontier endpoints traversed per hop, which both the
-        set-based and the compact executor count identically."""
+        the plan anchors there and walks right to left; the distinct
+        frontier endpoints traversed per hop, which the set-based and
+        the compact executor count identically, are pinned exactly —
+        and are far fewer than the left-to-right join's."""
         data = generate_university(GeneratorConfig(
             students=300, courses=20, seed=41))
         universe = Universe(data.db)
         expr = parse_expression(
             "Student * Section * Course [c# = 1000]")
-        fast = PatternEvaluator(universe, optimize=True)
-        fast.evaluate(expr)
-        optimized_calls = fast.last_metrics.edge_traversals
-        slow = PatternEvaluator(universe, optimize=False)
-        slow.evaluate(expr)
-        naive_calls = slow.last_metrics.edge_traversals
-        assert optimized_calls < naive_calls
+        for compact in (True, False):
+            planned = PatternEvaluator(universe, compact=compact)
+            result = planned.evaluate(expr)
+            (plan,) = planned.last_metrics.plans
+            assert plan.slot_names[plan.anchor] == "Course"
+            assert plan.actual_anchor_rows == 1
+            assert [(s.slot, s.direction, s.actual_frontier,
+                     s.actual_rows) for s in plan.steps] == \
+                [(1, "left", 1, 2), (0, "left", 2, 49)]
+            assert planned.last_metrics.edge_traversals == 3
+            reference = left_to_right(
+                PatternEvaluator(universe, compact=compact))
+            assert reference.evaluate(expr).patterns == result.patterns
+            assert reference.last_metrics.edge_traversals == 364
 
     def test_single_class_context_unaffected(self, paper_universe):
         expr = parse_expression("Teacher")
-        result = PatternEvaluator(paper_universe,
-                                  optimize=True).evaluate(expr)
+        result = PatternEvaluator(paper_universe).evaluate(expr)
         assert len(result) > 0

@@ -1,7 +1,7 @@
 """Tests for the cost-based join planner: statistics caching, plan
-shapes, cost-model invariants, result equivalence across all three
-strategies on the paper's rules and queries, and the EXPLAIN
-ANALYZE-style plan/metrics surface."""
+shapes, cost-model invariants, result equivalence with the left-to-right
+join on the paper's rules and queries, and the EXPLAIN ANALYZE-style
+plan/metrics surface."""
 
 import pytest
 
@@ -10,11 +10,12 @@ from repro.model.dclass import INTEGER
 from repro.model.schema import Schema
 from repro.oql.evaluator import PatternEvaluator
 from repro.oql.parser import parse_expression, parse_query
-from repro.oql.planner import OPTIMIZE_MODES, Planner, Statistics
+from repro.oql.planner import Statistics
 from repro.rules.engine import RuleEngine
 from repro.subdb.universe import Universe
 from repro.university import GeneratorConfig, build_paper_database, \
     generate_university
+from tests.test_optimizer import left_to_right
 
 
 def chain_universe():
@@ -85,76 +86,53 @@ class TestStatistics:
 
 
 class TestPlanShapes:
-    def _plan(self, universe, text, strategy):
-        evaluator = PatternEvaluator(universe, optimize=strategy)
+    def _plan(self, universe, text, reference=False):
+        evaluator = PatternEvaluator(universe)
+        if reference:
+            left_to_right(evaluator)
         evaluator.evaluate(parse_expression(text))
         plans = evaluator.last_metrics.plans
         assert plans, "evaluation recorded no plan"
         return plans[0]
-
-    def test_naive_goes_left_to_right(self):
-        universe, _, _ = chain_universe()
-        plan = self._plan(universe, "A * B * C", "naive")
-        assert plan.anchor == 0
-        assert [s.direction for s in plan.steps] == ["right", "right"]
-        assert plan.order() == [0, 1, 2]
 
     def test_cost_anchors_at_selective_filter(self):
         data = generate_university(GeneratorConfig(
             students=200, courses=20, seed=7))
         universe = Universe(data.db)
         plan = self._plan(universe,
-                          "Student * Section * Course [c# = 1000]",
-                          "cost")
+                          "Student * Section * Course [c# = 1000]")
         assert plan.slot_names[plan.anchor] == "Course"
 
     def test_order_is_contiguous(self):
         data = build_paper_database()
         universe = Universe(data.db)
-        for strategy in OPTIMIZE_MODES:
-            plan = self._plan(
-                universe, "Department * Course * Section * Student",
-                strategy)
-            order = plan.order()
-            assert sorted(order) == [0, 1, 2, 3]
-            lo = hi = plan.anchor
-            for slot in order[1:]:
-                assert slot in (lo - 1, hi + 1), \
-                    f"{strategy} produced a non-contiguous order {order}"
-                lo, hi = min(lo, slot), max(hi, slot)
+        plan = self._plan(universe,
+                          "Department * Course * Section * Student")
+        order = plan.order()
+        assert sorted(order) == [0, 1, 2, 3]
+        lo = hi = plan.anchor
+        for slot in order[1:]:
+            assert slot in (lo - 1, hi + 1), \
+                f"non-contiguous order {order}"
+            lo, hi = min(lo, slot), max(hi, slot)
 
     def test_cost_never_worse_than_other_strategies(self):
         """The DP searches every contiguous order, so its modeled cost
-        is a lower bound on the naive and greedy orders' costs."""
+        is a lower bound on the left-to-right order's cost."""
         data = generate_university(GeneratorConfig(seed=13))
         universe = Universe(data.db)
         for text in ("Student * Section * Course [c# = 1000]",
                      "Department * Course * Section * Student",
                      "Teacher * Section ! Course"):
-            costs = {strategy: self._plan(universe, text, strategy)
-                     .est_cost for strategy in OPTIMIZE_MODES}
-            assert costs["cost"] <= costs["naive"] + 1e-9
-            assert costs["cost"] <= costs["greedy"] + 1e-9
-
-    def test_unknown_strategy_rejected(self):
-        universe, _, _ = chain_universe()
-        with pytest.raises(ValueError, match="unknown planning strategy"):
-            Planner(universe).plan([], [], [], [], 0, 0,
-                                   strategy="bogus")
-        with pytest.raises(ValueError, match="optimize must be"):
-            PatternEvaluator(universe, optimize="fastest")
-
-    def test_bool_aliases(self):
-        universe, _, _ = chain_universe()
-        assert PatternEvaluator(universe, optimize=True).optimize == \
-            "cost"
-        assert PatternEvaluator(universe, optimize=False).optimize == \
-            "naive"
+            planned = self._plan(universe, text).est_cost
+            reference = self._plan(universe, text, reference=True)
+            assert reference.order() == sorted(reference.order())
+            assert planned <= reference.est_cost + 1e-9
 
 
 # The paper's rule contexts (R1-R5 verbatim from Section 2/4, R6-R7 the
 # loop rules of Section 5.2, R8 the non-association example of
-# Section 3.2), evaluated under every strategy.
+# Section 3.2), evaluated in the planned and the left-to-right order.
 PAPER_CONTEXTS = [
     ("R1", "context Teacher * Section * Course display"),
     ("R2", "context Department[name = 'CIS'] * Course * Section * "
@@ -188,19 +166,17 @@ class TestPaperRuleEquivalence:
                              ids=[label for label, _ in PAPER_CONTEXTS])
     def test_all_strategies_agree(self, engine, label, text):
         query = parse_query(text)
-        results = [
-            PatternEvaluator(engine.universe, optimize=mode)
-            .evaluate(query.context, query.where)
-            for mode in OPTIMIZE_MODES]
-        assert results[0].patterns == results[1].patterns
-        assert results[1].patterns == results[2].patterns
+        planned = PatternEvaluator(engine.universe)
+        reference = left_to_right(PatternEvaluator(engine.universe))
+        assert planned.evaluate(query.context, query.where).patterns == \
+            reference.evaluate(query.context, query.where).patterns
 
 
 class TestPlanMetrics:
     def test_actuals_filled_in(self):
         data = build_paper_database()
         universe = Universe(data.db)
-        evaluator = PatternEvaluator(universe, optimize="cost")
+        evaluator = PatternEvaluator(universe)
         evaluator.evaluate(
             parse_expression("Teacher * Section * Course"))
         (plan,) = evaluator.last_metrics.plans
@@ -208,7 +184,7 @@ class TestPlanMetrics:
         for step in plan.steps:
             assert step.actual_rows is not None
             assert step.actual_frontier is not None
-        assert "join plan [cost]" in \
+        assert "join plan: anchor" in \
             evaluator.last_metrics.describe_plans()
         assert "actual" in evaluator.last_metrics.describe_plans()
 
@@ -218,7 +194,9 @@ class TestPlanMetrics:
         result = engine.query("context Teacher * Section * Course "
                               "select Teacher[name] display")
         assert result.metrics.plans
-        assert result.metrics.plans[0].strategy == "cost"
+        assert set(result.metrics.plans[0].snapshot()) == {
+            "anchor", "order", "est_cost", "anchor_rows", "steps",
+            "access"}
 
     def test_one_plan_per_brace_group(self):
         data = build_paper_database()

@@ -100,15 +100,18 @@ class TestMetrics:
         assert result.metrics.patterns_subsumed > 0
 
     def test_optimizer_traverses_fewer_edges_on_selective_query(self):
+        """The plan anchors at the one matching Course and walks left:
+        three frontier lookups in all (a left-to-right order would look
+        up every Student first)."""
         from repro.oql.evaluator import PatternEvaluator
         from repro.oql.parser import parse_expression
         from repro.subdb import Universe
         from repro.university import GeneratorConfig, generate_university
         data = generate_university(GeneratorConfig(students=200, seed=3))
         expr = parse_expression("Student * Section * Course [c# = 1000]")
-        fast = PatternEvaluator(Universe(data.db), optimize=True)
-        slow = PatternEvaluator(Universe(data.db), optimize=False)
-        fast.evaluate(expr)
-        slow.evaluate(expr)
-        assert fast.last_metrics.edge_traversals < \
-            slow.last_metrics.edge_traversals
+        evaluator = PatternEvaluator(Universe(data.db))
+        assert len(evaluator.evaluate(expr)) == 33
+        (plan,) = evaluator.last_metrics.plans
+        assert plan.order() == [2, 1, 0]
+        assert [step.actual_frontier for step in plan.steps] == [1, 2]
+        assert evaluator.last_metrics.edge_traversals == 3
