@@ -28,8 +28,6 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--backend", metavar="PATH",
                         help="durable WAL-backed storage directory "
                              "(recovered when it holds state)")
-    parser.add_argument("--backend-kind", default="json",
-                        choices=["json", "sqlite"])
     parser.add_argument("--max-concurrency", type=int, default=8)
     parser.add_argument("--cache-bytes", type=int, default=0)
     parser.add_argument("--data-dir", metavar="DIR",
@@ -51,8 +49,8 @@ def main(argv: Optional[List[str]] = None) -> None:
         host=args.host, port=args.port,
         max_concurrency=args.max_concurrency,
         cache_bytes=args.cache_bytes,
-        backend_path=args.backend, backend_kind=args.backend_kind,
-        data_dir=args.data_dir, trace=args.trace)
+        backend_path=args.backend, data_dir=args.data_dir,
+        trace=args.trace)
 
     # A backend that already holds state recovers its own session
     # inside QueryService (engine=None); the flags below only seed a

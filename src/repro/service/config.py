@@ -4,8 +4,8 @@ One :class:`ServiceConfig` collects everything the service composes
 from the layers below it: the admission-control knobs (concurrency
 limiter, frame cap, budget caps), the evaluator's result-cache budget
 (``cache_bytes``), optional
-durable storage (``backend_path``/``backend_kind`` — every served write
-is then WAL-journaled), and tracing.
+durable storage (``backend_path`` — every served write is then
+WAL-journaled, with JSON checkpoints), and tracing.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class ServiceConfig:
     #: When set, a durable WAL-backed backend is opened (or recovered)
     #: at this path and attached to the engine, as \\wal open.
     backend_path: Optional[str] = None
-    backend_kind: str = "json"
 
     # -- observability -------------------------------------------------
     #: Install the tracer (if not already installed) so every request

@@ -95,8 +95,7 @@ class QueryService:
         self._owns_backend = False
         if self.config.backend_path is not None:
             from repro.storage import open_backend
-            backend = open_backend(self.config.backend_path,
-                                   self.config.backend_kind)
+            backend = open_backend(self.config.backend_path)
             self._owns_backend = True
             if backend.has_state():
                 if engine is not None:

@@ -5,6 +5,9 @@ Run::
     python -m repro.shell                  # the paper's University DB
     python -m repro.shell --empty          # a fresh, schema-less session
     python -m repro.shell --session f.json # reopen a saved session
+    python -m repro.shell --backend d/     # durable: recover d/, or seed
+                                           # it and journal every update
+    python -m repro.shell --connect H:P    # remote REPL to a service
 
 Anything starting with ``context`` runs as an OQL query; anything
 starting with ``if`` is added as a deductive rule.  Meta-commands start
@@ -40,8 +43,8 @@ with a backslash::
     \\stats                engine statistics
     \\save PATH            persist the session as JSON
     \\wal [ARG]            durable WAL-backed storage; ARG is
-                          "open PATH [json|sqlite]" (attach a backend
-                          and journal every update from now on),
+                          "open PATH" (attach a backend and journal
+                          every update from now on),
                           "sync" (force the fsync barrier),
                           "compact" (drop history before the newest
                           checkpoint), or bare \\wal for status
@@ -69,6 +72,7 @@ A trailing backslash continues the statement on the next line.
 
 from __future__ import annotations
 
+import argparse
 import sys
 from typing import Callable, List, Optional, TextIO
 
@@ -477,7 +481,7 @@ class Shell:
         return True
 
     # ------------------------------------------------------------------
-    # Durable storage (WAL-backed backends)
+    # Durable storage (WAL + JSON checkpoints)
     # ------------------------------------------------------------------
 
     @property
@@ -491,28 +495,28 @@ class Shell:
         if not word:
             if self.backend is None:
                 self._print("no storage backend attached — "
-                            "\\wal open PATH [json|sqlite]")
+                            "\\wal open PATH")
                 return True
             for key, value in self.backend.status().items():
                 self._print(f"{key}: {value}")
             return True
         if word == "open":
             parts = rest.split()
-            if not parts or len(parts) > 2:
-                self._print("usage: \\wal open PATH [json|sqlite]")
+            if len(parts) != 1:
+                self._print("usage: \\wal open PATH")
                 return True
             if self.backend is not None:
                 self._print("a backend is already attached "
                             f"({self.backend.root})")
                 return True
             from repro.storage import open_backend
-            backend = open_backend(parts[0],
-                                   parts[1] if len(parts) > 1 else "json")
+            path = parts[0]
+            backend = open_backend(path)
             if backend.has_state():
                 backend.close()
-                self._print(f"storage at {parts[0]} already holds a "
+                self._print(f"storage at {path} already holds a "
                             f"session — reopen the shell with "
-                            f"--backend {parts[0]} to recover it")
+                            f"--backend {path} to recover it")
                 return True
             report = backend.wal.report
             backend.attach(self.engine)
@@ -541,14 +545,13 @@ class Shell:
                         f"checkpoint(s) dropped, {info['wal_records']} "
                         f"wal record(s) kept")
             return True
-        self._print("usage: \\wal [open PATH [json|sqlite] | sync | "
-                    "compact]")
+        self._print("usage: \\wal [open PATH | sync | compact]")
         return True
 
     def _cmd_checkpoint(self, _: str) -> bool:
         if self.backend is None:
             self._print("no storage backend attached — "
-                        "\\wal open PATH [json|sqlite]")
+                        "\\wal open PATH")
             return True
         seq = self.backend.checkpoint()
         self._print(f"checkpoint written at wal seq {seq}")
@@ -557,7 +560,7 @@ class Shell:
     def _cmd_restore(self, argument: str) -> bool:
         if self.backend is None:
             self._print("no storage backend attached — "
-                        "\\wal open PATH [json|sqlite]")
+                        "\\wal open PATH")
             return True
         seq = None
         if argument:
@@ -738,30 +741,47 @@ class Shell:
         return False
 
 
+def parse_args(args: List[str]) -> argparse.Namespace:
+    """Parse the command line; a flag missing its value (or an unknown
+    flag) exits with a usage error that names it."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.shell",
+        description="Interactive deductive object-oriented database "
+                    "shell (the paper's University DB by default).")
+    parser.add_argument("--empty", action="store_true",
+                        help="start a fresh, schema-less session")
+    parser.add_argument("--session", metavar="PATH",
+                        help="reopen a session saved with \\save")
+    parser.add_argument("--backend", metavar="PATH",
+                        help="durable WAL-backed storage directory "
+                             "(recovered when it holds state)")
+    parser.add_argument("--connect", metavar="HOST:PORT",
+                        help="connect a remote REPL to a running query "
+                             "service instead")
+    return parser.parse_args(args)
+
+
 def build_engine(args: List[str]) -> RuleEngine:
     """Interpret the command-line arguments into an engine.
 
-    ``--backend PATH [--backend-kind json|sqlite]`` opens a durable
-    WAL-backed store at PATH: an existing store is *recovered* (latest
-    checkpoint + WAL replay); a fresh one is seeded with the session
-    the other flags select, and every subsequent update is journaled.
+    ``--backend PATH`` opens a durable WAL-backed store at PATH: an
+    existing store is *recovered* (latest checkpoint + WAL replay); a
+    fresh one is seeded with the session the other flags select, and
+    every subsequent update is journaled.
     """
+    options = parse_args(args)
     backend = None
-    if "--backend" in args:
+    if options.backend is not None:
         from repro.storage import open_backend
-        kind = "json"
-        if "--backend-kind" in args:
-            kind = args[args.index("--backend-kind") + 1]
-        backend = open_backend(args[args.index("--backend") + 1], kind)
+        backend = open_backend(options.backend)
         if backend.has_state():
             engine = backend.recover()
             backend.attach(engine)
             return engine
-    if "--session" in args:
+    if options.session is not None:
         from repro.storage import load_session
-        path = args[args.index("--session") + 1]
-        engine = load_session(path)
-    elif "--empty" in args:
+        engine = load_session(options.session)
+    elif options.empty:
         from repro.model.database import Database
         from repro.model.schema import Schema
         engine = RuleEngine(Database(Schema("session")))
@@ -791,10 +811,10 @@ def repl(engine: RuleEngine) -> None:  # pragma: no cover - interactive
 
 def main(argv: Optional[List[str]] = None) -> None:  # pragma: no cover
     args = argv if argv is not None else sys.argv[1:]
-    if "--connect" in args:
+    target = parse_args(args).connect
+    if target is not None:
         # Client mode: a remote REPL against a running query service.
         from repro.service.client import client_repl
-        target = args[args.index("--connect") + 1]
         host, _, port = target.rpartition(":")
         client_repl(host or "127.0.0.1", int(port))
         return

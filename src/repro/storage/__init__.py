@@ -23,22 +23,20 @@ loud warning is recorded in the document, and the warning is re-raised
 (:class:`StoredSchemaWarning`) when the document is loaded.
 
 Durable, incremental persistence lives in :mod:`repro.storage.backends`:
-a :class:`StorageBackend` abstraction pairing an append-only, CRC'd
-write-ahead log of update events with checkpointed session snapshots —
-crash recovery by checkpoint-load + WAL-replay, point-in-time restore to
-any event offset, and two implementations (``json`` whole-session
-snapshots and a ``sqlite`` column store with lazy per-class extents).
+an append-only, CRC'd write-ahead log of update events paired with
+checkpointed session snapshots — crash recovery by checkpoint-load +
+WAL-replay and point-in-time restore to any event offset.  Checkpoints
+are whole-session JSON documents in the same layout
+:func:`save_session` writes, streamed to disk; it is the one durable
+format.
 """
 
 from repro.storage.atomic import atomic_write_text
 from repro.storage.backends import (
-    BACKENDS,
     JsonBackend,
-    SqliteBackend,
     StorageBackend,
     WriteAheadLog,
     open_backend,
-    register_backend,
 )
 from repro.storage.serialize import (
     FORMAT_VERSION,
@@ -53,10 +51,8 @@ from repro.storage.serialize import (
 from repro.storage.session import load_session, save_session
 
 __all__ = [
-    "BACKENDS",
     "FORMAT_VERSION",
     "JsonBackend",
-    "SqliteBackend",
     "StorageBackend",
     "StoredSchemaWarning",
     "WriteAheadLog",
@@ -66,7 +62,6 @@ __all__ = [
     "database_to_dict",
     "database_from_dict",
     "open_backend",
-    "register_backend",
     "subdatabase_to_dict",
     "subdatabase_from_dict",
     "save_session",

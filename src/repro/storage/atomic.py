@@ -5,6 +5,9 @@ destination path holds either the complete old contents or the complete
 new contents — never a torn mixture, never nothing.  The recipe is the
 classic one (write a temporary sibling, flush, ``fsync``, ``os.replace``,
 then ``fsync`` the directory so the rename itself is durable).
+
+The text arrives as an iterable of chunks and is written as it comes,
+so a large document (a session checkpoint) never exists as one string.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Union
 
 
 def fsync_dir(path: Union[str, Path]) -> None:
@@ -33,17 +36,21 @@ def fsync_dir(path: Union[str, Path]) -> None:
         os.close(fd)
 
 
-def atomic_write_text(path: Union[str, Path], data: str,
+def atomic_write_text(path: Union[str, Path],
+                      data: Union[str, Iterable[str]],
                       encoding: str = "utf-8") -> Path:
-    """Write ``data`` to ``path`` so a crash can never leave a torn or
-    half-written destination file."""
+    """Write ``data`` — one string or an iterable of chunks — to
+    ``path`` so a crash can never leave a torn or half-written
+    destination file."""
     path = Path(path)
+    if isinstance(data, str):
+        data = (data,)
     directory = path.parent
     fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".",
                                     suffix=".tmp", dir=str(directory))
     try:
         with os.fdopen(fd, "w", encoding=encoding) as handle:
-            handle.write(data)
+            handle.writelines(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)

@@ -1,16 +1,13 @@
-"""Durable, pluggable storage backends.
+"""Durable storage: the write-ahead log plus JSON checkpoints.
 
-Two implementations ship behind :class:`StorageBackend`:
-
-* ``json`` — :class:`JsonBackend`: whole-session JSON snapshots (the
-  original format, made atomic) plus the write-ahead log;
-* ``sqlite`` — :class:`SqliteBackend`: checkpoints normalized into
-  columnar sqlite tables so extents load lazily per class, plus the
-  same write-ahead log.
+:class:`StorageBackend` owns logging, recovery and point-in-time
+restore; :class:`JsonBackend` persists its checkpoints as whole-session
+JSON files, streamed through the atomic writer.  It is the one durable
+format.
 
 Typical lifecycle::
 
-    backend = open_backend("state/", "sqlite")
+    backend = open_backend("state/")
     engine = backend.recover() if backend.has_state() \\
         else RuleEngine(Database(schema))
     backend.attach(engine)        # journals every mutation from now on
@@ -27,7 +24,7 @@ loaded, and the WAL tail beyond its watermark is replayed.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Type, Union
+from typing import Union
 
 from repro.errors import DataError
 from repro.storage.backends.base import StorageBackend
@@ -37,7 +34,6 @@ from repro.storage.backends.events import (
     record_for_rule,
 )
 from repro.storage.backends.json_backend import JsonBackend
-from repro.storage.backends.sqlite_backend import SqliteBackend
 from repro.storage.backends.wal import (
     WalOpenReport,
     WriteAheadLog,
@@ -45,37 +41,21 @@ from repro.storage.backends.wal import (
     encode_record,
 )
 
-#: Registry of backend kinds, in the style of roundup's backend table.
-BACKENDS: dict = {
-    JsonBackend.kind: JsonBackend,
-    SqliteBackend.kind: SqliteBackend,
-}
-
-
-def register_backend(cls: Type[StorageBackend]) -> Type[StorageBackend]:
-    """Register a third-party backend class (usable as a decorator)."""
-    BACKENDS[cls.kind] = cls
-    return cls
-
-
 def open_backend(root: Union[str, Path], kind: str = "json",
-                 **options) -> StorageBackend:
-    """Instantiate and open the backend ``kind`` rooted at ``root``."""
-    try:
-        backend_cls = BACKENDS[kind]
-    except KeyError:
+                 **options) -> JsonBackend:
+    """Open the durable store rooted at ``root``.  ``kind`` names the
+    format; ``"json"`` is the only one."""
+    if kind != JsonBackend.kind:
         raise DataError(
-            f"unknown storage backend {kind!r} "
-            f"(available: {', '.join(sorted(BACKENDS))})") from None
-    backend = backend_cls(root, **options)
+            f"unknown storage backend {kind!r} (the only kind is "
+            f"{JsonBackend.kind!r})")
+    backend = JsonBackend(root, **options)
     backend.open()
     return backend
 
 
 __all__ = [
-    "BACKENDS",
     "JsonBackend",
-    "SqliteBackend",
     "StorageBackend",
     "WalOpenReport",
     "WriteAheadLog",
@@ -85,5 +65,4 @@ __all__ = [
     "open_backend",
     "record_for_event",
     "record_for_rule",
-    "register_backend",
 ]

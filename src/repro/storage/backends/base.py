@@ -3,9 +3,10 @@
 A :class:`StorageBackend` pairs one append-only
 :class:`~repro.storage.backends.wal.WriteAheadLog` with a store of
 *checkpoints* — complete session snapshots, each watermarked by the WAL
-offset and the per-class version vector it covers.  Subclasses decide
-only how checkpoints are persisted (JSON files, sqlite tables, ...);
-logging, recovery, and point-in-time restore live here.
+offset and the per-class version vector it covers.  The subclass
+(:class:`~repro.storage.backends.json_backend.JsonBackend`) decides
+only how checkpoints are persisted; logging, recovery, and
+point-in-time restore live here.
 
 The contract:
 
@@ -52,12 +53,11 @@ from repro.storage.session import rule_mode, session_from_dict, \
 class StorageBackend(abc.ABC):
     """Base class for durable, WAL-backed session stores."""
 
-    #: Registry name (e.g. ``"json"``); set by subclasses.
+    #: Format name reported by :meth:`status`; set by the subclass.
     kind = "abstract"
 
     def __init__(self, root: Union[str, Path], *, sync_every: int = 1,
-                 checkpoint_every: Optional[int] = None,
-                 include_materialized: bool = True):
+                 checkpoint_every: Optional[int] = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.wal = WriteAheadLog(self.root / "wal.jsonl",
@@ -65,10 +65,9 @@ class StorageBackend(abc.ABC):
         #: Take a checkpoint automatically every N WAL records
         #: (``None``: only explicit/genesis/schema checkpoints).
         self.checkpoint_every = checkpoint_every
-        self.include_materialized = include_materialized
         self.engine = None
         #: Test seam: a callable invoked at named code points
-        #: ("checkpoint.before_commit", ...) so crash-injection tests
+        #: ("checkpoint.mid_write", ...) so crash-injection tests
         #: can kill the process at the worst possible moment.
         self.fault_hook: Optional[Callable[[str], None]] = None
         self._since_checkpoint = 0
@@ -170,7 +169,7 @@ class StorageBackend(abc.ABC):
             # two stack — a quarter more peak memory in one run of
             # three on a 20k-object store.  Collect first.
             gc.collect()
-            doc = session_to_dict(self.engine, self.include_materialized)
+            doc = session_to_dict(self.engine)
             doc["wal_seq"] = seq
             self._write_checkpoint(seq, doc)
             self._since_checkpoint = 0
@@ -245,9 +244,12 @@ class StorageBackend(abc.ABC):
             next_seq = self.wal._next_seq
             self.wal.close()
             os.replace(tmp, self.wal.path)
-            if was_open:
-                self.wal.open()
-                self.wal._next_seq = max(self.wal._next_seq, next_seq)
+            # Reopening re-validates the rewritten log and resets its
+            # record count.
+            self.wal.open()
+            self.wal._next_seq = max(self.wal._next_seq, next_seq)
+            if not was_open:
+                self.wal.close()
             dropped = 0
             for old in seqs:
                 if old != keep:
@@ -265,7 +267,7 @@ class StorageBackend(abc.ABC):
         return {
             "kind": self.kind,
             "root": str(self.root),
-            "wal_records": sum(1 for _ in self.wal.records()),
+            "wal_records": self.wal.record_count,
             "wal_last_seq": self.wal.last_seq,
             "wal_bytes": self.wal.size_bytes(),
             "checkpoints": len(seqs),

@@ -1,32 +1,34 @@
-"""The JSON checkpoint store — the original whole-session persistence
-format, refactored onto the backend interface.
+"""The JSON checkpoint store — the one durable format: whole-session
+JSON documents on the backend interface.
 
 Layout under the backend root::
 
     wal.jsonl                 the shared write-ahead log
     checkpoint-00000042.json  one atomic session snapshot per watermark
 
-Checkpoints are written with the same temp-file/fsync/rename recipe as
-:func:`repro.storage.session.save_session`; stray ``*.tmp`` files from a
-crash are ignored by recovery and swept on open.
+Checkpoints are streamed through the same temp-file/fsync/rename writer
+as :func:`repro.storage.session.save_session`, in the same layout (plus
+the ``wal_seq`` watermark); stray ``*.tmp`` files from a crash are
+ignored by recovery and swept on open.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterator, List
 
 from repro.errors import DataError
 from repro.storage.atomic import atomic_write_text
 from repro.storage.backends.base import StorageBackend
+from repro.storage.session import encode_session
 
 _PREFIX = "checkpoint-"
 _SUFFIX = ".json"
 
 
 class JsonBackend(StorageBackend):
-    """Whole-session JSON snapshots plus the shared WAL."""
+    """Whole-session JSON snapshots plus the WAL."""
 
     kind = "json"
 
@@ -43,10 +45,15 @@ class JsonBackend(StorageBackend):
 
     def _write_checkpoint(self, seq: int, doc: Dict[str, Any]) -> None:
         self._fault("checkpoint.before_write")
-        text = json.dumps(doc, indent=1, sort_keys=True)
-        self._fault("checkpoint.mid_write")
-        atomic_write_text(self._checkpoint_path(seq), text)
+        atomic_write_text(self._checkpoint_path(seq), self._stream(doc))
         self._fault("checkpoint.after_write")
+
+    def _stream(self, doc: Dict[str, Any]) -> Iterator[str]:
+        chunks = encode_session(doc)
+        yield next(chunks)
+        # The writer has the first chunk and the temp sibling is open.
+        self._fault("checkpoint.mid_write")
+        yield from chunks
 
     def _checkpoint_seqs(self) -> List[int]:
         seqs = []

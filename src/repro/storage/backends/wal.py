@@ -86,6 +86,7 @@ class WriteAheadLog:
         self._handle = None
         self._pending = 0  # appends since the last fsync
         self._next_seq = 1
+        self._records = 0  # valid records in the file, kept by append
         self.report = WalOpenReport()
 
     # ------------------------------------------------------------------
@@ -128,6 +129,7 @@ class WriteAheadLog:
                     os.fsync(handle.fileno())
             report.last_seq = last_seq
         self._next_seq = report.last_seq + 1
+        self._records = report.records
         self.report = report
         self._handle = open(self.path, "ab")
         if not report.records:
@@ -149,6 +151,12 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
 
     @property
+    def record_count(self) -> int:
+        """How many records the log holds, without reading it: the
+        validated count at open plus every append since."""
+        return self._records
+
+    @property
     def last_seq(self) -> int:
         """The offset of the newest appended record (0 when empty)."""
         return self._next_seq - 1
@@ -164,6 +172,7 @@ class WriteAheadLog:
         record["seq"] = seq
         self._handle.write(encode_record(record))
         self._next_seq += 1
+        self._records += 1
         self._pending += 1
         if self._pending >= self.sync_every:
             self.sync()

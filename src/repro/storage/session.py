@@ -11,8 +11,9 @@ results are warm immediately.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
 from repro.storage.atomic import atomic_write_text
 
@@ -43,7 +44,7 @@ def _controller_kind(engine: RuleEngine) -> str:
 
 def rule_mode(engine: RuleEngine, rule) -> Optional[str]:
     """The serialized control-mode value of ``rule`` under the engine's
-    active controller (also used by the WAL backends' rule records)."""
+    active controller (also used by the WAL's rule records)."""
     controller = engine.controller
     if isinstance(controller, RuleOrientedController):
         mode = controller._rule_modes.get(rule)
@@ -97,17 +98,33 @@ def session_from_dict(doc: Dict[str, Any]) -> RuleEngine:
     return engine
 
 
+#: The one on-disk layout of a session document, shared by
+#: :func:`save_session` and the checkpoint store.  A session document
+#: is a tree, so the cycle check (a tenth of the encoding time) is off.
+_ENCODER = json.JSONEncoder(indent=1, sort_keys=True,
+                            check_circular=False)
+
+
+def encode_session(doc: Dict[str, Any]) -> Iterator[str]:
+    """The text of ``doc`` as a stream of chunks, byte-identical once
+    joined to ``json.dumps(doc, indent=1, sort_keys=True)``."""
+    chunks = _ENCODER.iterencode(doc)
+    # iterencode yields a string of a few bytes per token, a million of
+    # them for a 20k-object session; the writer gets runs of them.
+    return iter(lambda: "".join(islice(chunks, 4096)), "")
+
+
 def save_session(engine: RuleEngine, path: Union[str, Path],
                  include_materialized: bool = True) -> Path:
     """Write the session document to ``path`` (JSON), atomically.
 
-    The document is written to a temporary file in the same directory,
+    The document is streamed to a temporary file in the same directory,
     fsync'd, and renamed over the destination — a crash mid-write can
     never destroy the previous copy.
     """
     path = Path(path)
     doc = session_to_dict(engine, include_materialized)
-    atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True))
+    atomic_write_text(path, encode_session(doc))
     return path
 
 

@@ -1,5 +1,6 @@
 """The durable-storage tier: WAL mechanics, crash injection, recovery
-byte-identity, point-in-time restore, and JSON/sqlite backend parity.
+byte-identity, point-in-time restore, and the streamed JSON checkpoint
+format (byte identity with ``json.dumps``, bounded write memory).
 
 Byte-identity throughout means: two engines serialize to the same
 canonical session document (``session_to_dict`` → ``json.dumps`` with
@@ -11,9 +12,10 @@ Crash injection happens at two layers:
   tail record (a torn append), and recovery must come up byte-identical
   to the state at the last durable record;
 * *logical*: a fault hook raises :class:`InjectedCrash` at the named
-  points inside checkpoint writes, and recovery must fall back to the
-  previous checkpoint + full WAL replay — byte-identical to the live
-  session that "crashed".
+  points inside checkpoint writes (before the write, and mid-stream with
+  the temp sibling open), and recovery must fall back to the previous
+  checkpoint + full WAL replay — byte-identical to the live session
+  that "crashed".
 
 The number of mutation rounds in the crash-matrix tests scales with
 ``CRASH_ROUNDS`` (default 4; CI's fault-injection tier raises it).
@@ -21,6 +23,7 @@ The number of mutation rounds in the crash-matrix tests scales with
 
 import json
 import os
+import tracemalloc
 import warnings
 
 import pytest
@@ -28,7 +31,7 @@ import pytest
 from repro.errors import DataError
 from repro.model.database import Database
 from repro.rules.engine import RuleEngine
-from repro.storage import JsonBackend, SqliteBackend, open_backend
+from repro.storage import JsonBackend, open_backend, save_session
 from repro.storage.backends.wal import (
     WriteAheadLog,
     decode_record,
@@ -71,7 +74,9 @@ def mutate(engine: RuleEngine, round_no: int) -> None:
         engine.add_rule(RULE_TC, label="TC")
 
 
-BACKENDS = ["json", "sqlite"]
+#: The one durable format; the parametrized tests keep their ``[json]``
+#: ids.
+KINDS = ["json"]
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +172,56 @@ class TestWriteAheadLog:
         assert len(syncs) - baseline == 3  # the explicit barrier
         wal.close()
 
+    def test_record_count_matches_the_file(self, tmp_path):
+        """The running count equals a full read of the log after
+        appends, after a torn tail is cut at open, and after a
+        compaction rewrites the file."""
+        def on_disk(wal):
+            return len(list(wal.records()))
+
+        path = tmp_path / "w.jsonl"
+        wal = WriteAheadLog(path)
+        assert wal.open().records == 0 and wal.record_count == 0
+        for n in range(3):
+            wal.append({"n": n})
+        assert wal.record_count == on_disk(wal) == 3
+        wal.close()
+        path.write_bytes(path.read_bytes()
+                         + encode_record({"n": 3, "seq": 4})[:-5])
+        with pytest.warns(RuntimeWarning):
+            wal.open()
+        assert wal.record_count == on_disk(wal) == 3
+        wal.append({"n": 4})
+        assert wal.record_count == on_disk(wal) == 4
+        wal.close()
+
+        backend = open_backend(tmp_path / "store", "json")
+        engine = paper_engine()
+        backend.attach(engine)
+        mutate(engine, 0)
+        backend.checkpoint()
+        mutate(engine, 1)
+        assert backend.wal.record_count == on_disk(backend.wal) > 0
+        backend.compact()
+        assert backend.wal.record_count == on_disk(backend.wal) > 0
+        mutate(engine, 2)
+        assert backend.wal.record_count == on_disk(backend.wal)
+        backend.close()
+
+    def test_status_never_reads_the_log(self, tmp_path, monkeypatch):
+        backend = open_backend(tmp_path / "store", "json")
+        engine = paper_engine()
+        backend.attach(engine)
+        mutate(engine, 0)
+        expected = len(list(backend.wal.records()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("status() read the whole log")
+
+        monkeypatch.setattr(backend.wal, "records", refuse)
+        assert backend.status()["wal_records"] == expected
+        backend.close()
+
     def test_decode_rejects_bodies_without_seq(self):
         line = encode_record({"kind": "x", "seq": 1})
         assert decode_record(line)["kind"] == "x"
@@ -182,7 +237,7 @@ class TestWriteAheadLog:
 
 
 class TestRecovery:
-    @pytest.mark.parametrize("kind", BACKENDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_recover_equals_live_session(self, tmp_path, kind):
         backend = open_backend(tmp_path / "store", kind)
         engine = paper_engine()
@@ -193,7 +248,7 @@ class TestRecovery:
         assert dump(recovered) == dump(engine)
         backend.close()
 
-    @pytest.mark.parametrize("kind", BACKENDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_recover_after_intermediate_checkpoints(self, tmp_path, kind):
         backend = open_backend(tmp_path / "store", kind)
         engine = paper_engine()
@@ -206,7 +261,7 @@ class TestRecovery:
         assert dump(recovered) == dump(engine)
         backend.close()
 
-    @pytest.mark.parametrize("kind", BACKENDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_reopen_and_continue(self, tmp_path, kind):
         backend = open_backend(tmp_path / "store", kind)
         engine = paper_engine()
@@ -223,7 +278,7 @@ class TestRecovery:
         assert dump(recovered) == dump(engine2)
         backend2.close()
 
-    @pytest.mark.parametrize("kind", BACKENDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_version_vector_survives_recovery(self, tmp_path, kind):
         backend = open_backend(tmp_path / "store", kind)
         engine = paper_engine()
@@ -233,7 +288,7 @@ class TestRecovery:
         assert recovered.db.version_state() == engine.db.version_state()
         backend.close()
 
-    @pytest.mark.parametrize("kind", BACKENDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_stamp_maps_survive_checkpoint_plus_wal_tail(self, tmp_path,
                                                          kind):
         """The extent, link and attribute stamps come back exactly:
@@ -334,7 +389,7 @@ class InjectedCrash(BaseException):
 
 
 class TestCrashInjection:
-    @pytest.mark.parametrize("kind", BACKENDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_torn_wal_append_at_every_byte(self, tmp_path, kind):
         """Kill the process mid-WAL-append: for *every* byte offset of
         the final record, recovery must be byte-identical to a clean
@@ -377,8 +432,6 @@ class TestCrashInjection:
     @pytest.mark.parametrize("kind,point", [
         ("json", "checkpoint.before_write"),
         ("json", "checkpoint.mid_write"),
-        ("sqlite", "checkpoint.before_write"),
-        ("sqlite", "checkpoint.before_commit"),
     ])
     def test_kill_mid_checkpoint(self, tmp_path, kind, point):
         """Kill inside the checkpoint write: the store must fall back
@@ -406,7 +459,7 @@ class TestCrashInjection:
         assert dump(recovered) == dump(engine)
         recovery.close()
 
-    @pytest.mark.parametrize("kind", BACKENDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_completed_checkpoint_survives_later_tear(self, tmp_path,
                                                       kind):
         """A checkpoint plus a torn post-checkpoint tail recovers to
@@ -447,7 +500,7 @@ class TestCrashInjection:
 
 
 class TestPointInTimeRestore:
-    @pytest.mark.parametrize("kind", BACKENDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_every_offset_matches_live_history(self, tmp_path, kind):
         """restore_to(seq) must reproduce the live session exactly as
         it stood when record seq was appended — for every offset."""
@@ -499,60 +552,99 @@ class TestPointInTimeRestore:
 
 
 # ---------------------------------------------------------------------------
-# Backend parity & the sqlite lazy paths
+# The streamed checkpoint format
 # ---------------------------------------------------------------------------
 
 
+def small_university_engine() -> RuleEngine:
+    """A generated corpus of about a thousand objects."""
+    from repro.university import GeneratorConfig, generate_university
+    return RuleEngine(generate_university(GeneratorConfig(
+        departments=3, courses=30, sections_per_course=2, teachers=20,
+        faculty=4, grads=70, tas=2, students=600, seed=7)).db)
+
+
 class TestBackendParity:
-    def test_json_and_sqlite_agree_byte_for_byte(self, tmp_path):
-        dumps = {}
-        for kind in BACKENDS:
-            backend = open_backend(tmp_path / kind, kind)
-            engine = paper_engine()
-            backend.attach(engine)
-            for round_no in range(4):
-                mutate(engine, round_no)
-                if round_no == 2:
-                    backend.checkpoint()
-            dumps[kind] = (dump(backend.recover()), dump(engine))
-            backend.close()
-        assert dumps["json"][0] == dumps["json"][1]
-        assert dumps["sqlite"][0] == dumps["sqlite"][1]
-        assert dumps["json"][0] == dumps["sqlite"][0]
+    """There is one format left to agree with: any other kind is
+    refused."""
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(DataError):
             open_backend(tmp_path / "x", "bolt")
 
-    def test_sqlite_lazy_extent_stream(self, tmp_path):
-        backend = open_backend(tmp_path / "store", "sqlite")
+
+class TestCheckpointFormat:
+    def test_streamed_files_equal_json_dumps(self, tmp_path):
+        """A checkpoint and a save_session file are the bytes
+        ``json.dumps(doc, indent=1, sort_keys=True)`` gives, streamed
+        in many pieces."""
         engine = paper_engine()
+        mutate(engine, 1)
+        backend = open_backend(tmp_path / "store", "json")
         backend.attach(engine)
-        rows = list(backend.iter_extent("Teacher"))
-        assert {r["cls"] for r in rows} == {"Teacher"}
-        assert [r["oid"] for r in rows] == sorted(r["oid"] for r in rows)
-        assert len(rows) == len(engine.db.direct_extent("Teacher"))
-        counts = backend.class_counts()
-        assert counts["Teacher"] == len(rows)
-        assert sum(counts.values()) == len(engine.db)
+        seq = backend.checkpoint()
+        doc = session_to_dict(engine)
+        saved = save_session(engine, tmp_path / "s.json")
+        assert saved.read_text() == json.dumps(doc, indent=1,
+                                               sort_keys=True)
+        doc["wal_seq"] = seq
+        assert backend._checkpoint_path(seq).read_text() == \
+            json.dumps(doc, indent=1, sort_keys=True)
         backend.close()
 
-    def test_sqlite_partial_recover(self, tmp_path):
-        backend = open_backend(tmp_path / "store", "sqlite")
+    def test_checkpoint_write_memory_below_file_size(self, tmp_path):
+        """Streaming: writing a checkpoint costs less extra memory than
+        its own size on top of building the document.  Joining the text
+        first (``json.dumps``) costs about eight times the file."""
+        engine = small_university_engine()
+        backend = open_backend(tmp_path / "store", "json")
+        backend.attach(engine)
+
+        def traced_peak(call):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+            return tracemalloc.get_traced_memory()[1] - base, result
+
+        tracemalloc.start()
+        try:
+            doc_peak, _ = traced_peak(lambda: session_to_dict(engine))
+            checkpoint_peak, seq = traced_peak(backend.checkpoint)
+        finally:
+            tracemalloc.stop()
+        size = backend._checkpoint_path(seq).stat().st_size
+        backend.close()
+        assert size > 100_000
+        assert checkpoint_peak - doc_peak < size
+
+    def test_mid_write_crash_has_temp_sibling_open(self, tmp_path):
+        """``checkpoint.mid_write`` fires inside the stream: the temp
+        sibling already exists, no checkpoint file does, and recovery
+        falls back to genesis."""
+        backend = open_backend(tmp_path / "store", "json")
         engine = paper_engine()
         backend.attach(engine)
-        partial = backend.partial_recover(["Teacher", "Section",
-                                           "Course"])
-        assert len(partial.db.direct_extent("Teacher")) == \
-            len(engine.db.direct_extent("Teacher"))
-        assert len(partial.db.direct_extent("Student")) == 0
-        # Links among the loaded classes are present and queryable.
-        result = partial.query(
-            "context Teacher * Section * Course select name display")
-        full = engine.query(
-            "context Teacher * Section * Course select name display")
-        assert result.output == full.output
-        backend.close()
+        mutate(engine, 0)
+        seen = []
+
+        def crash(at):
+            if at == "checkpoint.mid_write":
+                seen.append(sorted(p.name for p in backend.root.iterdir()))
+                raise InjectedCrash(at)
+
+        backend.fault_hook = crash
+        with pytest.raises(InjectedCrash):
+            backend.checkpoint()
+        backend.fault_hook = None
+        backend.wal.close()
+        [names] = seen
+        assert [n for n in names if n.endswith(".tmp")]
+        assert [n for n in names if n.startswith("checkpoint-")
+                and n.endswith(".json")] == ["checkpoint-00000000.json"]
+        recovery = open_backend(tmp_path / "store", "json")
+        assert recovery._checkpoint_seqs() == [0]  # genesis only
+        assert dump(recovery.recover()) == dump(engine)
+        recovery.close()
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +653,7 @@ class TestBackendParity:
 
 
 class TestGeneratedWorkload:
-    @pytest.mark.parametrize("kind", BACKENDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_generated_update_stream_recovers_exactly(self, tmp_path,
                                                       kind):
         import random
@@ -596,7 +688,7 @@ class TestGeneratedWorkload:
 
 
 # ---------------------------------------------------------------------------
-# Registry misuse
+# Unknown kinds
 # ---------------------------------------------------------------------------
 
 
@@ -606,24 +698,3 @@ class TestRegistryMisuse:
             open_backend(tmp_path / "store", "parquet")
         with pytest.raises(DataError, match="json"):
             open_backend(tmp_path / "store", "parquet")
-
-    def test_register_backend_dispatches_and_unregisters(self, tmp_path):
-        from repro.storage.backends import BACKENDS, register_backend
-
-        @register_backend
-        class ProbeBackend(JsonBackend):
-            kind = "probe-json"
-
-        try:
-            backend = open_backend(tmp_path / "store", "probe-json")
-            assert isinstance(backend, ProbeBackend)
-            backend.close()
-        finally:
-            del BACKENDS["probe-json"]
-        with pytest.raises(DataError):
-            open_backend(tmp_path / "store2", "probe-json")
-
-    def test_builtin_kinds_present(self):
-        from repro.storage.backends import BACKENDS
-        assert BACKENDS["json"] is JsonBackend
-        assert BACKENDS["sqlite"] is SqliteBackend

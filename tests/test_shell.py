@@ -147,6 +147,30 @@ class TestBuildEngine:
         restored = build_engine(["--session", str(path)])
         assert [r.target for r in restored.rules] == ["TS"]
 
+    @pytest.mark.parametrize("flag", ["--session", "--backend"])
+    def test_flag_without_value_is_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_engine([flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flag}" in err
+
+    def test_connect_without_value_is_usage_error(self, capsys):
+        from repro.shell import main
+        with pytest.raises(SystemExit) as exc:
+            main(["--connect"])
+        assert exc.value.code == 2
+        assert "argument --connect" in capsys.readouterr().err
+
+    def test_backend_seeds_then_recovers(self, tmp_path):
+        store = str(tmp_path / "store")
+        engine = build_engine(["--empty", "--backend", store])
+        assert engine.storage_backend.has_state()
+        engine.storage_backend.close()
+        recovered = build_engine(["--backend", store])
+        assert len(recovered.db) == 0
+        recovered.storage_backend.close()
+
 
 class TestMetricsCommand:
     def test_metrics_before_any_query(self, shell):
@@ -306,7 +330,7 @@ class TestTraceCommand:
 
 class TestWalCommandErrorPaths:
     """\\wal / \\checkpoint / \\restore against missing, stateful and
-    torn backends — every path answers with a message, never a
+    torn stores — every path answers with a message, never a
     traceback."""
 
     def test_wal_status_without_backend(self, shell):
@@ -331,12 +355,13 @@ class TestWalCommandErrorPaths:
         sh.handle("\\wal frobnicate")
         assert "usage: \\wal" in output(out)
 
-    def test_wal_open_unknown_kind_reported(self, shell, tmp_path):
+    def test_wal_open_extra_argument_is_usage_error(self, shell,
+                                                    tmp_path):
         sh, out = shell
         sh.handle(f"\\wal open {tmp_path / 'store'} parquet")
-        assert "error:" in output(out)
-        assert "unknown storage backend" in output(out)
+        assert "usage: \\wal open PATH" in output(out)
         assert sh.backend is None
+        assert not (tmp_path / "store").exists()
 
     def test_checkpoint_without_backend(self, shell):
         sh, out = shell
