@@ -21,7 +21,7 @@ import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
-                    List, Optional, Set, Tuple)
+                    List, Optional, Set, Tuple, Union)
 
 from repro.errors import (
     ConstraintViolationError,
@@ -170,6 +170,11 @@ class RWLock:
 #: per-miss allocation.
 EMPTY_OIDS: frozenset = frozenset()
 
+#: The linked objects of one object through one association: a tuple
+#: of at most ``_SMALL`` members, else a set (see ``Database._fwd``).
+Members = Union[Tuple[OID, ...], Set[OID]]
+_SMALL = 64
+
 
 def _nest(stamps: Dict[Tuple[str, str], int]) -> Dict[str, Dict[str, int]]:
     out: Dict[str, Dict[str, int]] = {}
@@ -194,9 +199,14 @@ class Database:
         self._extents: Dict[str, Dict[OID, Entity]] = {
             cls: {} for cls in schema.eclass_names}
         #: link indexes per association key, forward (owner -> targets)
-        self._fwd: Dict[Tuple[str, str], Dict[OID, Set[OID]]] = {}
-        #: and reverse (target -> owners)
-        self._rev: Dict[Tuple[str, str], Dict[OID, Set[OID]]] = {}
+        #: and reverse (target -> owners).  An entry of up to
+        #: ``_SMALL`` members is a tuple, a larger one a set: most
+        #: objects have one or two links of a kind, and a set per entry
+        #: was a third of the heap.  Readers only iterate, test
+        #: membership and take lengths, or call ``set`` methods with
+        #: the entry as argument.
+        self._fwd: Dict[Tuple[str, str], Dict[OID, Members]] = {}
+        self._rev: Dict[Tuple[str, str], Dict[OID, Members]] = {}
         self._entities: Dict[OID, Entity] = {}
         self._version = 0
         #: The stamps: version of the last mutation that moved each
@@ -749,23 +759,48 @@ class Database:
                                 "target": target_oid.value})
 
     def _link(self, key: Tuple[str, str], owner: OID, target: OID) -> None:
-        self._fwd.setdefault(key, {}).setdefault(owner, set()).add(target)
-        self._rev.setdefault(key, {}).setdefault(target, set()).add(owner)
+        self._add_member(self._fwd.setdefault(key, {}), owner, target)
+        self._add_member(self._rev.setdefault(key, {}), target, owner)
+
+    @staticmethod
+    def _add_member(index: Dict[OID, Members], oid: OID,
+                    member: OID) -> None:
+        members = index.get(oid)
+        if members is None:
+            index[oid] = (member,)
+        elif type(members) is tuple:
+            if member not in members:
+                index[oid] = (members + (member,) if len(members) < _SMALL
+                              else {*members, member})
+        else:
+            members.add(member)
 
     def _unlink(self, key: Tuple[str, str], owner: OID, target: OID) -> None:
-        self._fwd[key][owner].discard(target)
-        if not self._fwd[key][owner]:
-            del self._fwd[key][owner]
-        self._rev[key][target].discard(owner)
-        if not self._rev[key][target]:
-            del self._rev[key][target]
+        self._drop_member(self._fwd[key], owner, target)
+        self._drop_member(self._rev[key], target, owner)
+
+    @staticmethod
+    def _drop_member(index: Dict[OID, Members], oid: OID,
+                     member: OID) -> None:
+        members = index[oid]
+        if type(members) is tuple:
+            members = tuple(m for m in members if m != member)
+        else:
+            members.discard(member)
+            if len(members) > _SMALL:
+                return
+            members = tuple(members)
+        if members:
+            index[oid] = members
+        else:
+            del index[oid]
 
     # ------------------------------------------------------------------
     # Link traversal (used by the pattern-matching engine)
     # ------------------------------------------------------------------
 
     def link_index(self, link: Aggregation,
-                   from_owner: bool = True) -> Dict[OID, Set[OID]]:
+                   from_owner: bool = True) -> Dict[OID, Members]:
         """The internal link index of one association direction, shared
         by reference — strictly read-only for callers.  The compact
         execution layer scans it once to build a CSR adjacency index
@@ -810,13 +845,14 @@ class Database:
         return self.linked(oid, resolved.link, from_owner=from_owner)
 
     def bulk_neighbors(self, oids: Iterable[OID], resolved: ResolvedLink,
-                       forward: bool = True) -> Dict[OID, Set[OID]]:
+                       forward: bool = True) -> Dict[OID, Members]:
         """Neighbor sets for a whole frontier of objects in one pass.
 
         One index lookup resolves the association; each object then maps
-        to its stored neighbor set *by reference* (no per-object copy —
-        callers must not mutate the returned sets).  Objects without
-        links map to a shared empty set.  This is the hot lookup of the
+        to its stored neighbor entry *by reference* (no per-object copy;
+        a tuple or a set, see ``_fwd`` — callers only read it, and pass
+        it as the argument of ``set`` methods).  Objects without links
+        map to a shared empty set.  This is the hot lookup of the
         frontier-batched join executor.
         """
         if resolved.kind == "identity":

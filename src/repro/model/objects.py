@@ -48,6 +48,11 @@ class Entity:
         database so the update journal sees them)."""
         return dict(self._attrs)
 
+    def attribute_map(self) -> Dict[str, Any]:
+        """The attribute values by reference, no copy — strictly
+        read-only for callers (the serializer's view)."""
+        return self._attrs
+
     def _set(self, name: str, value: Any) -> None:
         """Internal: used by :meth:`Database.set_attribute`."""
         self._attrs[name] = value

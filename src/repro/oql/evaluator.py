@@ -587,7 +587,7 @@ class PatternEvaluator:
         index = self.universe.attr_index(ref, attr)
         if index is None:
             return None
-        if len(index.table):
+        if index.table.live_count:
             # Every entity of a non-empty extent would evaluate the
             # first conjunct, so a schema-invisible attribute raises on
             # the scan path — reproduce that here.  A later conjunct
@@ -697,10 +697,10 @@ class PatternEvaluator:
             frontier, resolution, forward=forward)
         self._metrics.edge_traversals += len(frontier)
         if step.op == "*":
-            candidates = {oid: neighbor_map[oid] & target_extent
+            candidates = {oid: target_extent.intersection(neighbor_map[oid])
                           for oid in frontier}
         else:  # "!": the non-association operator
-            candidates = {oid: target_extent - neighbor_map[oid]
+            candidates = {oid: target_extent.difference(neighbor_map[oid])
                           for oid in frontier}
         extended: List[Tuple[OID, ...]] = []
         append = extended.append
@@ -793,10 +793,11 @@ class PatternEvaluator:
         """Per slot, the filtered extent as dense ids — or ``None`` when
         the filter kept the whole extent, so the executor can skip the
         membership test entirely (adjacency neighbors are already
-        restricted to the table)."""
+        restricted to the table; dead ones are masked where the table
+        holds tombstones)."""
         out: List[Optional[frozenset]] = []
         for extent, table in zip(extents, tables):
-            if len(extent) == len(table.oids):
+            if len(extent) == table.live_count:
                 # A filtered extent is a subset of the unfiltered one at
                 # the same data version, so equal size means unfiltered.
                 out.append(None)
@@ -846,8 +847,12 @@ class PatternEvaluator:
         append per output row.
         """
         anchor_ids = filt[plan.anchor]
-        anchor = (range(len(tables[plan.anchor].oids))
-                  if anchor_ids is None else sorted(anchor_ids))
+        if anchor_ids is not None:
+            anchor = sorted(anchor_ids)
+        else:
+            table = tables[plan.anchor]
+            anchor = table.live_ids() if table.dead \
+                else range(len(table))
         plan.actual_anchor_rows = len(anchor)
         specs = self._build_step_specs(plan.steps, resolutions, refs,
                                        tables, filt)
@@ -881,7 +886,12 @@ class PatternEvaluator:
             adj = universe.adjacency(resolutions[step.edge], forward,
                                      refs[src], refs[tgt])
             ids = filt[tgt]
-            tgt_filter = None if ids is None else array("q", sorted(ids))
+            if ids is not None:
+                tgt_filter = array("q", sorted(ids))
+            else:
+                # CSR rows still hold the ids of deleted targets.
+                tgt_filter = tables[tgt].live_ids() if tables[tgt].dead \
+                    else None
             specs.append(kernels.StepSpec(step.op, forward, adj.offsets,
                                           adj.neighbors,
                                           len(tables[tgt]), tgt_filter))
@@ -1039,8 +1049,9 @@ class PatternEvaluator:
                         ends, resolutions[k], forward=True)
                     self._metrics.edge_traversals += len(ends)
                     target_extent = extents[k + 1]
-                    candidates = {oid: neighbor_map[oid] & target_extent
-                                  for oid in ends}
+                    candidates = {
+                        oid: target_extent.intersection(neighbor_map[oid])
+                        for oid in ends}
                     partials = [partial + (oid,) for partial in partials
                                 for oid in candidates[partial[-1]]]
                 extensions: Dict[OID, List[Tuple[OID, ...]]] = {}
@@ -1135,16 +1146,17 @@ class PatternEvaluator:
         # Cross-query anchor-expansion memo: the one-cycle body
         # expansion of an anchor id depends only on the term extents,
         # their condition attributes and the cycle's links — exactly
-        # what the chain's footprint vector pins.  Dense ids are
-        # positional over the sorted extent, so an unchanged vector
-        # means the same id bijection even if the tables were rebuilt
-        # in between.
+        # what the chain's footprint vector pins — and on the id
+        # assignment: the tables' layouts key it, because a table
+        # rebuilt at an unchanged vector numbers its extent afresh
+        # (its predecessor's tombstones are gone).
         memo_key = memo_vector = None
         cache = self.result_cache
         if cache.enabled and all(ref.subdb is None for ref in refs):
             memo_key = ("loop-body",
                         repr((tuple(terms), tuple(flat.ops), count,
-                              self.on_cycle)))
+                              self.on_cycle,
+                              tuple(table.layout for table in tables))))
             memo_vector = self._vector(memo_key, terms)
 
         # Level 1: one full traversal of the cycle.
@@ -1280,6 +1292,9 @@ class PatternEvaluator:
             ends = {partial[-1] for partial in partials}
             metrics.edge_traversals += len(ends)
             tgt_ids = filt[k + 1]
+            if tgt_ids is None and tables[k + 1].dead:
+                # CSR rows still hold the ids of deleted targets.
+                tgt_ids = tables[k + 1].full_id_set
             candidates: Dict[int, Sequence[int]] = {}
             if tgt_ids is None:
                 for f in ends:

@@ -180,7 +180,7 @@ class Statistics:
             count = index.cardinality(op, literal)
             if count is None:
                 continue
-            total = len(index.table)
+            total = index.table.live_count
             fraction = (count / total) if total else 0.0
             selectivity = fraction if selectivity is None \
                 else selectivity * fraction

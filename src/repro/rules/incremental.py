@@ -195,11 +195,12 @@ class IncrementalRule:
         Hops whose CSR adjacency index survives in the universe's
         compact store (:meth:`Universe.adjacency_if_ready` — built by
         the evaluator at initialization, kept valid by fine-grained
-        event invalidation) are answered by index slices; intern-table
-        membership stands in for the existence + class checks.  A hop
-        whose index was invalidated by the very event being applied
-        falls back to the link-dictionary path, so a delta refresh
-        never pays an extent scan to rebuild.
+        event invalidation) are answered by index slices; live
+        intern-table membership (tombstoned ids skipped) stands in for
+        the existence + class checks.  A hop whose index was
+        invalidated by the very event being applied falls back to the
+        link-dictionary path, so a delta refresh never pays an extent
+        scan to rebuild.
         """
         n = len(self.terms)
         budget = self._budget
@@ -242,11 +243,15 @@ class IncrementalRule:
             if adj is not None:
                 src_index = adj.src.index
                 decode = adj.tgt.oids
+                dead = adj.tgt.dead
                 candidates = {}
                 if op == "*":
                     for oid in frontier:
                         i = src_index.get(oid.value)
                         ids = () if i is None else adj.row(i)
+                        if dead:
+                            # CSR rows still hold deleted targets' ids.
+                            ids = [t for t in ids if t not in dead]
                         candidates[oid] = [o for o in
                                            map(decode.__getitem__, ids)
                                            if cond_ok(slot, o)]
@@ -269,7 +274,7 @@ class IncrementalRule:
                 else:
                     extent = self.universe.extent(self.terms[slot].ref)
                     candidates = {oid: [o for o in
-                                        extent - neighbor_map[oid]
+                                        extent.difference(neighbor_map[oid])
                                         if passes(slot, o)]
                                   for oid in frontier}
             extended: List[Row] = []

@@ -155,20 +155,26 @@ def schema_from_dict(doc: Dict[str, Any]) -> Schema:
 
 
 def database_to_dict(db: Database) -> Dict[str, Any]:
-    """Serialize extents and links; OID integer values are preserved."""
+    """Serialize extents and links; OID integer values are preserved.
+
+    The document is a view to encode: each entity's ``attrs`` is the
+    entity's own attribute map, shared by reference, not a copy."""
     entities = []
     for entity in sorted(db.iter_entities(), key=lambda e: e.oid.value):
         entities.append({
             "oid": entity.oid.value,
             "label": entity.oid.label,
             "cls": entity.cls,
-            "attrs": entity.attributes,
+            "attrs": entity.attribute_map(),
         })
     links = []
     for link in db.schema.aggregations():
         if link.target in db.schema.dclass_names:
             continue
-        pairs = sorted((a.value, b.value) for a, b in db.link_pairs(link))
+        # Straight from the link index: no intermediate set of pairs.
+        pairs = sorted((owner.value, target.value) for owner, targets
+                       in db.link_index(link).items()
+                       for target in targets)
         if pairs:
             links.append({"owner": link.owner, "name": link.name,
                           "pairs": pairs})
@@ -178,6 +184,11 @@ def database_to_dict(db: Database) -> Dict[str, Any]:
 
 def database_from_dict(doc: Dict[str, Any], schema: Schema) -> Database:
     """Rebuild a database over ``schema`` with the original OID values.
+
+    The document is *consumed*: ``doc["entities"]`` and ``doc["links"]``
+    are taken out of it, and each entity entry is released once loaded,
+    so a load never holds the parsed entities beside the database
+    built from them.
 
     Entities are loaded in ascending OID order through an allocator
     pre-seeding path: before each insert the allocator is advanced to
@@ -191,15 +202,21 @@ def database_from_dict(doc: Dict[str, Any], schema: Schema) -> Database:
     """
     db = Database(schema, name=doc.get("name", "db"))
     by_value: Dict[int, OID] = {}
-    for entry in sorted(doc["entities"], key=lambda e: int(e["oid"])):
+    entries = doc.pop("entities")
+    entries.sort(key=lambda e: int(e["oid"]))
+    # One string object per class name, not one per parsed entity.
+    names: Dict[str, str] = {}
+    for i in range(len(entries)):
+        entry, entries[i] = entries[i], None
         wanted = int(entry["oid"])
         if wanted < db._allocator.next_value:
             raise DataError(f"duplicate OID value {wanted} in document")
         db._allocator.seed(wanted)
-        entity = db.insert(entry["cls"], entry.get("label"),
+        cls = names.setdefault(entry["cls"], entry["cls"])
+        entity = db.insert(cls, entry.get("label"),
                            **entry.get("attrs", {}))
         by_value[wanted] = entity.oid
-    for entry in doc.get("links", ()):
+    for entry in doc.pop("links", ()):
         for a, b in entry["pairs"]:
             try:
                 owner, target = by_value[a], by_value[b]

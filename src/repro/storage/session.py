@@ -110,8 +110,10 @@ def encode_session(doc: Dict[str, Any]) -> Iterator[str]:
     joined to ``json.dumps(doc, indent=1, sort_keys=True)``."""
     chunks = _ENCODER.iterencode(doc)
     # iterencode yields a string of a few bytes per token, a million of
-    # them for a 20k-object session; the writer gets runs of them.
-    return iter(lambda: "".join(islice(chunks, 4096)), "")
+    # them for a 20k-object session; the writer gets runs of them.  A
+    # run is held token by token until joined, so it stays short: what
+    # streaming costs beyond the document must not grow with the run.
+    return iter(lambda: "".join(islice(chunks, 1024)), "")
 
 
 def save_session(engine: RuleEngine, path: Union[str, Path],

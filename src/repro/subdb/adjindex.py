@@ -16,11 +16,13 @@ invalidated *fine-grained* from database update events:
   class extends in place; adjacency indexes over an extended source
   table gain one (empty, or identity-singleton) CSR row — nothing is
   rebuilt;
-* DELETE *remaps*: each touched table is replaced by a new one minus
-  the object (never mutated — rows interned against the old table keep
-  decoding), and every adjacency index over a replaced table is rebuilt
-  from its own arrays by dropping the dead row / renumbering neighbor
-  ids — no link-index rescan;
+* DELETE *tombstones*: the object's dense id is marked dead in each
+  touched table (:meth:`InternTable.without`) and nothing is renumbered:
+  CSR arrays are left as they are — a dead source row is never reached,
+  and the join executor masks dead target ids out of every gather — and
+  value indexes drop only the victim's postings.  Once a table's dead
+  ids reach its live count it is *compacted*: dropped with everything
+  built over it, to be rebuilt cold from its extent on next use;
 * ASSOCIATE / DISSOCIATE drop only the indexes of that link;
 * SET_ATTRIBUTE touches nothing (tables cover unfiltered extents);
 * subdatabase (re-)registration drops that subdatabase's entries;
@@ -32,7 +34,8 @@ live store's structures (:meth:`CompactStore.adopt`), marking each
 ``lent``.  The in-place steps above then fork a lent structure first —
 a shallow copy the live store goes on maintaining, while the snapshot
 keeps the original, which nothing mutates again — and re-point the
-structures built over it.  What a snapshot misses it builds *through*
+structures built over it.  A DELETE forks only a lent table's
+tombstones: its twin shares every column until it is appended to.  What a snapshot misses it builds *through*
 the live store whenever the stamps of what the structure reads have not
 moved since the pin (:meth:`CompactStore.through_lender`), so every
 later pin inherits it; only a pin older than those stamps builds
@@ -103,8 +106,23 @@ class AdjacencyIndex:
         twin.lent = False
         return twin
 
+    def shallow(self) -> "AdjacencyIndex":
+        """A copy sharing the CSR arrays, for re-pointing a lent index
+        at a successor table: it stays ``lent``, so the owning store
+        forks it before appending to those arrays."""
+        twin = AdjacencyIndex.__new__(AdjacencyIndex)
+        twin.src = self.src
+        twin.tgt = self.tgt
+        twin.offsets = self.offsets
+        twin.neighbors = self.neighbors
+        twin.link_key = self.link_key
+        twin.token = self.token
+        twin.lent = True
+        return twin
+
     def row(self, i: int) -> array:
-        """Neighbor ids of source id ``i`` (ascending, may be empty)."""
+        """Neighbor ids of source id ``i`` (ascending, may be empty;
+        dead target ids included — see :class:`CompactStore`)."""
         return self.neighbors[self.offsets[i]:self.offsets[i + 1]]
 
     def pair_count(self) -> int:
@@ -130,11 +148,15 @@ class CompactStore:
         #: Build/invalidation counters surfaced by benchmarks.
         self.tables_built = 0
         self.indexes_built = 0
-        #: Delta-application counters: in-place INSERT appends and
-        #: DELETE remaps that avoided a full rebuild.
+        #: Delta-application counters: in-place INSERT appends, DELETE
+        #: tombstones, and compactions (a table dropped once its dead
+        #: ids reached its live count, rebuilt cold on next use).
         self.tables_appended = 0
         self.indexes_appended = 0
-        self.tables_remapped = 0
+        self.tombstoned = 0
+        self.compactions = 0
+        #: Always 0: a DELETE no longer rebuilds any CSR index.  Kept
+        #: because ``benchmarks/suite/workloads.py`` reads it.
         self.indexes_remapped = 0
         #: Sharing with pinned snapshots, counted on the live store:
         #: structures lent to pins, copy-on-write forks made before
@@ -239,7 +261,9 @@ class CompactStore:
             if table is None:
                 continue
             if table.lent:
-                table = self._fork_table(table)
+                fork = table.fork()
+                self._succeed(table, fork)
+                table = fork
             try:
                 table.append(oid)
             except ValueError:  # pragma: no cover - defensive
@@ -263,24 +287,24 @@ class CompactStore:
         # inside a replayed BATCH the object may be gone again already.
         self.attrs.apply_insert(event.payload["attrs"], appended)
 
-    def _fork_table(self, table: InternTable) -> InternTable:
-        """Swap a lent intern table for a private fork before appending
-        to it, and re-point what was built over it: an un-lent
-        dependant in place, a lent one as a fork of its own (the
-        snapshots sharing it keep the old pairing)."""
-        fork = table.fork()
-        self.interner.replace(table.key, fork)
+    def _succeed(self, table: InternTable, successor: InternTable) -> None:
+        """Swap a lent intern table for its successor (a fork to append
+        to, or a twin holding a new tombstone) and re-point what was
+        built over it: an un-lent dependant in place, a lent one as a
+        copy of its own (the snapshots sharing it keep the old
+        pairing).  A lent CSR index is copied shallow — its arrays
+        stay shared until something appends to them."""
+        self.interner.replace(table.key, successor)
         self.forked += 1
         for key, index in self._adj.items():
             if index.src is table or index.tgt is table:
                 if index.lent:
-                    index = self._fork_index(key, index)
+                    index = self._adj[key] = index.shallow()
                 if index.src is table:
-                    index.src = fork
+                    index.src = successor
                 if index.tgt is table:
-                    index.tgt = fork
-        self.attrs.repoint(table, fork)
-        return fork
+                    index.tgt = successor
+        self.attrs.repoint(table, successor)
 
     def _fork_index(self, key: Any, index: AdjacencyIndex) -> AdjacencyIndex:
         index = self._adj[key] = index.fork()
@@ -288,57 +312,39 @@ class CompactStore:
         return index
 
     def _apply_delete(self, event: UpdateEvent) -> None:
-        """Replace cached structures by copies without the dead object.
+        """Tombstone the dead object in each cached table of its classes.
 
-        Deletion shifts dense ids after the dead one, so tables are
-        swapped for new objects (holders of the old table keep a
-        consistent snapshot — deferred pattern decodes still work) and
-        each adjacency index over a replaced table is rebuilt from its
-        own arrays: drop the dead source row, filter the dead target id,
-        renumber ids above it.  The deleted object's silently-removed
-        links only appear in rows of tables that contained it, and every
-        such table is in the event's superclass closure.
+        Dense ids are permanent, so nothing is renumbered: the table
+        (or, when lent, a twin that shares its columns) marks the id
+        dead, CSR indexes are left as they are, and value indexes drop
+        the victim's postings.  A table whose dead ids reach its live
+        count is compacted instead — dropped with everything built over
+        it, so the next reader rebuilds it cold — which keeps a DELETE
+        amortized O(1) and the dead share of any table below one half.
         """
         oid = event.oids[0]
-        #: id(old table) -> (replacement, dead dense id)
-        replaced: Dict[int, Tuple[InternTable, int]] = {}
+        #: id(table holding the tombstone) -> (that table, dead id)
+        killed: Dict[int, Tuple[InternTable, int]] = {}
         for cls in event.classes:
             key = ("base", cls)
             table = self.interner.get(key)
             if table is None:
                 continue
-            dead = table.index.get(oid.value)
+            dead = table.encode(oid)
             if dead is None:  # pragma: no cover - defensive
                 self._purge_classes((cls,))
                 continue
-            new_table = table.without(oid)
-            self.interner.replace(key, new_table)
-            replaced[id(table)] = (new_table, dead)
-            self.tables_remapped += 1
-        if not replaced:
-            return
-        for key, index in list(self._adj.items()):
-            src_swap = replaced.get(id(index.src))
-            tgt_swap = replaced.get(id(index.tgt))
-            if src_swap is None and tgt_swap is None:
+            marked = table.without(oid)
+            if marked is not table:
+                self._succeed(table, marked)
+            self.tombstoned += 1
+            if len(marked.dead) >= marked.live_count:
+                self._purge_classes((cls,))
+                self.compactions += 1
                 continue
-            new_src, src_dead = src_swap if src_swap is not None \
-                else (index.src, -1)
-            new_tgt, tgt_dead = tgt_swap if tgt_swap is not None \
-                else (index.tgt, -1)
-            rows: List[List[int]] = []
-            for i in range(len(index.src)):
-                if i == src_dead:
-                    continue
-                row = index.row(i)
-                if tgt_dead >= 0:
-                    row = [t - (t > tgt_dead) for t in row if t != tgt_dead]
-                rows.append(row)
-            self._adj[key] = AdjacencyIndex(new_src, new_tgt, rows,
-                                            link_key=index.link_key,
-                                            token=index.token)
-            self.indexes_remapped += 1
-        self.attrs.apply_delete(replaced)
+            killed[id(marked)] = (marked, dead)
+        if killed:
+            self.attrs.apply_delete(killed)
 
     def on_subdb_change(self, name: str) -> None:
         """A subdatabase was (re-)registered or dropped.  (Registry
@@ -368,10 +374,12 @@ class CompactStore:
 
     def stats(self) -> Dict[str, int]:
         """The build, maintenance and sharing counters."""
-        return {name: getattr(self, name) for name in (
+        out = {name: getattr(self, name) for name in (
             "tables_built", "indexes_built", "tables_appended",
-            "indexes_appended", "tables_remapped", "indexes_remapped",
-            "adopted", "forked", "built_shared", "built_private")}
+            "indexes_appended", "tombstoned", "compactions", "adopted",
+            "forked", "built_shared", "built_private")}
+        out["dead_ids"] = self.interner.dead_ids()
+        return out
 
     # ------------------------------------------------------------------
     # Sharing with pinned snapshots

@@ -44,7 +44,8 @@ shell, or the evaluator's opt-in auto-build heuristic) and owned by an
 :class:`AttrIndexStore` inside the universe's
 :class:`~repro.subdb.adjindex.CompactStore`, which routes the same
 event-granular invalidation path adjacency indexes use: INSERT appends
-one posting in place, DELETE remaps to the replacement intern table,
+one posting in place, DELETE drops the victim's postings (its dense id
+stays, tombstoned in the intern table, so no other posting moves),
 SET_ATTRIBUTE re-buckets exactly one posting, ASSOCIATE/DISSOCIATE touch
 nothing, and schema changes clear (declarations survive clears).
 """
@@ -53,9 +54,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right, insort
+from heapq import merge
 from typing import Any, Dict, List, Optional, Set, Tuple
-
-import numpy as np
 
 from repro.model.interning import InternTable
 
@@ -87,7 +87,9 @@ class AttrIndex:
     when unset), kept as the reverse map SET_ATTRIBUTE maintenance and
     residual re-checks read.  All posting arrays hold dense ids in
     ascending order — probe results compose with CSR join filters by
-    sorted-array intersection (:mod:`repro.oql.kernels`).
+    sorted-array intersection (:mod:`repro.oql.kernels`).  Ids the
+    table has tombstoned (``table.dead``) keep their ``values`` slot
+    but sit in no posting, sorted column or census count.
     """
 
     __slots__ = ("table", "attr", "values", "buckets", "num_values",
@@ -124,8 +126,8 @@ class AttrIndex:
         #: Posting-array ownership.  ``None``: every array in
         #: ``buckets`` is this index's own (it built them).  A set: only
         #: the buckets of these values are; every other array is still
-        #: shared with the index this one was forked or remapped from,
-        #: and is copied before its first mutation (:meth:`_private`).
+        #: shared with the index this one was forked from, and is
+        #: copied before its first mutation (:meth:`_private`).
         self._owned: Optional[Set[Any]] = None
         self._build()
 
@@ -133,7 +135,10 @@ class AttrIndex:
         buckets = self.buckets
         num_pairs: List[Tuple[Any, int]] = []
         typed_pairs: Dict[type, List[Tuple[Any, int]]] = {}
+        dead = self.table.dead
         for i, value in enumerate(self.values):
+            if dead and i in dead:
+                continue
             if _is_nan(value):
                 self.num_count += 1
                 continue
@@ -266,7 +271,7 @@ class AttrIndex:
         (no id materialization, just dict/bisect lookups)."""
         if self.broken:
             return None
-        n = len(self.values)
+        n = self.table.live_count
         if op == "=" or op == "!=":
             try:
                 postings = self.buckets.get(literal)
@@ -296,12 +301,18 @@ class AttrIndex:
         return hi - lo
 
     def _all_ids(self) -> array:
+        if self.table.dead:
+            return self.table.live_ids()
         return array("q", range(len(self.values)))
 
     def _complement(self, postings: array) -> array:
+        """The live ids outside ``postings`` (which holds no dead id):
+        the gaps between the merged postings and tombstones."""
+        dead = self.table.dead
+        skip = merge(postings, sorted(dead)) if dead else postings
         out = array("q")
         prev = 0
-        for i in postings:
+        for i in skip:
             out.extend(range(prev, i))
             prev = i + 1
         out.extend(range(prev, len(self.values)))
@@ -342,17 +353,7 @@ class AttrIndex:
         self.values[i] = value
         if self.broken:
             return
-        if _is_nan(old):
-            self.num_count -= 1
-        else:
-            postings = self.buckets[old]
-            if self._owned is not None:
-                postings = self._private(old, postings)
-            pos = bisect_left(postings, i)
-            postings.pop(pos)
-            if not postings:
-                del self.buckets[old]
-            self._census_remove(old, i)
+        self._unpost(i, old)
         if _is_nan(value):
             self.num_count += 1
             return
@@ -368,70 +369,27 @@ class AttrIndex:
         postings.insert(bisect_left(postings, i), i)
         self._census_add(value, i, new_id_is_max=False)
 
-    def without(self, dead: int, new_table: InternTable) -> "AttrIndex":
-        """A NEW index over the replacement table minus dense id
-        ``dead`` (deletion shifts ids, mirroring
-        :meth:`InternTable.without`) — *remapped* from the live
-        structures, not rebuilt: every sorted column keeps its order
-        under the uniform id shift, so one DELETE costs one pass over
-        the posting arrays with no re-sort and no census recompute."""
-        if self.broken:
-            return AttrIndex(new_table, self.attr,
-                             self.values[:dead] + self.values[dead + 1:])
-        dead_value = self.values[dead]
-        index = AttrIndex.__new__(AttrIndex)
-        index.table = new_table
-        index.attr = self.attr
-        index.values = self.values[:dead] + self.values[dead + 1:]
-        index.broken = False
-        index.lent = False
-        index.unordered = set(self.unordered)
-        # Only buckets holding a dense id >= dead change under the
-        # shift, and those ids carry exactly the values in
-        # ``values[dead:]`` — every other posting array is shared with
-        # the source index.  A lent source lives on in a snapshot, so
-        # the successor owns only what it remaps here; otherwise the
-        # store discards the source, which hands over what it owned.
-        if self.lent:
-            owned: Optional[Set[Any]] = set()
-        else:
-            owned = None if self._owned is None else set(self._owned)
-        buckets = dict(self.buckets)
-        for value in set(self.values[dead:]):
-            postings = buckets.get(value)
-            if postings is None:
-                continue  # NaN sits in no bucket
-            moved = array("q", (i - 1 if i > dead else i
-                                for i in postings if i != dead))
-            if moved:
-                buckets[value] = moved
-                if owned is not None:
-                    owned.add(value)
-            else:
-                del buckets[value]
-        index.buckets = buckets
-        index._owned = owned
-        index.none_count = self.none_count - (dead_value is None)
-        index.num_count = self.num_count - (1 if _is_num(dead_value)
-                                            else 0)
-        type_counts = dict(self.type_counts)
-        if dead_value is not None and not _is_num(dead_value):
-            t = type(dead_value)
-            left = type_counts.get(t, 0) - 1
-            if left:
-                type_counts[t] = left
-            else:
-                type_counts.pop(t, None)
-        index.type_counts = type_counts
-        index.num_values, index.num_ids = _drop_shift(
-            self.num_values, self.num_ids, dead)
-        typed: Dict[type, Tuple[list, array]] = {}
-        for t, (vals, ids) in self.typed.items():
-            new_vals, new_ids = _drop_shift(vals, ids, dead)
-            if new_vals:
-                typed[t] = (new_vals, new_ids)
-        index.typed = typed
-        return index
+    def remove(self, i: int) -> None:
+        """Drop dense id ``i`` — just tombstoned in the table — from its
+        bucket, sorted column and census: O(its postings + log n), and
+        no other id moves.  Its value slot is cleared (nothing reads a
+        dead id's value)."""
+        old, self.values[i] = self.values[i], None
+        if not self.broken:
+            self._unpost(i, old)
+
+    def _unpost(self, i: int, old: Any) -> None:
+        """Take id ``i``, holding ``old``, out of the posting structures."""
+        if _is_nan(old):
+            self.num_count -= 1
+            return
+        postings = self.buckets[old]
+        if self._owned is not None:
+            postings = self._private(old, postings)
+        postings.pop(bisect_left(postings, i))
+        if not postings:
+            del self.buckets[old]
+        self._census_remove(old, i)
 
     def _census_add(self, value: Any, i: int, new_id_is_max: bool) -> None:
         if value is None:
@@ -494,7 +452,7 @@ class AttrIndex:
     def stats(self) -> Dict[str, Any]:
         return {
             "attr": self.attr,
-            "rows": len(self.values),
+            "rows": self.table.live_count,
             "distinct": len(self.buckets) if not self.broken else None,
             "numeric": self.num_count,
             "none": self.none_count,
@@ -506,24 +464,7 @@ class AttrIndex:
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (f"AttrIndex({self.table.key!r}.{self.attr}, "
-                f"{len(self.values)} rows)")
-
-
-def _drop_shift(values: list, ids: array,
-                dead: int) -> Tuple[list, array]:
-    """Remap one (sorted values, parallel dense ids) column pair after
-    deleting dense id ``dead``: drop its entry if present, decrement
-    every id above it (vectorized)."""
-    arr = np.frombuffer(ids, dtype=np.int64)
-    keep = arr != dead
-    shifted = arr[keep]
-    shifted = shifted - (shifted > dead)
-    new_ids = array("q")
-    new_ids.frombytes(shifted.tobytes())
-    if keep.all():
-        return list(values), new_ids
-    pos = int(np.argmin(keep))
-    return values[:pos] + values[pos + 1:], new_ids
+                f"{self.table.live_count} rows)")
 
 
 def _range_bounds(values: list, op: str, literal: Any) -> Tuple[int, int]:
@@ -536,6 +477,21 @@ def _range_bounds(values: list, op: str, literal: Any) -> Tuple[int, int]:
     if op == ">":
         return bisect_right(values, literal), len(values)
     return bisect_left(values, literal), len(values)
+
+
+def _value_column(db, table: InternTable, attr: str) -> List[Any]:
+    """``attr`` of every member of ``table`` in dense order, ``None``
+    for a tombstoned id (its object is gone from the database)."""
+    dead = table.dead
+    if not dead:
+        return db.attr_column(table.oids, attr)
+    oids = table.oids
+    live = [i for i in range(len(oids)) if i not in dead]
+    column: List[Any] = [None] * len(oids)
+    for i, value in zip(live, db.attr_column([oids[i] for i in live],
+                                             attr)):
+        column[i] = value
+    return column
 
 
 class AttrIndexStore:
@@ -555,7 +511,7 @@ class AttrIndexStore:
         #: Build/maintenance counters surfaced by ``\\index stats``.
         self.built = 0
         self.appended = 0
-        self.remapped = 0
+        self.removed = 0
         self.updated = 0
 
     # -- declarations ---------------------------------------------------
@@ -608,8 +564,8 @@ class AttrIndexStore:
                 lambda index: index.table is table,
                 extents=(ref.cls,), attrs=(key,))
         if index is None:
-            index = AttrIndex(table, attr,
-                              store.db.attr_column(table.oids, attr))
+            index = AttrIndex(table, attr, _value_column(store.db, table,
+                                                         attr))
             self.built += 1
         self._indexes[key] = index
         return index
@@ -639,14 +595,16 @@ class AttrIndexStore:
                 self.appended += 1
 
     def apply_delete(self,
-                     replaced: Dict[int, Tuple[InternTable, int]]) -> None:
-        for key, index in list(self._indexes.items()):
-            swap = replaced.get(id(index.table))
-            if swap is None:
+                     killed: Dict[int, Tuple[InternTable, int]]) -> None:
+        """``killed``: id(table) -> (table, the id it just tombstoned)."""
+        for key, index in self._indexes.items():
+            hit = killed.get(id(index.table))
+            if hit is None:
                 continue
-            new_table, dead = swap
-            self._indexes[key] = index.without(dead, new_table)
-            self.remapped += 1
+            if index.lent:
+                index = self._fork(key, index)
+            index.remove(hit[1])
+            self.removed += 1
 
     def apply_set_attribute(self, payload: Dict[str, Any]) -> None:
         name = payload.get("name")

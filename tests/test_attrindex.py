@@ -6,7 +6,7 @@ ids a per-entity scan over ``conditions.compare`` would keep — and
 whenever that scan would raise ``OQLSemanticError``, the probe must
 *not* answer ``OK`` (it reports ``CONFLICT`` or ``FALLBACK`` and the
 caller scans, reproducing the error).  Maintenance (append / set_value /
-without) must preserve the same equivalence.
+remove of a tombstoned id) must preserve the same equivalence.
 """
 
 import math
@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import OQLSemanticError
+from repro.model.interning import InternTable
+from repro.model.oid import OID
 from repro.oql.conditions import compare
 from repro.subdb.attrindex import (
     CONFLICT,
@@ -26,10 +28,13 @@ from repro.subdb.attrindex import (
 )
 
 
-class FakeTable:
-    """Stands in for an InternTable: probing never touches the table."""
+def table_of(n):
+    """An intern table over ``n`` fresh objects (dense ids 0..n-1)."""
+    return InternTable(("base", "T"), [OID(i + 1) for i in range(n)])
 
-    key = ("base", "T")
+
+def index_over(values):
+    return AttrIndex(table_of(len(values)), "a", list(values))
 
 
 OPS = ("=", "!=", "<", "<=", ">", ">=")
@@ -50,20 +55,20 @@ scalar = st.one_of(
 columns = st.lists(scalar, min_size=0, max_size=30)
 
 
-def scan(values, op, literal):
-    """The reference semantics: ids kept by a per-entity scan, or the
-    OQLSemanticError the scan raises first."""
+def scan(values, op, literal, dead=()):
+    """The reference semantics: live ids kept by a per-entity scan, or
+    the OQLSemanticError the scan raises first."""
     out = array("q")
     for i, value in enumerate(values):
-        if compare(value, op, literal):
+        if i not in dead and compare(value, op, literal):
             out.append(i)
     return out
 
 
-def check_parity(index, values, op, literal):
+def check_parity(index, values, op, literal, dead=()):
     status, ids = index.probe(op, literal)
     try:
-        expected = scan(values, op, literal)
+        expected = scan(values, op, literal, dead)
     except OQLSemanticError:
         assert status != OK, (
             f"probe answered {list(ids)} where the scan raises "
@@ -85,13 +90,13 @@ class TestProbeParity:
     @settings(max_examples=300, deadline=None)
     @given(columns, st.sampled_from(OPS), scalar)
     def test_probe_matches_scan(self, values, op, literal):
-        check_parity(AttrIndex(FakeTable(), "a", list(values)),
+        check_parity(index_over(values),
                      values, op, literal)
 
     def test_equality_merges_numeric_towers_like_python(self):
         # 1 == 1.0 == True share one dict bucket, exactly as `=` does.
         values = [1, 1.0, True, 2, False]
-        index = AttrIndex(FakeTable(), "a", values)
+        index = index_over(values)
         for literal in (1, 1.0, True):
             status, ids = index.probe("=", literal)
             assert status == OK and list(ids) == [0, 1, 2]
@@ -100,27 +105,27 @@ class TestProbeParity:
 
     def test_not_equal_is_exact_complement(self):
         values = ["x", "y", "x", "z"]
-        index = AttrIndex(FakeTable(), "a", values)
+        index = index_over(values)
         status, ids = index.probe("!=", "x")
         assert status == OK and list(ids) == [1, 3]
         status, ids = index.probe("!=", "missing")
         assert status == OK and list(ids) == [0, 1, 2, 3]
 
     def test_ordering_against_none_literal_is_empty(self):
-        index = AttrIndex(FakeTable(), "a", [1, 2, None])
+        index = index_over([1, 2, None])
         for op in ("<", "<=", ">", ">="):
             status, ids = index.probe(op, None)
             assert status == OK and list(ids) == []
 
     def test_none_values_never_satisfy_ordering(self):
-        index = AttrIndex(FakeTable(), "a", [None, 5, None, 1])
+        index = index_over([None, 5, None, 1])
         status, ids = index.probe("<", 10)
         assert status == OK and list(ids) == [1, 3]
 
     def test_nan_is_equal_and_ordered_to_nothing(self):
         nan = math.nan
         values = [3.0, nan, 1.0, 2.0, nan, 0.5]
-        index = AttrIndex(FakeTable(), "a", values)
+        index = index_over(values)
         assert index.num_values == [0.5, 1.0, 2.0, 3.0]
         assert index.probe(">", 0.0) == (OK, array("q", [0, 2, 3, 5]))
         assert index.probe("=", nan) == (OK, array("q"))
@@ -130,31 +135,32 @@ class TestProbeParity:
             assert index.cardinality(op, nan) == 0
         # Still a number to the census: ordering it against a string
         # raises in the scan, so the probe must not answer.
-        assert AttrIndex(FakeTable(), "a", [nan]).probe("<", "s")[0] \
+        assert index_over([nan]).probe("<", "s")[0] \
             == CONFLICT
         # Maintenance keeps it out as well.
         index.set_value(1, 4.0)
         index.set_value(0, float("nan"))
+        index.table.append(OID(7))
         index.append(nan)
-        index = index.without(2, FakeTable())
-        values = [nan, 4.0, 2.0, nan, 0.5, nan]
+        index.table.without(index.table.oids[2])
+        index.remove(2)
+        values = [nan, 4.0, 1.0, 2.0, nan, 0.5, nan]
         assert index.num_values == [0.5, 2.0, 4.0]
         for op in OPS:
-            check_parity(index, values, op, 1.0)
-            check_parity(index, values, op, nan)
+            check_parity(index, values, op, 1.0, dead={2})
+            check_parity(index, values, op, nan, dead={2})
 
     def test_mixed_type_census_reports_conflict(self):
-        index = AttrIndex(FakeTable(), "a", [1, "s"])
+        index = index_over([1, "s"])
         assert index.probe("<", 5)[0] == CONFLICT
         assert index.probe("<", "t")[0] == CONFLICT
         # bool is not a number for ordering: int-vs-bool conflicts too.
-        assert AttrIndex(FakeTable(), "a",
-                         [1, True]).probe("<", 5)[0] == CONFLICT
+        assert index_over([1, True]).probe("<", 5)[0] == CONFLICT
         # ...but equality still answers through the hash index.
         assert index.probe("=", 1) == (OK, array("q", [0]))
 
     def test_unhashable_value_breaks_to_fallback(self):
-        index = AttrIndex(FakeTable(), "a", [1, [2, 3]])
+        index = index_over([1, [2, 3]])
         assert index.broken
         for op in OPS:
             assert index.probe(op, 1)[0] == FALLBACK
@@ -162,7 +168,7 @@ class TestProbeParity:
 
     def test_string_ranges_bisect_the_typed_column(self):
         values = ["pear", "apple", "fig", None, "apple"]
-        index = AttrIndex(FakeTable(), "a", values)
+        index = index_over(values)
         status, ids = index.probe("<=", "fig")
         assert status == OK and list(ids) == [1, 2, 4]
 
@@ -173,9 +179,9 @@ class TestMaintenance:
             st.tuples(st.just("append"), scalar),
             st.tuples(st.just("set"), scalar),
             st.tuples(st.just("delete"), st.integers(0, 100)),
-            # A snapshot pins the index as it stands: the store forks
-            # it before the next in-place step, and ``without`` may no
-            # longer hand its posting arrays over.
+            # A snapshot pins the table and index as they stand: the
+            # store forks them before the next in-place step, and a
+            # delete tombstones in a twin of the lent table.
             st.tuples(st.just("lend"), st.none()),
         ),
         max_size=12)
@@ -183,33 +189,51 @@ class TestMaintenance:
     @settings(max_examples=300, deadline=None)
     @given(columns, ops, st.sampled_from(OPS), scalar)
     def test_maintained_equals_rebuilt(self, values, steps, op, literal):
+        """Maintained through appends, sets and tombstoning deletes, an
+        index equals one built over the same column and tombstones —
+        and every lent table and index still answers as it did when
+        lent."""
         values = list(values)
-        index = AttrIndex(FakeTable(), "a", list(values))
+        index = index_over(values)
+        dead = set()
         lent = []
         for kind, arg in steps:
             if kind == "lend":
-                index.lent = True
-                lent.append((index, list(values)))
-            elif kind == "append":
+                index.lent = index.table.lent = True
+                lent.append((index, list(values), set(dead)))
+                continue
+            table = index.table
+            live = sorted(table.full_id_set)
+            if kind == "set" and not live or kind == "delete" and not live:
+                continue
+            if index.lent:
+                index = index.fork()
+            if kind == "append":
+                if table.lent:
+                    index.table = table.fork()
                 values.append(arg)
-                index = index.fork() if index.lent else index
+                index.table.append(OID(len(values)))
                 index.append(arg)
-            elif kind == "set" and values:
-                i = len(values) // 2
+            elif kind == "set":
+                i = live[len(live) // 2]
                 values[i] = arg
-                index = index.fork() if index.lent else index
                 index.set_value(i, arg)
-            elif kind == "delete" and values:
-                dead = arg % len(values)
-                del values[dead]
-                index = index.without(dead, FakeTable())
-        for shared, pinned in lent + [(index, values)]:
+            else:
+                i = live[arg % len(live)]
+                index.table = table.without(table.oids[i])
+                assert (index.table is table) is not table.lent
+                dead.add(i)
+                index.remove(i)
+        for shared, pinned, pinned_dead in lent + [(index, values, dead)]:
+            assert shared.table.dead == pinned_dead
             if not shared.broken:
-                rebuilt = AttrIndex(FakeTable(), "a", list(pinned))
+                table = table_of(len(pinned))
+                table.dead.update(pinned_dead)
+                rebuilt = AttrIndex(table, "a", list(pinned))
                 assert shared.stats() == rebuilt.stats()
                 assert {v: list(ids) for v, ids in shared.buckets.items()} \
                     == {v: list(ids) for v, ids in rebuilt.buckets.items()}
-            check_parity(shared, pinned, op, literal)
+            check_parity(shared, pinned, op, literal, pinned_dead)
 
 
 class TestStoreLifecycle:
@@ -262,7 +286,10 @@ class TestStoreLifecycle:
             db.set_attribute(course.oid, "c#", 2)
             db.delete(course.oid)
         index = universe.attr_index_if_ready(ref, "c#")
-        assert index is not None and list(index.values) == before
+        # The object's id was appended, then tombstoned: its slot stays
+        # but no probe reaches it.
+        assert index is not None and index.table.dead == {len(before)}
+        assert list(index.values[:len(before)]) == before
         assert index.probe("<", 3)[1] == array("q")
 
     def test_derived_refs_are_never_indexed(self):

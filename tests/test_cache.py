@@ -461,13 +461,23 @@ class TestCompactDeltas:
         assert _labels(result.subdatabase) == _labels(fresh.subdatabase)
         assert ("ta_new", "ta_new", "ta_new") in result.subdatabase.labels()
 
-    def test_delete_remaps_instead_of_purging(self, paper):
+    def test_delete_tombstones_instead_of_purging(self, paper):
         qp = self._warm(paper.db)
         store = qp.universe.compact
+        teacher = store.table(ClassRef("Teacher"))
+        before = qp.execute(QUERY)
+        adjacency = dict(store._adj)
+        built = (store.tables_built, store.indexes_built)
         paper.db.delete(paper.oid("t1"))
-        assert store.tables_remapped > 0
-        assert store.indexes_remapped > 0
+        # The same table, one id dead; every CSR index kept as it was.
+        assert store.tombstoned > 0 and store.indexes_remapped == 0
+        assert store.table(ClassRef("Teacher")) is teacher
+        assert teacher.dead == {teacher.index[paper.oid("t1").value]}
+        assert store._adj == adjacency
+        # Rows interned before the delete still decode, t1 included.
+        assert any("t1" in row for row in before.subdatabase.labels())
         result = qp.execute(QUERY)
+        assert (store.tables_built, store.indexes_built) == built
         fresh = QueryProcessor(Universe(paper.db)).execute(QUERY)
         assert _labels(result.subdatabase) == _labels(fresh.subdatabase)
         assert all("t1" not in row for row in result.subdatabase.labels())

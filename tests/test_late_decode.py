@@ -212,8 +212,9 @@ class TestNoDecodeOnTheReplyPath:
 
 class LabelColumnOwnership(RuleBasedStateMachine):
     """The owning store's moves on one class's table — append (forking
-    first when lent), delete (a ``without`` successor), lend — while
-    readers render any table, old or new, at any time."""
+    first when lent), delete (a tombstone; in a twin sharing the
+    columns when lent), lend — while readers render any table, old or
+    new, at any time."""
 
     def __init__(self):
         super().__init__()
@@ -236,12 +237,22 @@ class LabelColumnOwnership(RuleBasedStateMachine):
             self.tables.append(self.live)
         self.live.append(self._oid())
 
-    @precondition(lambda self: len(self.live) > 0)
+    @precondition(lambda self: self.live.live_count > 0)
     @rule(data=st.data())
     def delete(self, data):
-        victim = data.draw(st.sampled_from(self.live.oids))
-        self.live = self.live.without(victim)
-        self.tables.append(self.live)
+        live = self.live
+        victim = data.draw(st.sampled_from(sorted(live.full_id_set)))
+        oids, labels = live.oids, live.labels
+        marked = live.without(live.oids[victim])
+        # A tombstone, not a rebuild: the same columns, the id marked
+        # dead in place — or, when lent, in a twin sharing them.
+        assert marked.oids is oids and marked.labels is labels
+        assert victim in marked.dead
+        assert (marked is live) is not live.lent
+        if marked is not live:
+            assert victim not in live.dead
+            self.tables.append(marked)
+        self.live = marked
 
     @rule()
     def lend(self):
