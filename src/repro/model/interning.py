@@ -185,8 +185,7 @@ class InternTable:
 
     def __len__(self) -> int:
         """The physical id-space size, dead ids included — every dense
-        id is below it, which is what lets it stand in for Null when
-        rows are sorted (:meth:`Subdatabase.sorted_columns`)."""
+        id is below it."""
         return len(self.oids)
 
     @property

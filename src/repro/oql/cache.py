@@ -53,22 +53,26 @@ def fingerprint(expr: ContextExpr, where: Iterable[WhereCond]) -> str:
 def clone_result(subdb: Subdatabase, name: str) -> Subdatabase:
     """A rename-on-read copy of a cached result.
 
-    Interned templates share their row set and tables (each clone
-    decodes independently and lazily); decoded templates share the
-    immutable patterns while the constructor copies the set.  Either
+    A columnar template shares its read-only columns and tables (each
+    clone decodes independently and lazily); a decoded template shares
+    the immutable patterns while the constructor copies the set.  Either
     way the cached template can never be corrupted through a serving.
     """
-    if subdb._patterns is None:
-        rows, tables = subdb._interned
-        return Subdatabase.from_interned_rows(name, subdb.intension, rows,
-                                              tables, subdb.derived_info)
+    if subdb._columns is not None:
+        return Subdatabase.from_columns(name, subdb.intension,
+                                        subdb._columns, subdb._tables,
+                                        subdb.derived_info, ordered=True)
     return Subdatabase(name, subdb.intension, subdb._patterns,
                        subdb.derived_info)
 
 
 def result_nbytes(subdb: Subdatabase) -> int:
-    """A deliberate overestimate of a cached result's footprint: per-row
-    tuple + per-slot int/OID, plus a fixed envelope."""
+    """A cached result's footprint: exact for a columnar result (its
+    columns plus a fixed envelope), a deliberate overestimate for one
+    built from patterns (per-row tuple + per-slot int/OID)."""
+    columns = subdb._columns
+    if columns is not None:
+        return 256 + sum(col.nbytes for col in columns)
     width = max(len(subdb.intension), 1)
     return 256 + len(subdb) * (56 + 24 * width)
 

@@ -40,6 +40,8 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.errors import (CyclicDataError, OQLSemanticError,
                           UnknownAttributeError)
@@ -347,15 +349,17 @@ class PatternEvaluator:
                 subdb = self._evaluate_chain(flat, name)
             if where:
                 subdb = self._apply_where(subdb, where)
-            # len(subdb) counts interned rows without forcing a decode.
+            # len(subdb) reads the column length without forcing a decode.
             metrics.patterns_out = len(subdb)
             if cache_key is not None:
                 # Only a *completed* evaluation populates the cache: a
                 # BudgetExceeded trip unwinds past this line, so partial
-                # results can never be served later.
+                # results can never be served later.  The cache keeps a
+                # copy, so decoding the result returned here cannot grow
+                # the template past the bytes it was admitted at.
                 before = cache.evictions
-                cache.store(cache_key, cache_vector, subdb,
-                            result_nbytes(subdb))
+                cache.store(cache_key, cache_vector,
+                            clone_result(subdb, name), result_nbytes(subdb))
                 metrics.cache_evictions += cache.evictions - before
             return subdb
         except BudgetExceeded as exc:
@@ -811,9 +815,9 @@ class PatternEvaluator:
                          refs: List[ClassRef],
                          tables: List[InternTable],
                          filt: List[Optional[frozenset]]
-                         ) -> List[Tuple[int, ...]]:
+                         ) -> List[np.ndarray]:
         """Compact twin of :meth:`_match_range`: same planner, same
-        metrics, rows of dense ids."""
+        metrics, one dense-id column per slot ``start..end``."""
         sizes = [len(extent) for extent in extents]
         tracer = obs.TRACER
         span = tracer.start("match-range", start=start, end=end) \
@@ -823,11 +827,11 @@ class PatternEvaluator:
                                      start, end)
             plan.access = self._access_modes(flat.terms)
             self._metrics.plans.append(plan)
-            rows = self._execute_plan_ids(plan, resolutions, refs, tables,
+            cols = self._execute_plan_ids(plan, resolutions, refs, tables,
                                           filt)
             if span is not None:
-                span.add("rows_out", len(rows))
-            return rows
+                span.add("rows_out", len(cols[0]))
+            return cols
         finally:
             if span is not None:
                 tracer.finish(span)
@@ -837,7 +841,7 @@ class PatternEvaluator:
                           refs: List[ClassRef],
                           tables: List[InternTable],
                           filt: List[Optional[frozenset]]
-                          ) -> List[Tuple[int, ...]]:
+                          ) -> List[np.ndarray]:
         """Run a join plan over interned ids.
 
         Each hop runs as a vectorized columnar kernel
@@ -856,7 +860,7 @@ class PatternEvaluator:
         plan.actual_anchor_rows = len(anchor)
         specs = self._build_step_specs(plan.steps, resolutions, refs,
                                        tables, filt)
-        rows, stats = self._run_plan_steps(plan.steps, specs, refs,
+        cols, stats = self._run_plan_steps(plan.steps, specs, refs,
                                            anchor, self._budget)
         metrics = self._metrics
         for step, (frontier, produced) in zip(plan.steps, stats):
@@ -864,7 +868,7 @@ class PatternEvaluator:
             step.actual_rows = produced
             metrics.edge_traversals += frontier
             metrics.rows_generated += produced
-        return rows
+        return cols
 
     def _build_step_specs(self, steps,
                           resolutions: List[EdgeResolution],
@@ -900,12 +904,12 @@ class PatternEvaluator:
     def _run_plan_steps(self, steps, specs: List[kernels.StepSpec],
                         refs: List[ClassRef], anchor_ids,
                         budget: Optional[QueryBudget]
-                        ) -> Tuple[List[Tuple[int, ...]],
+                        ) -> Tuple[List[np.ndarray],
                                    List[Tuple[int, int]]]:
         """The hop loop of a compact plan.
 
-        Rows stay columnar between hops and materialize as tuples once
-        at the end.  Returns the rows plus per-step ``(distinct
+        Returns the final columns, one per slot in slot order (all empty
+        when a hop emptied the row set), plus per-step ``(distinct
         frontier, rows after)`` counts; the caller records them only
         once every hop has run, so a budget trip leaves the plan's
         actuals unset.
@@ -933,7 +937,9 @@ class PatternEvaluator:
             finally:
                 if sspan is not None:
                     tracer.finish(sspan)
-        return kernels.columns_to_rows(cols), stats
+        if len(cols) <= len(steps):
+            cols = [cols[0]] * (len(steps) + 1)
+        return cols, stats
 
     def _evaluate_chain_compact(self, flat: _Flattened,
                                 name: str) -> Subdatabase:
@@ -944,24 +950,26 @@ class PatternEvaluator:
         tables = [self.universe.intern_table(ref) for ref in refs]
         filt = self._filtered_ids(extents, tables)
 
-        int_rows: Set[Tuple[Optional[int], ...]] = set()
-        for start, end in flat.groups:
-            head = (None,) * start
-            tail = (None,) * (width - 1 - end)
-            for row in self._match_range_ids(flat, start, end, extents,
-                                             resolutions, refs, tables,
-                                             filt):
-                int_rows.add(head + row + tail)
-
         if len(flat.groups) == 1:
             # A single (whole-chain) group produces only full-width
-            # patterns: nothing can subsume anything.
-            kept = int_rows
+            # patterns: nothing can subsume anything, and the columns
+            # become the result as they are.
+            cols = self._match_range_ids(flat, 0, width - 1, extents,
+                                         resolutions, refs, tables, filt)
         else:
+            int_rows: Set[Tuple[Optional[int], ...]] = set()
+            for start, end in flat.groups:
+                head = (None,) * start
+                tail = (None,) * (width - 1 - end)
+                for row in kernels.columns_to_rows(self._match_range_ids(
+                        flat, start, end, extents, resolutions, refs,
+                        tables, filt)):
+                    int_rows.add(head + row + tail)
             kept = subsume_rows(int_rows)
-        self._metrics.patterns_subsumed += len(int_rows) - len(kept)
+            self._metrics.patterns_subsumed += len(int_rows) - len(kept)
+            cols = kernels.rows_to_columns(kept, width)
         intension = self._intension(flat, resolutions)
-        return Subdatabase.from_interned_rows(name, intension, kept, tables)
+        return Subdatabase.from_columns(name, intension, cols, tables)
 
     # ------------------------------------------------------------------
     # Loops: transitive closure as iteration (Section 5.2)
@@ -1160,8 +1168,8 @@ class PatternEvaluator:
             memo_vector = self._vector(memo_key, terms)
 
         # Level 1: one full traversal of the cycle.
-        frontier = self._match_range_ids(flat, 0, n - 1, extents,
-                                         resolutions, refs, tables, filt)
+        frontier = kernels.columns_to_rows(self._match_range_ids(
+            flat, 0, n - 1, extents, resolutions, refs, tables, filt))
         total_rows = len(frontier)
         # Loop rows grow from slot 0, so one covers another exactly when
         # the shorter is its prefix — and prefixes only arise by direct
@@ -1266,8 +1274,9 @@ class PatternEvaluator:
         decode_tables = [tables[t] if t < n
                          else tables[1 + (t - n) % body]
                          for t in range(width)]
-        return Subdatabase.from_interned_rows(name, intension, kept,
-                                              decode_tables)
+        return Subdatabase.from_columns(
+            name, intension, kernels.rows_to_columns(kept, width),
+            decode_tables)
 
     def _expand_anchors(self, anchors: Set[int],
                         expansions: Dict[int, Tuple[Tuple[int, ...], ...]],

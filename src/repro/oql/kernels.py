@@ -4,9 +4,12 @@ These kernels keep a plan's rows **columnar** (one numpy int64 vector
 per slot) while it runs, so a ``*`` hop is a handful of bulk
 operations — offsets gather, prefix-sum index expansion, boolean-mask
 semi-join filter, ``np.repeat`` column replication — with zero
-per-row Python.  Rows only become tuples once, after the last hop.
-The CSR and value indexes keep ``array("q")`` buffers, which numpy
-reads in place through ``frombuffer``.
+per-row Python.  A chain's columns leave the last hop as they are and
+become the result (:meth:`~repro.subdb.subdatabase.Subdatabase.from_columns`);
+only brace groups and loops, which subsume row-wise, turn them into
+tuples (:func:`columns_to_rows`).  The CSR and value indexes keep
+``array("q")`` buffers, which numpy reads in place through
+``frombuffer``.
 
 Budget enforcement is duck-typed: anything with ``CHECK_EVERY``,
 ``check_time()`` and ``charge_rows(n)`` works (in practice a
@@ -66,11 +69,33 @@ def anchor_column(ids):
 
 
 def columns_to_rows(cols) -> List[Tuple[int, ...]]:
-    """Materialize columns as the row tuples the rest of the engine
-    consumes (plain Python ints)."""
+    """Columns as row tuples of plain Python ints — for the brace-group
+    and loop paths, which subsume row-wise."""
     if not cols or not len(cols[0]):
         return []
     return list(zip(*[col.tolist() for col in cols]))
+
+
+def rows_to_columns(rows, width: int) -> List[np.ndarray]:
+    """Row tuples (``None`` for Null) back to one int64 column per slot,
+    −1 for Null — how the rows a brace group or loop kept become a
+    result."""
+    if not rows:
+        return [np.empty(0, dtype=np.int64) for _ in range(width)]
+    return [np.array([-1 if v is None else v for v in col], dtype=np.int64)
+            for col in zip(*rows)]
+
+
+def distinct_count(ids) -> int:
+    """The number of distinct values in an int64 column: one sort and
+    an adjacent-difference count, O(n log n) in the column's length
+    alone (``np.unique`` costs several times more on small frontiers,
+    and a ``bincount`` would allocate per table size)."""
+    n = len(ids)
+    if n < 2:
+        return n
+    ordered = np.sort(ids)
+    return int(np.count_nonzero(ordered[1:] != ordered[:-1])) + 1
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +123,7 @@ def _step_star(cols, spec, budget):
     ends = cols[-1] if spec.forward else cols[0]
     starts = off[ends]
     cnt = off[ends + 1] - starts
-    frontier = int(np.unique(ends).size)
+    frontier = distinct_count(ends)
     total = int(cnt.sum())
     if total == 0:
         empty = np.empty(0, dtype=np.int64)

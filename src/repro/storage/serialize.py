@@ -238,8 +238,8 @@ def database_from_dict(doc: Dict[str, Any], schema: Schema) -> Database:
 
 def subdatabase_to_dict(subdb: Subdatabase) -> Dict[str, Any]:
     """Serialize a materialized subdatabase (patterns by OID value,
-    Nulls first; an undecoded result is read from its raw-value
-    columns)."""
+    Nulls first; a columnar result is read from its dense-id columns
+    through the intern tables' raw-value columns, never decoded)."""
     columns = subdb.sorted_columns(attrgetter("values"), None,
                                    nulls_last=False)
     if columns is not None:

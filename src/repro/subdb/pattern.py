@@ -59,21 +59,6 @@ class ExtensionalPattern:
         self._nn: Optional[Tuple[int, ...]] = None
         self._h: Optional[int] = None
 
-    @classmethod
-    def from_interned(cls, values: Tuple[Optional[OID], ...],
-                      value_key: Tuple[Optional[int], ...]
-                      ) -> "ExtensionalPattern":
-        """Construct from the compact execution layer: ``values`` are
-        the decoded OIDs, ``value_key`` the raw OID values (Null as
-        ``None``) the row was joined with — its hash is cached so set
-        insertion never re-hashes through Python-level ``OID.__hash__``.
-        """
-        pattern = cls.__new__(cls)
-        pattern.values = values
-        pattern._nn = None
-        pattern._h = hash(value_key)
-        return pattern
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExtensionalPattern):
             return self.values == other.values
@@ -149,43 +134,6 @@ class ExtensionalPattern:
 
 
 IntRow = Tuple[Optional[int], ...]
-
-
-def decode_rows(rows: Iterable[IntRow], tables) -> Set[ExtensionalPattern]:
-    """Interned rows back to OID patterns — the single decode point of
-    the compact execution layer.  ``tables[i]`` supplies slot ``i``'s
-    decode columns (an :class:`~repro.model.interning.InternTable`:
-    ``oids`` for the objects, ``values`` for the raw ints the cached
-    hash is computed from, so later set algebra never calls
-    ``OID.__hash__``).
-
-    Decoding runs column-wise (one list comprehension per slot, rows
-    re-assembled by C-level ``zip``) — the row-wise equivalent is the
-    profile's hottest frame on fan-out-heavy chains.
-    """
-    rows = list(rows)
-    if not rows:
-        return set()
-    patterns: Set[ExtensionalPattern] = set()
-    add = patterns.add
-    new = ExtensionalPattern.__new__
-    cls = ExtensionalPattern
-    oid_columns = []
-    value_columns = []
-    for i, column in enumerate(zip(*rows)):
-        oids = tables[i].oids
-        raw = tables[i].values
-        oid_columns.append([None if v is None else oids[v]
-                            for v in column])
-        value_columns.append([None if v is None else raw[v]
-                              for v in column])
-    for values, key in zip(zip(*oid_columns), zip(*value_columns)):
-        pattern = new(cls)
-        pattern.values = values
-        pattern._nn = None
-        pattern._h = hash(key)
-        add(pattern)
-    return patterns
 
 
 def subsume_rows(rows: Iterable[IntRow]) -> Set[IntRow]:

@@ -3,7 +3,9 @@
 A :class:`Subdatabase` is the value the query evaluator produces and the
 deductive rule language both consumes and derives.  It couples an
 :class:`~repro.subdb.intension.IntensionalPattern` with a set of
-:class:`~repro.subdb.pattern.ExtensionalPattern` tuples aligned to it, and
+:class:`~repro.subdb.pattern.ExtensionalPattern` tuples aligned to it
+(held as dense-id columns until first read when the compact executor
+built it), and
 — when derived by a rule — with per-slot
 :class:`~repro.subdb.derived.DerivedClassInfo` records carrying the induced
 generalization links.
@@ -13,6 +15,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.errors import OQLSemanticError
 from repro.model.interning import InternTable
 from repro.model.oid import OID
@@ -21,7 +25,6 @@ from repro.subdb.intension import Edge, IntensionalPattern
 from repro.subdb.pattern import (
     ExtensionalPattern,
     PatternType,
-    decode_rows,
     subsume,
 )
 from repro.subdb.refs import ClassRef
@@ -44,8 +47,105 @@ def _reconcile_info(a: DerivedClassInfo,
     return DerivedClassInfo(ref=a.ref, source=source, visible_attrs=visible)
 
 
+def _row_keys(columns: List[np.ndarray]) -> Optional[np.ndarray]:
+    """Each row packed into one int64 whose order is the row order —
+    slot 0 the most significant digit, a Null the largest digit of its
+    slot — or ``None`` when the digits do not fit in 63 bits."""
+    radices = [int(col.max()) + 2 for col in columns]
+    span = 1
+    for radix in radices:
+        span *= radix
+    if span >= 1 << 63:
+        return None
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for col, radix in zip(columns, radices):
+        key *= radix
+        key += np.where(col < 0, radix - 1, col)
+    return key
+
+
+def sort_unique(columns: List[np.ndarray]) -> List[np.ndarray]:
+    """Per-slot dense-id columns (−1 for Null) in row order — slot 0
+    the primary key, Nulls after every id — with duplicate rows
+    dropped, every column read-only.
+
+    The rows are sorted once: by their packed keys (:func:`_row_keys`),
+    which also show in one pass that rows the join kernel emitted in
+    order need no sort at all, or — when the keys would overflow — by
+    one ``np.lexsort`` over the columns' ``uint64`` views, where −1 is
+    the largest value.  Duplicates are then adjacent, so one mask over
+    neighbouring rows removes them."""
+    n = len(columns[0]) if columns else 0
+    if n > 1:
+        key = _row_keys(columns)
+        if key is None or not (key[1:] > key[:-1]).all():
+            if key is not None:
+                order = np.argsort(key, kind="stable")
+            else:
+                order = np.lexsort([col.view(np.uint64)
+                                    for col in reversed(columns)])
+            columns = [col[order] for col in columns]
+            fresh = columns[0][1:] != columns[0][:-1]
+            for col in columns[1:]:
+                fresh |= col[1:] != col[:-1]
+            if not fresh.all():
+                keep = np.concatenate(([True], fresh))
+                columns = [col[keep] for col in columns]
+    for col in columns:
+        col.flags.writeable = False
+    return columns
+
+
+def _gather(lookup, ids: np.ndarray, null: Any) -> list:
+    """``lookup[i]`` for every id of a column, ``null`` for −1."""
+    if len(ids) and ids.min() < 0:
+        return [null if i < 0 else lookup[i] for i in ids.tolist()]
+    return list(map(lookup.__getitem__, ids.tolist()))
+
+
+def decode_rows(columns: List[np.ndarray],
+                tables) -> Set[ExtensionalPattern]:
+    """Dense-id rows, given column-wise, back to OID patterns — the
+    single decode point of the compact execution layer.  ``columns[i]``
+    holds slot ``i``'s ids (−1 for Null) and ``tables[i]`` supplies its
+    decode columns (an :class:`~repro.model.interning.InternTable`:
+    ``oids`` for the objects, ``values`` for the raw ints the cached
+    hash is computed from, so later set algebra never calls
+    ``OID.__hash__``).
+
+    Decoding runs column-wise (one gather per slot, rows re-assembled
+    by C-level ``zip``) — the row-wise equivalent is the profile's
+    hottest frame on fan-out-heavy chains.
+    """
+    patterns: Set[ExtensionalPattern] = set()
+    add = patterns.add
+    new = ExtensionalPattern.__new__
+    cls = ExtensionalPattern
+    oid_columns = [_gather(table.oids, ids, None)
+                   for ids, table in zip(columns, tables)]
+    value_columns = [_gather(table.values, ids, None)
+                     for ids, table in zip(columns, tables)]
+    for values, key in zip(zip(*oid_columns), zip(*value_columns)):
+        pattern = new(cls)
+        pattern.values = values
+        pattern._nn = None
+        pattern._h = hash(key)
+        add(pattern)
+    return patterns
+
+
 class Subdatabase:
-    """A derived or query-result portion of the database."""
+    """A derived or query-result portion of the database.
+
+    It has one of two forms.  Built from patterns (the set-based
+    executor, rule targets, algebra results) it holds the pattern set.
+    Built by the compact executor (:meth:`from_columns`) it holds one
+    read-only numpy int64 column of dense ids per slot (−1 for Null),
+    sorted and de-duplicated, plus the intern tables that decode them:
+    :func:`len`, :meth:`describe` and :meth:`sorted_columns` read the
+    columns, and :attr:`patterns` decodes them on first access.  Either
+    way it never changes after construction.
+    """
 
     def __init__(self, name: str, intension: IntensionalPattern,
                  patterns: Iterable[ExtensionalPattern] = (),
@@ -53,7 +153,9 @@ class Subdatabase:
         self.name = name
         self.intension = intension
         self._patterns: Optional[Set[ExtensionalPattern]] = set(patterns)
-        self._interned = None
+        self._columns: Optional[List[np.ndarray]] = None
+        self._tables: Optional[List[InternTable]] = None
+        self._extents: Dict[Tuple[int, ...], Set[OID]] = {}
         #: slot name -> induced-generalization record (empty for pure
         #: query results over base classes).
         self.derived_info: Dict[str, DerivedClassInfo] = dict(
@@ -66,39 +168,45 @@ class Subdatabase:
                     f"slots, intension has {width}")
 
     @classmethod
-    def from_interned_rows(cls, name: str, intension: IntensionalPattern,
-                           rows, tables,
-                           derived_info: Optional[
-                               Dict[str, DerivedClassInfo]] = None
-                           ) -> "Subdatabase":
-        """A subdatabase over interned rows, decoded to OID patterns
-        only when :attr:`patterns` is first read — rendering it
-        (:meth:`describe`, :meth:`sorted_columns`) decodes nothing.
+    def from_columns(cls, name: str, intension: IntensionalPattern,
+                     columns: Sequence[np.ndarray], tables,
+                     derived_info: Optional[
+                         Dict[str, DerivedClassInfo]] = None,
+                     ordered: bool = False) -> "Subdatabase":
+        """A subdatabase over dense-id columns, decoded to OID patterns
+        only when :attr:`patterns` is first read.
 
-        ``rows`` are dense-id tuples aligned to ``tables`` (per-slot
-        intern tables, whose existing ids never change meaning — later
-        database mutations cannot skew a deferred decode).  The caller
-        vouches that every row has the intension's width; the compact
-        evaluator builds rows from the intension itself.
+        ``columns[i]`` holds slot ``i``'s ids in ``tables[i]`` (an
+        intern table, whose existing ids never change meaning — later
+        database mutations cannot skew a deferred decode), −1 for Null;
+        the caller vouches for one column per slot of the intension.
+        They are sorted and de-duplicated here (:func:`sort_unique`)
+        unless ``ordered`` says they already are — the columns of
+        another such subdatabase, which are shared, never copied.
         """
         subdb = cls.__new__(cls)
         subdb.name = name
         subdb.intension = intension
         subdb._patterns = None
-        subdb._interned = (rows if isinstance(rows, (set, frozenset))
-                           else set(rows), list(tables))
+        subdb._columns = (list(columns) if ordered
+                          else sort_unique(list(columns)))
+        subdb._tables = list(tables)
+        subdb._extents = {}
         subdb.derived_info = dict(derived_info or {})
         return subdb
 
     @property
     def patterns(self) -> Set[ExtensionalPattern]:
         """The extensional pattern set (decoded on first access when the
-        subdatabase was built from interned rows)."""
+        subdatabase was built from columns).
+
+        The decoded set is published by one assignment and the columns
+        stay: a reader racing the first decode on another thread renders
+        from the columns or gets an equal set of its own."""
         patterns = self._patterns
         if patterns is None:
-            rows, tables = self._interned
-            patterns = self._patterns = decode_rows(rows, tables)
-            self._interned = None
+            patterns = self._patterns = decode_rows(self._columns,
+                                                    self._tables)
         return patterns
 
     # ------------------------------------------------------------------
@@ -110,8 +218,9 @@ class Subdatabase:
         return self.intension.slot_names
 
     def __len__(self) -> int:
-        if self._patterns is None:
-            return len(self._interned[0])
+        columns = self._columns
+        if columns is not None:
+            return len(columns[0])
         return len(self._patterns)
 
     def __iter__(self):
@@ -132,19 +241,31 @@ class Subdatabase:
         return {p for p in self.patterns if p.type_of(names) == ptype}
 
     def extent_of_slot(self, ref: ClassRef | str) -> Set[OID]:
-        """The objects appearing at one exact slot."""
-        index = self.intension.index_of(ref)
-        return {p[index] for p in self.patterns if p[index] is not None}
+        """The objects appearing at one exact slot (a memo shared
+        between callers: do not mutate it)."""
+        return self._extent((self.intension.index_of(ref),))
 
     def extent_of_class(self, cls: str) -> Set[OID]:
         """The objects appearing at *any* slot of class ``cls`` (all
         hierarchy levels) — the extent of the derived class when the
-        subdatabase is referenced with a qualifier (``May_teach:TA``)."""
+        subdatabase is referenced with a qualifier (``May_teach:TA``).
+        A memo shared between callers: do not mutate it."""
         indices = self.intension.indices_of_class(cls)
         if not indices:
             raise OQLSemanticError(
                 f"subdatabase {self.name!r} has no class {cls!r} "
                 f"(classes: {list(self.slot_names)})")
+        return self._extent(tuple(indices))
+
+    def _extent(self, indices: Tuple[int, ...]) -> Set[OID]:
+        """The objects at the given slots, computed once per instance
+        (a subdatabase never changes after construction)."""
+        extent = self._extents.get(indices)
+        if extent is None:
+            extent = self._extents[indices] = self._walk_extent(indices)
+        return extent
+
+    def _walk_extent(self, indices: Tuple[int, ...]) -> Set[OID]:
         out: Set[OID] = set()
         for pattern in self.patterns:
             for i in indices:
@@ -251,33 +372,25 @@ class Subdatabase:
 
     def sorted_columns(self, column_of, null: Any,
                        nulls_last: bool = True) -> Optional[List[list]]:
-        """The rows of an undecoded result in OID-value order, one list
+        """The rows of a columnar result in OID-value order, one list
         per slot of ``column_of(table)[id]`` (Null as ``null``) — or
-        ``None`` once :attr:`patterns` has been decoded.
+        ``None`` for a subdatabase built from patterns.
 
         No row is decoded: an intern table's dense order *is* OID-value
-        order, so sorting the id tuples — a Null slot standing in as
-        ``len(table)`` (``nulls_last``) or ``-1`` — is the order of
-        :meth:`sorted_rows` (or, with Nulls first, of
-        :func:`~repro.storage.serialize.subdatabase_to_dict`)."""
-        interned = self._interned
-        if interned is None:
+        order, so the stored order — Nulls last — is the order of
+        :meth:`sorted_rows`.  Only when some row holds a Null and the
+        caller wants Nulls first (the order of
+        :func:`~repro.storage.serialize.subdatabase_to_dict`) are the
+        columns sorted again, on their signed values."""
+        columns = self._columns
+        if columns is None:
             return None
-        rows, tables = interned
-        sentinels = [len(table) if nulls_last else -1 for table in tables]
-        if any(None in row for row in rows):
-            rows = [tuple(s if v is None else v
-                          for v, s in zip(row, sentinels)) for row in rows]
-        columns = []
-        for ids, table, sentinel in zip(zip(*sorted(rows)), tables,
-                                        sentinels):
-            lookup = column_of(table)
-            if sentinel in ids:
-                columns.append([null if v == sentinel else lookup[v]
-                                for v in ids])
-            else:
-                columns.append(list(map(lookup.__getitem__, ids)))
-        return columns
+        if not nulls_last and any(len(col) and col.min() < 0
+                                  for col in columns):
+            order = np.lexsort(columns[::-1])
+            columns = [col[order] for col in columns]
+        return [_gather(column_of(table), ids, null)
+                for ids, table in zip(columns, self._tables)]
 
     def labels(self) -> Set[Tuple[Optional[str], ...]]:
         """Patterns as tuples of OID labels — the representation the
@@ -292,8 +405,9 @@ class Subdatabase:
                  f"patterns ({len(self)}):"]
         columns = self.sorted_columns(InternTable.label_column, "Null")
         if columns is not None:
-            lines.extend(f"  ({row})"
-                         for row in map(", ".join, zip(*columns)))
+            if len(self):
+                lines.append("  (" + ")\n  (".join(
+                    map(", ".join, zip(*columns))) + ")")
         else:
             for row in self.sorted_rows():
                 rendered = ", ".join("Null" if v is None else repr(v)

@@ -8,8 +8,10 @@ asserted through the canonical session serializer.
 """
 
 import json
+import random
 from array import array
 
+import numpy as np
 import pytest
 
 from repro import QueryProcessor, RuleEngine, Universe
@@ -207,7 +209,7 @@ def _run_steps(specs, anchor):
     for spec in specs:
         cols, frontier = kernels.execute_step(cols, spec)
         stats.append((frontier, len(cols[0])))
-    return kernels.columns_to_rows(cols), stats
+    return list(zip(*[col.tolist() for col in cols])), stats
 
 
 class TestKernelRows:
@@ -250,6 +252,20 @@ class TestKernelRows:
         assert rows == [(3, 0, 3), (1, 3, 3), (1, 1, 0), (3, 1, 0),
                         (1, 2, 0), (3, 2, 0)]
         assert stats == [(2, 4), (4, 6)]
+
+    def test_distinct_count_matches_a_set(self):
+        """The per-hop frontier statistic, on seeded columns: empty, a
+        single end, all-repeated and random mixes of repeats."""
+        rng = random.Random(31)
+        cases = [np.empty(0, dtype=np.int64), np.array([5]),
+                 np.array([2, 2, 2, 2]), np.array([0, 7, 0, 7, 3])]
+        for _ in range(300):
+            high = rng.choice([1, 3, 50, 1 << 40])
+            cases.append(np.array([rng.randrange(high)
+                                   for _ in range(rng.randrange(40))],
+                                  dtype=np.int64))
+        for ends in cases:
+            assert kernels.distinct_count(ends) == len(set(ends.tolist()))
 
     def test_empty_frontier(self):
         for op in ("*", "!"):

@@ -761,7 +761,7 @@ class TestSharedSnapshotStructures:
         may index past a label column, print a wrong label, or disagree
         with the set-based oracle on its pin."""
         import sys
-        from repro.subdb.pattern import decode_rows
+        from repro.subdb.subdatabase import decode_rows
         from repro.subdb.subdatabase import Subdatabase
         from repro.university.generator import (GeneratorConfig,
                                                 generate_university)
@@ -793,10 +793,10 @@ class TestSharedSnapshotStructures:
                                "GPA": 2.0 + (k % 20) / 10}).oid)
                     result = engine.processor.execute(
                         queries[k % 3], name="q").subdatabase
-                    rows, tables = result._interned
                     expected = Subdatabase(
                         "q", result.intension,
-                        decode_rows(rows, tables)).describe()
+                        decode_rows(result._columns,
+                                    result._tables)).describe()
                     handed[0] = (result, expected)
             except Exception as exc:  # pragma: no cover - fail the test
                 errors.append(("writer", exc))

@@ -23,6 +23,7 @@ import pytest
 
 from repro import QueryProcessor, RuleEngine, Universe, obs
 from repro.errors import ReproError
+from repro.oql.cache import result_nbytes
 from repro.oql.footprint import EMPTY, chain_terms, footprint_of
 from repro.oql.parser import parse_query
 from repro.oql.subscribe import SubscriptionManager, canonical_rows
@@ -364,8 +365,11 @@ class TestDifferentialCache:
     def test_no_stale_hits_after_dependency_writes(self):
         """After any write that moves a query's version vector, the next
         run of that query must be a miss; after a write that does not,
-        the entry must still be served."""
+        the entry must still be served.  A result larger than the whole
+        cache is refused at admission: it is neither stored nor served
+        (the 1000-case tier has one of several million rows)."""
         db, cached, plain = self._fresh_pair()
+        cache = cached.evaluator.result_cache
         rng = random.Random(DB_SEED * 400_000)
         invalidated = served = 0
         tick = 0
@@ -376,8 +380,20 @@ class TestDifferentialCache:
             query = parse_query(text)
             deps = footprint_of(chain_terms(query.context.chain),
                                 query.where, db.schema)
-            if _outcome(cached, text)[0] != "ok":
+            entries, used = len(cache), cache.bytes_used
+            try:
+                first = cached.execute(text).subdatabase
+            except ReproError:
                 continue
+            if result_nbytes(first) > cache.max_bytes:
+                assert (len(cache), cache.bytes_used) == (entries, used), \
+                    f"oversized result stored: {text!r}"
+                del first
+                cached.execute(text)
+                assert cached.evaluator.last_metrics.cache_hits == 0, \
+                    f"oversized result served: {text!r}"
+                continue
+            del first
             _outcome(cached, text)
             assert cached.evaluator.last_metrics.cache_hits == 1, text
             before = db.version_vector(deps)

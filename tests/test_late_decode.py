@@ -5,10 +5,16 @@ columns, and what that rests on.
   brace rows padded with Null, empty results, result-cache clones) and
   over derived subdatabases with ``induced:`` lines,
   ``Subdatabase.describe()`` and ``subdatabase_to_dict`` read from the
-  columns equal the same calls on the decoded patterns, byte for byte.
+  columns equal the same calls on the decoded patterns, byte for byte,
+  before and after the result decodes.
+* **One sort, one de-duplication** — ``Subdatabase.from_columns``
+  orders rows slot 0 first with Nulls last and drops duplicate rows.
 * **No decode on the reply path** — rendering a result, a served
   ``query`` or ``derive`` reply and ``include: ["subdb"]`` never call
-  ``decode_rows``.
+  ``decode_rows``, and a served chain read builds no row tuple.
+* **Publication** — two threads decoding and rendering one shared
+  result at once both see the oracle's patterns and text, and the
+  result keeps its columns.
 * **Label-column ownership** — ``InternTable.labels`` stays ``repr`` of
   the members under append / fork / lend / ``without``, and a lent
   table's column never changes once it exists.
@@ -19,7 +25,9 @@ columns, and what that rests on.
 import gc
 import json
 import random
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -34,14 +42,17 @@ from repro import QueryProcessor, RuleEngine, Universe
 from repro.errors import ReproError
 from repro.model.interning import InternTable
 from repro.model.oid import OID
+from repro.oql import evaluator as evaluator_module
+from repro.oql import kernels
 from repro.service import QueryService, ServiceClient, ServiceConfig
 from repro.service.session import ServerSession
 from repro.storage.serialize import subdatabase_to_dict
 from repro.subdb import subdatabase as subdatabase_module
 from repro.subdb.attrindex import AttrIndex
-from repro.subdb.pattern import decode_rows
+from repro.subdb.intension import IntensionalPattern
+from repro.subdb.refs import ClassRef
 from repro.subdb.snapshot import SnapshotExpiredError
-from repro.subdb.subdatabase import Subdatabase
+from repro.subdb.subdatabase import Subdatabase, decode_rows
 from repro.university.generator import GeneratorConfig, generate_university
 
 from tests.test_concurrency import _paper_engine
@@ -55,17 +66,24 @@ def _renderings(subdb):
 
 
 def _decoded(subdb) -> Subdatabase:
-    """The same result over its decoded patterns — the pattern path."""
-    rows, tables = subdb._interned
+    """The same result over its decoded patterns — the pattern path —
+    leaving ``subdb`` itself undecoded."""
     return Subdatabase(subdb.name, subdb.intension,
-                       decode_rows(rows, tables), subdb.derived_info)
+                       decode_rows(subdb._columns, subdb._tables),
+                       subdb.derived_info)
 
 
 def assert_columns_render_like_patterns(subdb, context: str) -> None:
-    assert subdb._interned is not None, f"{context}: already decoded"
+    assert subdb._columns is not None, f"{context}: not columnar"
+    assert subdb._patterns is None, f"{context}: already decoded"
     got = _renderings(subdb)
-    assert subdb._interned is not None, f"{context}: rendering decoded"
+    assert subdb._patterns is None, f"{context}: rendering decoded"
     assert got == _renderings(_decoded(subdb)), context
+    # Decoding keeps the columns, and they go on rendering the same.
+    assert len(subdb.patterns) == len(subdb), context
+    assert subdb.sorted_columns(InternTable.label_column, "Null") \
+        is not None, f"{context}: decoding dropped the columns"
+    assert _renderings(subdb) == got, context
 
 
 def _corpus():
@@ -106,12 +124,12 @@ class TestColumnsRenderLikePatterns:
                 subdb = processor.execute(text, name="q").subdatabase
             except ReproError:
                 continue
-            if subdb._interned is None:     # a Where clause decodes
+            if subdb._columns is None:      # a Where clause decodes
                 continue
-            rows = subdb._interned[0]
-            padded += any(None in row for row in rows)
-            leading += len({row[0] is None for row in rows}) == 2
-            empty += not rows
+            nulls = [col < 0 for col in subdb._columns]
+            padded += any(null.any() for null in nulls)
+            leading += nulls[0].any() and not nulls[0].all()
+            empty += not len(subdb)
             assert_columns_render_like_patterns(subdb, text)
         assert padded >= 3, f"only {padded} Null-padded results"
         assert leading >= 3, f"only {leading} mixed leading slots"
@@ -127,7 +145,7 @@ class TestColumnsRenderLikePatterns:
             except ReproError:
                 continue
             clone = processor.execute(text, name="clone").subdatabase
-            if clone._interned is not None:
+            if clone._columns is not None:
                 hits += processor.evaluator.last_metrics.cache_hits
                 assert_columns_render_like_patterns(clone, text)
         assert hits >= CASES // 4, f"only {hits} cache hits"
@@ -150,13 +168,152 @@ class TestColumnsRenderLikePatterns:
             rows = {tuple(None if v is None else table.encode(v)
                           for v, table in zip(p.values, tables))
                     for p in derived.patterns}
-            interned = Subdatabase.from_interned_rows(
-                target, derived.intension, rows, tables,
+            columnar = Subdatabase.from_columns(
+                target, derived.intension,
+                kernels.rows_to_columns(rows, width), tables,
                 derived.derived_info)
-            assert_columns_render_like_patterns(interned, target)
-            assert _renderings(interned) == _renderings(derived), target
+            assert _renderings(columnar) == _renderings(derived), target
+            assert_columns_render_like_patterns(columnar, target)
             padded += any(None in row for row in rows)
         assert padded, "no derived subdatabase with Null slots"
+
+
+class TestFromColumns:
+    """The constructor's one sort and one de-duplication, on rows built
+    by hand: slot 0 is the primary key, a Null sorts after every id, and
+    a repeated row is kept once."""
+
+    @staticmethod
+    def _build(rows, width=3):
+        tables = [InternTable(("slot", i),
+                              [OID(100 * (i + 1) + v, f"o{i}{v}")
+                               for v in range(4)])
+                  for i in range(width)]
+        intension = IntensionalPattern(
+            [ClassRef(f"C{i}") for i in range(width)], ())
+        return Subdatabase.from_columns(
+            "r", intension, kernels.rows_to_columns(rows, width), tables)
+
+    def test_rows_sort_slot_zero_first_with_nulls_last(self):
+        rows = [(1, 0, 3), (0, 3, 0), (None, 0, 0), (0, 2, None),
+                (1, None, 0), (0, 2, 1), (3, 0, 0)]
+        subdb = self._build(rows)
+        assert [col.tolist() for col in subdb._columns] == [
+            [0, 0, 0, 1, 1, 3, -1],
+            [2, 2, 3, 0, -1, 0, 0],
+            [1, -1, 0, 3, 0, 0, 0]]
+        assert all(not col.flags.writeable for col in subdb._columns)
+        assert _renderings(subdb) == _renderings(_decoded(subdb))
+        # The dictionary wants Nulls first: it sorts again, on -1.
+        assert subdatabase_to_dict(subdb)["patterns"][:3] == [
+            [None, 200, 300], [100, 202, None], [100, 202, 301]]
+
+    def test_repeated_rows_are_kept_once(self):
+        rows = [(2, 1, 0), (0, 1, 2), (2, 1, 0), (0, 1, 2), (0, 1, 2),
+                (None, 3, None), (None, 3, None)]
+        subdb = self._build(rows)
+        assert len(subdb) == 3
+        assert [col.tolist() for col in subdb._columns] == [
+            [0, 2, -1], [1, 1, 3], [2, 0, -1]]
+        assert len(subdb.patterns) == 3
+
+    @pytest.mark.parametrize("high", [6, 1 << 22])
+    def test_matches_a_sorted_set_of_rows(self, high):
+        """Seeded rows with repeats and Nulls against Python's sort of
+        the row set.  Small ids pack into one key per row; ids near
+        2**22 overflow it from three slots on, which sorts by lexsort."""
+        rng = random.Random(high)
+        filled = packed = 0
+        for _ in range(200):
+            width = rng.randint(1, 5)
+            pools = [rng.sample(range(high), 3) + [-1]
+                     for _ in range(width)]
+            rows = [tuple(rng.choice(pool) for pool in pools)
+                    for _ in range(rng.randrange(30))]
+            rows += rows[:rng.randrange(len(rows) + 1)]
+            columns = [np.array(col, dtype=np.int64)
+                       for col in zip(*rows)] if rows else \
+                [np.empty(0, dtype=np.int64) for _ in range(width)]
+            if rows:
+                filled += 1
+                packed += subdatabase_module._row_keys(columns) is not None
+            want = sorted(set(rows),
+                          key=lambda row: [(v < 0, v) for v in row])
+            got = subdatabase_module.sort_unique(columns)
+            assert list(zip(*[col.tolist() for col in got])) == want
+        if high == 6:
+            assert packed == filled
+        else:
+            assert 0 < packed < filled
+
+    def test_empty_and_single_rows(self):
+        assert len(self._build([])) == 0
+        assert self._build([]).describe().endswith("patterns (0):")
+        single = self._build([(None, 2, 1)])
+        assert len(single) == 1
+        assert single.describe().endswith("(Null, o12, o21)")
+
+
+class TestPublication:
+    def test_two_threads_decode_and_render_one_cached_result(
+            self, monkeypatch):
+        """Thread A is held inside the first decode while thread B
+        renders and decodes the same cached result; then A publishes
+        too.  Both see the oracle's patterns, every render is the
+        oracle's text, and the result keeps its columns."""
+        engine = _paper_engine()
+        text = "context {{Grad} * Advising} * Faculty"
+        processor = QueryProcessor(engine.universe, cache_bytes=1 << 20)
+        processor.execute(text, name="q")
+        shared = processor.execute(text, name="q").subdatabase
+        assert processor.evaluator.last_metrics.cache_hits == 1
+        assert shared._columns is not None and shared._patterns is None
+        oracle = QueryProcessor(engine.universe, compact=False).execute(
+            text, name="q").subdatabase
+
+        entered, release = threading.Event(), threading.Event()
+        real = subdatabase_module.decode_rows
+        first = []
+
+        def held(columns, tables):
+            first.append(threading.current_thread().name)
+            if len(first) == 1:
+                entered.set()
+                assert release.wait(30), "never released"
+            return real(columns, tables)
+
+        monkeypatch.setattr(subdatabase_module, "decode_rows", held)
+        seen = {}
+
+        def run(label):
+            try:
+                if label == "B":
+                    assert entered.wait(30), "A never decoded"
+                    seen["B.describe"] = shared.describe()
+                    seen["B"] = shared.patterns
+                    release.set()
+                else:
+                    seen["A"] = shared.patterns
+                seen[label + ".after"] = shared.describe()
+            except Exception as exc:   # pragma: no cover - fail the test
+                seen[label + ".error"] = exc
+                release.set()
+
+        threads = [threading.Thread(target=run, args=(label,), name=label)
+                   for label in "AB"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert first == ["A", "B"]
+        assert not [k for k in seen if k.endswith(".error")], seen
+        want = oracle.describe()
+        assert seen["A"] == seen["B"] == oracle.patterns
+        assert seen["B.describe"] == seen["A.after"] == seen["B.after"] \
+            == shared.describe() == want
+        assert shared.sorted_columns(InternTable.label_column, "Null") \
+            is not None, "decoding dropped the columns"
 
 
 class TestNoDecodeOnTheReplyPath:
@@ -168,11 +325,27 @@ class TestNoDecodeOnTheReplyPath:
         calls = []
         real = subdatabase_module.decode_rows
 
-        def counting(rows, tables):
-            calls.append(len(rows))
-            return real(rows, tables)
+        def counting(columns, tables):
+            calls.append(len(columns[0]))
+            return real(columns, tables)
 
         monkeypatch.setattr(subdatabase_module, "decode_rows", counting)
+        return calls
+
+    @pytest.fixture()
+    def row_builds(self, monkeypatch):
+        """Every way the evaluator turns columns into row tuples."""
+        calls = []
+        for module, name in ((kernels, "columns_to_rows"),
+                             (kernels, "rows_to_columns"),
+                             (evaluator_module, "subsume_rows")):
+            real = getattr(module, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counting)
         return calls
 
     def test_rendering_an_interned_result(self, decodes):
@@ -208,6 +381,24 @@ class TestNoDecodeOnTheReplyPath:
                 client.request("derive", target="Suggest_offer",
                                include=["subdb"])
         assert decodes == []
+
+    def test_served_chain_reads_build_no_row_tuple(self, decodes,
+                                                   row_builds, tmp_path):
+        engine = _paper_engine()
+        with QueryService(engine, ServiceConfig(data_dir=str(tmp_path))) \
+                as service:
+            with ServiceClient(*service.address, timeout=30) as client:
+                for text in ("context Teacher * Section * Course",
+                             "context Department[name = 'CIS'] * Course "
+                             "* Section * Teacher",
+                             "context Student[GPA > 3.0]"):
+                    reply = client.query(text, include=["subdb"])
+                    assert reply["patterns"] > 0, text
+        assert row_builds == [] and decodes == []
+        # The fixture does see the row-wise paths.
+        engine.query("context {{Grad} * Advising} * Faculty", name="q")
+        assert row_builds == ["columns_to_rows"] * 3 \
+            + ["subsume_rows", "rows_to_columns"]
 
 
 class LabelColumnOwnership(RuleBasedStateMachine):

@@ -3,6 +3,7 @@ projection, and the multi-rule union (merge)."""
 
 import pytest
 
+from repro import RuleEngine
 from repro.errors import OQLSemanticError
 from repro.model.oid import OID
 from repro.subdb.derived import DerivedClassInfo
@@ -74,6 +75,41 @@ class TestExtentOfClass:
         sub = Subdatabase("X", ip)
         with pytest.raises(OQLSemanticError):
             sub.extent_of_class("Z")
+
+
+class TestDerivedExtentMemo:
+    def test_each_target_object_walks_its_patterns_once(self,
+                                                        monkeypatch):
+        """A second query over the same registered target reads its
+        extents from the memo; a re-derived target is a new object and
+        walks its own patterns."""
+        walks = []
+        real = Subdatabase._walk_extent
+
+        def counting(subdb, indices):
+            walks.append(subdb)
+            return real(subdb, indices)
+
+        monkeypatch.setattr(Subdatabase, "_walk_extent", counting)
+        data = build_paper_database()
+        engine = RuleEngine(data.db)
+        engine.add_rule("if context Teacher * Section * Course "
+                        "then Teacher_course (Teacher, Course)",
+                        label="R1")
+        text = "context Teacher_course:Teacher * Teacher_course:Course"
+        first = engine.query(text, name="q").render()
+        target = engine.universe.get_subdb("Teacher_course")
+        assert walks and all(walked is target for walked in walks)
+        seen = len(walks)
+        assert engine.query(text, name="q").render() == first
+        assert engine.universe.get_subdb("Teacher_course") is target
+        assert len(walks) == seen, "the second query walked again"
+
+        data.db.associate(data["t2"], "teaches", data["s6"])
+        engine.query(text)
+        fresh = engine.universe.get_subdb("Teacher_course")
+        assert fresh is not target
+        assert fresh in walks[seen:], "the new target was never walked"
 
 
 class TestProject:
