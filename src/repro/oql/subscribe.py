@@ -12,10 +12,12 @@ turns each relevant mutation into ordered ``+/-`` row deltas:
   version vector over the query's footprint.
 * **Delta computation.**  Queries inside the incrementally
   maintainable fragment reuse the rule engine's
-  :class:`~repro.rules.incremental.IncrementalRule` (time proportional
-  to the change); everything else — loops, braces, aggregation
-  conditions, derived references — falls back to re-evaluate + diff on
-  the writer thread, which still yields exact row deltas.
+  :class:`~repro.rules.incremental.IncrementalRule`, whose ``+/-`` rows
+  become the frame directly: only the delta is canonicalized, so an
+  event costs time proportional to the change, not to the result.
+  Everything else — loops, braces, aggregation conditions, derived
+  references — falls back to re-evaluate + diff against the previous
+  row set on the writer thread, which still yields exact row deltas.
 * **Spurious-wakeup suppression.**  Each subscription keeps the
   version vector over its :class:`~repro.oql.footprint.Footprint`
   (derived references are resolved to their transitive footprints
@@ -232,19 +234,10 @@ class SubscriptionManager:
                 rule, self.universe, evaluator=self.engine.evaluator)
         except NotIncremental:
             maintainer = None
-        budget = self._fresh_budget(sub)
+        sub._maintainer = maintainer
+        sub.incremental = maintainer is not None
         with self.db.write_locked():
-            if maintainer is not None:
-                maintainer._budget = budget
-                try:
-                    maintainer.initialize()
-                finally:
-                    maintainer._budget = None
-                sub.rows = {self._canon(row) for row in maintainer.rows}
-                sub.incremental = True
-                sub._maintainer = maintainer
-            else:
-                sub.rows = self._scratch_rows(sub, budget)
+            sub.rows = self._scratch_rows(sub, self._fresh_budget(sub))
             sub.vector = self._vector(sub)
             sub.version = self.db.version
             sub.initial = SubscriptionDelta(
@@ -329,10 +322,24 @@ class SubscriptionManager:
 
     def _scratch_rows(self, sub: Subscription,
                       budget: Optional[QueryBudget]) -> Set[Row]:
-        source = self.engine.evaluator.evaluate(
-            sub.query.context, sub.query.where,
-            name=f"_subscribe_{sub.id}", budget=budget)
-        return {self._canon(p.values) for p in source.patterns}
+        """The complete row set, computed from scratch under ``budget``:
+        a maintained subscription (re-)initializes its maintainer and
+        reads it, any other evaluates the query."""
+        maintainer = sub._maintainer
+        if maintainer is None:
+            source = self.engine.evaluator.evaluate(
+                sub.query.context, sub.query.where,
+                name=f"_subscribe_{sub.id}", budget=budget)
+            return {self._canon(p.values) for p in source.patterns}
+        # Invalidated first: a trip mid-initialization leaves no stale
+        # match set behind.
+        maintainer.invalidate()
+        maintainer._budget = budget
+        try:
+            maintainer.initialize()
+        finally:
+            maintainer._budget = None
+        return {self._canon(row) for row in maintainer.rows}
 
     # ------------------------------------------------------------------
     # Event path (mutator thread, write lock held)
@@ -371,11 +378,17 @@ class SubscriptionManager:
                 return
             maintainer = sub._maintainer
             if maintainer is not None:
-                maintainer.on_event(event, budget=budget)
-                new_rows = {self._canon(row) for row in maintainer.rows}
+                step_added, step_removed = maintainer.on_event(
+                    event, budget=budget)
+                added = {self._canon(row) for row in step_added}
+                removed = {self._canon(row) for row in step_removed}
+                sub.rows -= removed
+                sub.rows |= added
             else:
                 new_rows = self._scratch_rows(sub, budget)
-            added, removed = self._emit_delta(sub, new_rows, vector)
+                added, removed = new_rows - sub.rows, sub.rows - new_rows
+                sub.rows = new_rows
+            added, removed = self._emit_delta(sub, added, removed, vector)
             if span is not None:
                 span.set("added", added)
                 span.set("removed", removed)
@@ -399,11 +412,10 @@ class SubscriptionManager:
             if span is not None:
                 tracer.finish(span)
 
-    def _emit_delta(self, sub: Subscription, new_rows: Set[Row],
+    def _emit_delta(self, sub: Subscription, added: Set[Row],
+                    removed: Set[Row],
                     vector: Tuple[int, ...]) -> Tuple[int, int]:
-        added = canonical_rows(new_rows - sub.rows)
-        removed = canonical_rows(sub.rows - new_rows)
-        sub.rows = new_rows
+        """Enqueue the frame of rows ``sub.rows`` just gained and lost."""
         sub.vector = vector
         sub.version = self.db.version
         if not added and not removed:
@@ -411,7 +423,8 @@ class SubscriptionManager:
             # re-link of an existing pair): advance silently.
             sub.counters["empty_deltas"] += 1
             return 0, 0
-        self._enqueue(sub, "delta", added, removed)
+        self._enqueue(sub, "delta", canonical_rows(added),
+                      canonical_rows(removed))
         return len(added), len(removed)
 
     def _resync_locked(self, sub: Subscription,
@@ -422,8 +435,6 @@ class SubscriptionManager:
         if budget is None:
             budget = self._fresh_budget(sub)
         sub.footprint = self._analyze(sub.rule)
-        if sub._maintainer is not None:
-            sub._maintainer.invalidate()
         sub.rows = self._scratch_rows(sub, budget)
         sub.vector = self._vector(sub)
         sub.version = self.db.version

@@ -27,7 +27,6 @@ from repro.oql.query import QueryProcessor, QueryResult
 from repro.rules.chaining import downstream_closure, topological_order
 from repro.rules.control import (
     EvaluationMode,
-    IncrementalResultController,
     ResultOrientedController,
     RuleChainingMode,
     RuleOrientedController,
@@ -122,7 +121,8 @@ class RuleEngine:
         elif controller == "rule":
             self.controller = RuleOrientedController(self)
         elif controller == "incremental":
-            self.controller = IncrementalResultController(self)
+            self.controller = ResultOrientedController(
+                self, EvaluationMode.PRE_EVALUATED)
         else:
             raise ValueError(
                 "controller must be 'result', 'rule' or 'incremental'")
@@ -227,6 +227,7 @@ class RuleEngine:
         if not self._by_target[rule.target]:
             del self._by_target[rule.target]
         self._footprints = None
+        self.controller.on_rule_removed(rule)
         for name in affected:
             self.universe.unregister(name)
         self._drop_derivation_memos(affected)

@@ -37,8 +37,13 @@ from repro.storage.serialize import (
 
 
 def _controller_kind(engine: RuleEngine) -> str:
-    if isinstance(engine.controller, RuleOrientedController):
+    controller = engine.controller
+    if isinstance(controller, RuleOrientedController):
         return "rule"
+    # "incremental" spells the result-oriented controller whose default
+    # mode is PRE_EVALUATED, so rules added after a reload keep it.
+    if controller.default_mode is EvaluationMode.PRE_EVALUATED:
+        return "incremental"
     return "result"
 
 

@@ -13,6 +13,7 @@ trailing chain links — and reports the simplest spec that still
 disagrees, alongside its seed.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -36,10 +37,14 @@ CASES = int(os.environ.get("DIFFERENTIAL_CASES", "100"))
 DB_SEED = 7
 
 
-def _dump(subdb) -> bytes:
+def _dump(subdb) -> Tuple[int, str]:
+    """(byte length, sha256) of the subdatabase's canonical JSON
+    document.  Outcomes are compared and kept by digest: a result of
+    millions of rows is not held as text beside the next one."""
     doc = subdatabase_to_dict(subdb)
     doc["name"] = "_"
-    return json.dumps(doc, sort_keys=True).encode()
+    data = json.dumps(doc, sort_keys=True).encode()
+    return len(data), hashlib.sha256(data).hexdigest()
 
 
 # Class adjacency of the University schema as the evaluator resolves it
@@ -199,7 +204,7 @@ def _check(executors, spec: QuerySpec):
         return None
     return " / ".join(f"{label}: {kind}"
                       + (f"[{payload}]" if kind == "error" else
-                         f"[{len(payload)}B]")
+                         f"[{payload[0]}B]")
                       for label, (kind, payload) in outcomes)
 
 
@@ -639,9 +644,11 @@ class TestDifferentialSubscriptions:
         for _ in range(8):
             kind = rng.choice(("insert", "insert", "associate",
                                "associate", "dissociate",
-                               "set_attribute", "delete"))
+                               "set_attribute", "delete", "batch"))
             try:
-                if kind == "insert":
+                if kind == "batch":
+                    self._random_batch(db, rng, tick)
+                elif kind == "insert":
                     cls = rng.choice(("Course", "Teacher", "Department",
                                       "Undergrad"))
                     label = f"s{tick}"
@@ -673,11 +680,30 @@ class TestDifferentialSubscriptions:
                 else:  # delete — only objects this tier inserted
                     if not own:
                         continue
-                    db.delete(own.pop(rng.randrange(len(own))))
+                    db.delete(own.pop(rng.randrange(len(own))).oid)
                 return kind
             except ReproError:
                 continue
         return None
+
+    @staticmethod
+    def _random_batch(db, rng: random.Random, tick: int) -> None:
+        """2-4 mutations in one BATCH event: a Teacher inserted, linked
+        to sections and deleted again within the batch (its rows must
+        cancel out of every delta), around an attribute write whose
+        effect must survive the fold."""
+        with db.batch():
+            teacher = db.insert("Teacher", f"s{tick}", name=f"s{tick}",
+                                **{"SS#": f"999-{tick:05d}"})
+            for _ in range(rng.randint(0, 2)):
+                if rng.random() < 0.5:
+                    section = rng.choice(sorted(db.extent("Section")))
+                    db.associate(teacher, "teaches", section)
+                else:
+                    course = rng.choice(sorted(db.extent("Course")))
+                    db.set_attribute(course, "credit_hours",
+                                     rng.randint(1, 5))
+            db.delete(teacher.oid)
 
     def _fold(self, state, frames, failures, context):
         """Apply a drained frame list to the folded client-side state,
@@ -706,7 +732,7 @@ class TestDifferentialSubscriptions:
         db, engine, manager, scratch = self._fresh()
         baseline = db.listener_count()
         failures: List[str] = []
-        tested = writes = 0
+        tested = writes = batches = 0
         tick = 0
         own: List = []
         for case in range(CASES):
@@ -728,9 +754,11 @@ class TestDifferentialSubscriptions:
                 vec_before = (db.version_vector(sub.footprint)
                               if not sub.footprint.everything else None)
                 wakeups_before = sub.counters["wakeups"]
-                if self._random_write(db, rng, tick, own) is None:
+                kind = self._random_write(db, rng, tick, own)
+                if kind is None:
                     continue
                 writes += 1
+                batches += kind == "batch"
                 if vec_before is not None \
                         and db.version_vector(sub.footprint) == vec_before:
                     if sub.counters["wakeups"] != wakeups_before:
@@ -758,6 +786,7 @@ class TestDifferentialSubscriptions:
         assert tested >= min(CASES * 2 // 3, 60), (
             f"only {tested} of {CASES} cases were subscribable")
         assert writes >= tested, "write generator produced too few events"
+        assert batches, "write generator produced no BATCH event"
         assert not failures, (
             f"{len(failures)} subscription-conformance failure(s) over "
             f"{tested} cases / {writes} writes:\n" + "\n".join(failures))

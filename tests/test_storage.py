@@ -394,6 +394,28 @@ class TestSessionRoundtrip:
         with pytest.raises(DataError):
             session_from_dict(doc)
 
+    def test_incremental_session_keeps_delta_maintenance(self):
+        data = build_paper_database()
+        engine = RuleEngine(data.db, controller="incremental")
+        engine.add_rule("if context Teacher * Section * Course "
+                        "then TC (Teacher, Course)", label="R1")
+        engine.refresh()
+        restored = session_from_dict(session_to_dict(engine))
+        derivations = restored.stats.total_derivations()
+        db = restored.db
+        t2 = next(o for o in db.extent("Teacher") if o.label == "t2")
+        s6 = next(o for o in db.extent("Section") if o.label == "s6")
+        db.associate(t2, "teaches", s6)
+        assert restored.stats.total_derivations() == derivations
+        assert restored.stats.incremental_refreshes == 1
+        maintained = restored.universe.get_subdb("TC").patterns
+        assert maintained == restored.derive("TC", force=True).patterns
+        # Rules added after the reload still default to PRE_EVALUATED.
+        restored.add_rule("if context Teacher * Section then TS "
+                          "(Teacher, Section)")
+        assert restored.controller.mode_of("TS") is \
+            EvaluationMode.PRE_EVALUATED
+
     def test_rule_oriented_controller_roundtrip(self, tmp_path):
         from repro.rules.control import RuleChainingMode
         data = build_paper_database()

@@ -43,11 +43,16 @@ def chain_db(size: int = 3):
     return db, objs
 
 
-def scratch_pairs(engine):
-    """The A * B pairs by direct evaluation (canonical form)."""
-    query = parse_query("context A * B")
+def scratch_rows(engine, text):
+    """The rows of ``text`` by direct evaluation (canonical form)."""
+    query = parse_query(text)
     source = engine.evaluator.evaluate(query.context, query.where)
     return {tuple(v.value for v in p.values) for p in source.patterns}
+
+
+def scratch_pairs(engine):
+    """The A * B pairs by direct evaluation (canonical form)."""
+    return scratch_rows(engine, "context A * B")
 
 
 def fold(state, frames):
@@ -203,6 +208,43 @@ class TestSubscriptionSemantics:
         assert not sub.stale
         state = fold(set(), frames)
         assert state == scratch_pairs(manager.engine)
+        manager.unsubscribe(sub.id)
+
+    def test_maintained_budget_trip_resyncs_from_the_maintainer(self):
+        """The same trip for a subscription maintained by deltas: the
+        expansion of one new link passes ``max_rows``; a later event
+        that shrinks the result recovers with a RESYNC that
+        re-initializes the maintainer, so the write after it is again
+        a small delta that folds to scratch."""
+        db, objs = chain_db(4)
+        manager = SubscriptionManager(RuleEngine(db))
+        text = "context A * A_1 * B"
+        db.associate(objs["a0"], "aa", objs["a1"])
+        db.associate(objs["a1"], "ab", objs["b0"])
+        sub = manager.subscribe(text, budget_limits={"max_rows": 2})
+        assert sub.incremental
+        db.associate(objs["a2"], "aa", objs["a1"])
+        db.associate(objs["a3"], "aa", objs["a1"])
+        assert sub.counters["budget_trips"] == 0
+        db.associate(objs["a1"], "ab", objs["b1"])  # expands to 3: trips
+        assert sub.counters["budget_trips"] == 1
+        assert sub.stale
+        with db.batch():                             # back to one row
+            db.dissociate(objs["a1"], "ab", objs["b1"])
+            db.dissociate(objs["a3"], "aa", objs["a1"])
+            db.dissociate(objs["a2"], "aa", objs["a1"])
+        assert not sub.stale
+        assert sub.counters["budget_trips"] == 1
+        frames = sub.poll()
+        assert [f.kind for f in frames] == ["delta", "delta", "resync"]
+        state = fold(set(sub.initial.added), frames)
+        assert state == scratch_rows(manager.engine, text)
+        db.dissociate(objs["a0"], "aa", objs["a1"])  # removes that row
+        frames = sub.poll()
+        assert [(f.kind, len(f.added), len(f.removed))
+                for f in frames] == [("delta", 0, 1)]
+        assert fold(state, frames) == scratch_rows(manager.engine, text)
+        assert sub.incremental
         manager.unsubscribe(sub.id)
 
     def test_manual_resync_recovers_without_a_write(self):
