@@ -1211,13 +1211,13 @@ class PatternEvaluator:
                 charged = 0
                 for row in frontier:
                     grew = False
+                    # Root positions all intern through the cycle-seam
+                    # table (tables[0] is tables[-1]), so id equality is
+                    # instance equality.
+                    roots = row[::body]
                     for extension in expansions[row[-1]]:
                         last = extension[-1]
-                        # Root positions all intern through the
-                        # cycle-seam table (tables[0] is tables[-1]), so
-                        # id equality is instance equality.
-                        if any(row[p] == last
-                               for p in range(0, len(row), body)):
+                        if last in roots:
                             if self.on_cycle == "error":
                                 raise CyclicDataError(
                                     f"instance {tables[-1].oids[last]!r} "

@@ -13,7 +13,9 @@ subdatabase and builds the rule's contribution to its target subdatabase
 * consecutive target classes that were directly associated in the source
   keep that association; classes that were only *indirectly* connected get
   a **new direct derived association** (Figure 4.3: Teacher—Course);
-* extensional patterns are projected, de-duplicated, and re-subsumed.
+* extensional patterns are projected, de-duplicated, and re-subsumed —
+  over the source's dense-id columns when the compact executor built it
+  (:func:`_project_columns`), so a derived target stays columnar.
 
 :func:`derive_target` unions the contributions of every rule deriving the
 same subdatabase-id (rules R4 and R5 both deriving May_teach).
@@ -21,14 +23,17 @@ same subdatabase-id (rules R4 and R5 both deriving May_teach).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.errors import RuleSemanticError
 from repro.oql.evaluator import PatternEvaluator
+from repro.oql.kernels import rows_to_columns
 from repro.subdb.derived import DerivedClassInfo
 from repro.subdb.intension import Edge, IntensionalPattern
-from repro.subdb.pattern import ExtensionalPattern, subsume
+from repro.subdb.pattern import ExtensionalPattern, subsume, subsume_rows
 from repro.subdb.refs import ClassRef
 from repro.subdb.subdatabase import Subdatabase
 from repro.rules.rule import DeductiveRule, TargetSpec
@@ -151,6 +156,10 @@ def project_to_target(rule: DeductiveRule,
                               rule.target))
 
     indices = [index for index, _ in selected]
+    if source._columns is not None:
+        return _project_columns(rule.target,
+                                IntensionalPattern(new_slots, edges),
+                                source, selected, derived_info)
     projected = {
         ExtensionalPattern([None if i is None else p[i] for i in indices])
         for p in source.patterns}
@@ -159,6 +168,49 @@ def project_to_target(rule: DeductiveRule,
     intension = IntensionalPattern(new_slots, edges)
     return Subdatabase(rule.target, intension, subsume(projected),
                        derived_info)
+
+
+def _project_columns(name: str, intension: IntensionalPattern,
+                     source: Subdatabase,
+                     selected: List[Tuple[Optional[int], TargetSpec]],
+                     derived_info: Dict[str, DerivedClassInfo]
+                     ) -> Subdatabase:
+    """The Then clause's projection over a columnar source: the target
+    slots' dense-id columns and intern tables are selected as they are,
+    and no row is decoded.
+
+    A level the loop did not reach becomes an all-Null column (over the
+    table of a reached slot of its class, which it never indexes).  Rows
+    left all-Null are dropped.  Subsumption runs over int rows, and
+    only where it can drop anything: the source is subsumption-closed,
+    and ``covers`` only compares non-Null slots, so a projection that
+    keeps every source slot once (in any order) keeps the set closed,
+    as does one whose rows all keep the same arity."""
+    null = np.full(len(source), -1, dtype=np.int64)
+    picked: List[np.ndarray] = []
+    picked_tables = []
+    for index, target in selected:
+        if index is None:
+            picked.append(null)
+            picked_tables.append(source._tables[
+                source.intension.indices_of_class(target.ref.cls)[0]])
+        else:
+            picked.append(source._columns[index])
+            picked_tables.append(source._tables[index])
+    present = np.array([col >= 0 for col in picked])
+    nonnull = present.any(axis=0)
+    if not nonnull.all():
+        picked = [col[nonnull] for col in picked]
+        present = present[:, nonnull]
+    reached = sorted(index for index, _ in selected if index is not None)
+    if present.size and reached != list(range(len(source.intension))):
+        arity = present.sum(axis=0)
+        if (arity != arity[0]).any():
+            rows = zip(*[[None if v < 0 else v for v in col.tolist()]
+                         for col in picked])
+            picked = rows_to_columns(subsume_rows(rows), len(picked))
+    return Subdatabase.from_columns(name, intension, picked,
+                                    picked_tables, derived_info)
 
 
 def derive_target(rules: Sequence[DeductiveRule],

@@ -34,7 +34,7 @@ re-derivation — see
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.errors import OQLSemanticError, ReproError
@@ -108,6 +108,10 @@ class IncrementalRule:
                                   self.terms[i + 1].ref)
             for i in range(len(self.terms) - 1)]
         self.rows: Set[Row] = set()
+        #: object -> the rows of :attr:`rows` holding it, so a DELETE,
+        #: SET_ATTRIBUTE or DISSOCIATE finds its rows in O(delta)
+        #: instead of scanning the match set.
+        self._by_oid: Dict[OID, Set[Row]] = {}
         self._initialized = False
         # The budget of the on_event call currently being applied.
         self._budget: Optional[QueryBudget] = None
@@ -132,6 +136,8 @@ class IncrementalRule:
                                          name="_incremental_init",
                                          budget=self._budget)
         self.rows = {tuple(p.values) for p in source.patterns}
+        self._by_oid = {}
+        self._index(self.rows)
         self._initialized = True
         self._vector = self.universe.db.version_vector(self.footprint)
 
@@ -140,6 +146,7 @@ class IncrementalRule:
         an interrupted refresh); the next use re-initializes from
         scratch."""
         self.rows = set()
+        self._by_oid = {}
         self._initialized = False
         self._vector = None
 
@@ -349,14 +356,36 @@ class IncrementalRule:
             return owner, target
         return target, owner
 
-    def _add_rows(self, new_rows: List[Row]) -> Delta:
+    def _index(self, rows: Set[Row]) -> None:
+        by_oid = self._by_oid
+        for row in rows:
+            for oid in row:
+                if oid is not None:
+                    by_oid.setdefault(oid, set()).add(row)
+
+    def _rows_with(self, oid: OID) -> Set[Row]:
+        """The held rows containing ``oid`` (a copy)."""
+        return set(self._by_oid.get(oid, ()))
+
+    def _add_rows(self, new_rows: Iterable[Row]) -> Delta:
         """Union seeded rows in; the delta holds those actually new."""
         added = set(new_rows) - self.rows
         self.rows |= added
+        self._index(added)
         return added, set()
 
     def _remove_rows(self, removed: Set[Row]) -> Delta:
+        """Take held rows out (``removed`` must be a subset of
+        :attr:`rows`)."""
         self.rows -= removed
+        by_oid = self._by_oid
+        for row in removed:
+            for oid in row:
+                held = by_oid.get(oid)
+                if held is not None:
+                    held.discard(row)
+                    if not held:
+                        del by_oid[oid]
         return set(), removed
 
     def on_event(self, event: UpdateEvent,
@@ -425,7 +454,7 @@ class IncrementalRule:
                     step = self._add_rows(self._seed_at_edge(k, left, right))
                 else:
                     step = self._remove_rows({
-                        row for row in self.rows
+                        row for row in self._by_oid.get(left, ())
                         if row[k] == left and row[k + 1] == right})
                 fold_delta(delta, step)
             return delta
@@ -434,8 +463,7 @@ class IncrementalRule:
             # the deleted object, so complement pairs between surviving
             # objects are untouched and no new matches can appear.
             (oid,) = event.oids
-            return self._remove_rows({row for row in self.rows
-                                      if oid in row})
+            return self._remove_rows(self._rows_with(oid))
         if event.kind is UpdateKind.INSERT:
             (oid,) = event.oids
             if len(self.terms) == 1:
@@ -453,12 +481,12 @@ class IncrementalRule:
             # re-seeding; the set changed only where the re-derived rows
             # differ from the removed ones (a same-size swap counts, an
             # attribute write that leaves membership intact does not).
-            removed = {row for row in self.rows if oid in row}
+            removed = self._rows_with(oid)
             readded: Set[Row] = set()
             for index in range(len(self.terms)):
                 readded.update(self._seed_at_slot(index, oid))
-            self.rows -= removed
-            self.rows |= readded
+            self._remove_rows(removed)
+            self._add_rows(readded)
             return readded - removed, removed - readded
         if event.kind is UpdateKind.SCHEMA:
             # Rule meanings may have shifted; fall back to a full

@@ -138,13 +138,15 @@ class Subdatabase:
     """A derived or query-result portion of the database.
 
     It has one of two forms.  Built from patterns (the set-based
-    executor, rule targets, algebra results) it holds the pattern set.
-    Built by the compact executor (:meth:`from_columns`) it holds one
-    read-only numpy int64 column of dense ids per slot (−1 for Null),
-    sorted and de-duplicated, plus the intern tables that decode them:
-    :func:`len`, :meth:`describe` and :meth:`sorted_columns` read the
-    columns, and :attr:`patterns` decodes them on first access.  Either
-    way it never changes after construction.
+    executor, Where-filtered and merged results, algebra results) it
+    holds the pattern set.  Built by the compact executor, or by a
+    rule's Then clause over such a result (:meth:`from_columns`), it
+    holds one read-only numpy int64 column of dense ids per slot (−1
+    for Null), sorted and de-duplicated, plus the intern tables that
+    decode them: :func:`len`, :meth:`describe`, :meth:`sorted_columns`,
+    the slot extents and :meth:`pairs` read the columns, and
+    :attr:`patterns` decodes them on first access.  Either way it never
+    changes after construction.
     """
 
     def __init__(self, name: str, intension: IntensionalPattern,
@@ -266,6 +268,18 @@ class Subdatabase:
         return extent
 
     def _walk_extent(self, indices: Tuple[int, ...]) -> Set[OID]:
+        columns = self._columns
+        if columns is not None:
+            # The distinct ids of each slot, gathered by id: no row is
+            # decoded.
+            extent: Set[OID] = set()
+            for i in indices:
+                ids = np.unique(columns[i])
+                if len(ids) and ids[0] < 0:
+                    ids = ids[1:]
+                extent.update(map(self._tables[i].oids.__getitem__,
+                                  ids.tolist()))
+            return extent
         out: Set[OID] = set()
         for pattern in self.patterns:
             for i in indices:
@@ -276,6 +290,18 @@ class Subdatabase:
     def pairs(self, i: int, j: int) -> Set[Tuple[OID, OID]]:
         """The (slot i, slot j) object pairs present in the patterns —
         the extensional content of a derived direct association."""
+        columns = self._columns
+        if columns is not None:
+            left, right = columns[i], columns[j]
+            both = (left >= 0) & (right >= 0)
+            if not both.all():
+                left, right = left[both], right[both]
+            # Distinct id pairs first, packed one int64 each, so every
+            # pair's OIDs are gathered once.
+            radix = max(len(self._tables[j]), 1)
+            key = np.unique(left * radix + right)
+            return set(zip(_gather(self._tables[i].oids, key // radix, None),
+                           _gather(self._tables[j].oids, key % radix, None)))
         return {(p[i], p[j]) for p in self.patterns
                 if p[i] is not None and p[j] is not None}
 

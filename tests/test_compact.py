@@ -80,6 +80,18 @@ class TestCycleHandling:
 
     @pytest.mark.parametrize("compact", [True, False],
                              ids=["compact", "set-based"])
+    def test_cycle_back_to_the_root_raises_within_the_bound(self, compact):
+        # c1 -> c0 -> c1: the second level's only extension of (c1, c0)
+        # is the root c1 itself, found at row position 0 — a check of
+        # the later root positions alone would let ^2 return
+        # (c1, c0, c1).
+        db = _prereq_chain(2, cyclic=True)
+        qp = QueryProcessor(Universe(db), compact=compact)
+        with pytest.raises(CyclicDataError):
+            qp.execute("context Course * Course_1 ^2")
+
+    @pytest.mark.parametrize("compact", [True, False],
+                             ids=["compact", "set-based"])
     def test_on_cycle_stop_truncates(self, compact):
         db = _prereq_chain(3, cyclic=True)
         qp = QueryProcessor(Universe(db), on_cycle="stop",

@@ -306,6 +306,92 @@ class TestDifferentialRules:
         assert added >= 3, "generator produced too few rule-shaped cases"
         assert not mismatches, "\n".join(mismatches)
 
+    #: Then clauses over loop and brace sources — a compact source's
+    #: target is projected from its columns, so these pin what that
+    #: projection must reproduce: every slot kept (a permutation, no
+    #: subsumption needed), slots dropped into mixed arity (subsumption
+    #: needed), a level the loop never reached (an all-Null column,
+    #: all-Null rows dropped), slots in another order than the source's
+    #: (each column with its own intern table), a slot listed twice
+    #: (rejected alike), and rules reading other rules' targets.
+    SHAPES = [
+        "if context Course * Course_1 ^* then L_all (Course, Course_)",
+        "if context Course * Course_1 ^* then L_lvl (Course, Course_2)",
+        "if context Course * Course_1 ^3 then L_mid (Course_1, Course_3)",
+        "if context Course * Course_1 ^2 then L_lvl2 (Course_2)",
+        "if context Course * Course_1 ^2 then L_far (Course, Course_7)",
+        "if context Course * Course_1 ^2 then L_none (Course_7)",
+        "if context Course * Course_1 ^* then L_rev (Course_, Course)",
+        "if context Course[c# < 5000] * Course_1 ^* "
+        "then L_cond (Course_1, Course)",
+        "if context {Student * Section} * Course then B_ends (Student, Course)",
+        "if context {Student * Section} * Course "
+        "then B_perm (Course, Student, Section)",
+        "if context {Student * Section} * Course then B_last (Course)",
+        "if context Faculty * {Section * Course} then B_mid (Section)",
+        "if context Teacher * Section * Course "
+        "then C_rev (Course, Section, Teacher)",
+        "if context Teacher * Section * Course "
+        "then C_twice (Course, Teacher, Course)",
+        "if context L_lvl:Course * L_lvl:Course_2 * Section "
+        "then R_lvl (Course_2, Section)",
+        "if context L_lvl:Course * L_lvl:Course_2 "
+        "then R_pair (L_lvl:Course, Course_2)",
+        "if context L_all:Course * L_all:Course_1 * Section "
+        "then R_all (Course_1, Section)",
+        "if context B_ends:Student * B_ends:Course * Department "
+        "then R_ends (Student, Department)",
+        "if context L_all:Course * L_all:Course_1 ^* "
+        "then R_loop (Course_1, Course_2)",
+    ]
+
+    @staticmethod
+    def _derived(engine: RuleEngine, target: str):
+        try:
+            return ("ok", _dump(engine.derive(target)))
+        except ReproError as exc:
+            return ("error", type(exc).__name__)
+
+    @pytest.mark.parametrize("prereqs", [1, 2])
+    def test_columnar_projection_shapes_agree(self, university_db,
+                                              prereqs):
+        # Two prerequisites per course branch the closure, so a root's
+        # short hierarchy sits beside a longer one and dropping levels
+        # leaves rows that subsumption must remove.
+        db = university_db if prereqs == 1 else generate_university(
+            GeneratorConfig(prereqs_per_course=prereqs), seed=DB_SEED).db
+        texts = list(self.SHAPES)
+        # Seeded loop contexts, projected to all levels and to one.
+        for case in range(max(CASES // 10, 5) * 4):
+            spec = _random_spec(random.Random(DB_SEED * 300_000 + case))
+            if spec.loop is None or spec.where:
+                continue
+            body = spec.text()[len("context "):]
+            for n, last in enumerate(("Course_", "Course_2")):
+                texts.append(f"if context {body} then S{case}_{n} "
+                             f"({spec.chain[0]}, {last})")
+        engines = self._engines(db)
+        mismatches = []
+        derived = 0
+        for text in texts:
+            target = text.split(" then ")[1].split()[0]
+            try:
+                for _, engine in engines:
+                    engine.add_rule(text)
+            except ReproError:
+                continue
+            outcomes = {label: self._derived(engine, target)
+                        for label, engine in engines}
+            derived += outcomes["compact"][0] == "ok"
+            if outcomes["compact"] != outcomes["set-based"]:
+                mismatches.append(f"{text!r}: {outcomes}")
+        assert derived >= len(self.SHAPES) - 1, derived
+        assert not mismatches, "\n".join(mismatches)
+        # The compact engine's targets took the columnar projection.
+        compact = engines[0][1]
+        assert compact.derive("L_lvl")._columns is not None
+        assert len(compact.derive("L_none")) == 0
+
 
 class TestDifferentialCache:
     """Cache tier: the seeded cases replayed with the cross-query result

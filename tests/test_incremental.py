@@ -465,6 +465,57 @@ class TestChangeFlags:
         assert inc.rows == {(o["a0"].oid, o["b0"].oid, o["c0"].oid)}
 
 
+def _indexed(inc):
+    """The maintainer's ``object -> rows`` index as it must be: built
+    from its match set."""
+    by_oid = {}
+    for row in inc.rows:
+        for oid in row:
+            by_oid.setdefault(oid, set()).add(row)
+    return by_oid
+
+
+class TestRowIndex:
+    """A DELETE, SET_ATTRIBUTE or DISSOCIATE reads the rows holding its
+    object from a per-object index instead of scanning the match set;
+    every path that changes the set keeps the index in step."""
+
+    def test_index_tracks_the_match_set_through_every_event(self):
+        text = "if context A * B [n >= 1] * C then X (A, C)"
+        db, o = chain_db()
+        inc = maintainer(db, text)
+        steps = [
+            lambda: db.associate(o["a0"], "ab", o["b1"]),
+            lambda: db.associate(o["a1"], "ab", o["b1"]),
+            lambda: db.associate(o["b1"], "bc", o["c0"]),
+            lambda: db.associate(o["b1"], "bc", o["c2"]),
+            lambda: db.set_attribute(o["b1"].oid, "n", 3),   # kept
+            lambda: db.set_attribute(o["b1"].oid, "n", 0),   # dropped
+            lambda: db.set_attribute(o["b1"].oid, "n", 2),   # back
+            lambda: db.dissociate(o["a0"], "ab", o["b1"]),
+            lambda: db.delete(o["c2"].oid),
+        ]
+        for step in steps:
+            step()
+            assert inc.rows == fresh_rows(db, text)
+            assert inc._by_oid == _indexed(inc)
+        inc.invalidate()
+        assert inc._by_oid == {}
+        inc.initialize()
+        assert inc._by_oid == _indexed(inc)
+
+    def test_delete_after_a_membership_preserving_write(self):
+        # The SET_ATTRIBUTE removes and re-adds b0's rows; the DELETE
+        # then finds them only through the index.
+        db, o = chain_db()
+        inc = maintainer(db, RULE_ABC)
+        db.associate(o["a0"], "ab", o["b0"])
+        db.associate(o["b0"], "bc", o["c0"])
+        db.set_attribute(o["b0"].oid, "n", 7)
+        db.delete(o["b0"].oid)
+        assert inc.rows == set() == fresh_rows(db, RULE_ABC)
+
+
 class TestWhereKeepsErrors:
     TEXT = "if context A * B where C.n > 0 then X (A)"
 

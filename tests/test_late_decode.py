@@ -12,6 +12,10 @@ columns, and what that rests on.
 * **No decode on the reply path** — rendering a result, a served
   ``query`` or ``derive`` reply and ``include: ["subdb"]`` never call
   ``decode_rows``, and a served chain read builds no row tuple.
+* **No decode in rule chaining** — a rule target projected from a
+  columnar source stays columnar, a query over it interns its extents
+  and derived links from the columns, and a result kept across the
+  re-derivation of what it read renders as it did.
 * **Publication** — two threads decoding and rendering one shared
   result at once both see the oracle's patterns and text, and the
   result keeps its columns.
@@ -53,6 +57,7 @@ from repro.subdb.intension import IntensionalPattern
 from repro.subdb.refs import ClassRef
 from repro.subdb.snapshot import SnapshotExpiredError
 from repro.subdb.subdatabase import Subdatabase, decode_rows
+from repro.university import build_paper_database
 from repro.university.generator import GeneratorConfig, generate_university
 
 from tests.test_concurrency import _paper_engine
@@ -151,8 +156,9 @@ class TestColumnsRenderLikePatterns:
         assert hits >= CASES // 4, f"only {hits} cache hits"
 
     def test_derived_subdatabases_with_induced_lines(self):
-        """Rule targets are built from patterns; interned over tables of
-        their own they must render the same, ``induced:`` lines and the
+        """Rule targets (columnar or, behind a Where clause or a
+        two-rule union, built from patterns), interned over tables of
+        their own, must render the same, ``induced:`` lines and the
         Null slots of a two-rule union (May_teach) included."""
         engine = _paper_engine()
         padded = 0
@@ -368,8 +374,8 @@ class TestNoDecodeOnTheReplyPath:
         with QueryService(engine, ServiceConfig(data_dir=str(tmp_path))) \
                 as service:
             with ServiceClient(*service.address, timeout=30) as client:
-                # Deriving on the pin reads a rule body's patterns (rule
-                # chaining still consumes OID patterns); warm up first.
+                # Deriving on the pin decodes behind a Where clause
+                # (Suggest_offer's COUNT); warm up first.
                 client.query("context Teacher_course:Teacher "
                              "* Teacher_course:Course")
                 client.derive("Suggest_offer")
@@ -399,6 +405,59 @@ class TestNoDecodeOnTheReplyPath:
         engine.query("context {{Grad} * Advising} * Faculty", name="q")
         assert row_builds == ["columns_to_rows"] * 3 \
             + ["subsume_rows", "rows_to_columns"]
+
+
+class TestNoDecodeInRuleChaining:
+    CLOSURE = "if context Course * Course_1 ^* then Prereq_closure " \
+              "(Course, Course_)"
+    READ = "context Prereq_closure:Course * Prereq_closure:Course_1"
+
+    def test_closure_target_and_a_query_over_it(self, university_db,
+                                                monkeypatch):
+        compact = RuleEngine(university_db)
+        oracle = RuleEngine(university_db, compact=False)
+        for engine in (compact, oracle):
+            engine.add_rule(self.CLOSURE)
+        real = subdatabase_module.decode_rows
+        calls = []
+        monkeypatch.setattr(subdatabase_module, "decode_rows",
+                            lambda *args: calls.append(1) or real(*args))
+        target = compact.derive("Prereq_closure")
+        rendered = compact.query(self.READ, name="q").render()
+        assert calls == []
+        monkeypatch.undo()
+        assert target._columns is not None and target._patterns is None
+        assert compact.universe.get_subdb("Prereq_closure") is target
+        assert rendered == oracle.query(self.READ, name="q").render()
+        assert _renderings(target) == \
+            _renderings(oracle.derive("Prereq_closure"))
+
+    def test_a_kept_result_outlives_the_tables_it_was_read_over(self):
+        data = build_paper_database()
+        engine = RuleEngine(data.db)
+        engine.add_rule("if context Teacher * Section * Course "
+                        "then Teacher_course (Teacher, Course)")
+        engine.add_rule("if context Teacher_course:Teacher "
+                        "* Teacher_course:Course * Department "
+                        "then Teacher_dept (Teacher, Department)")
+        read = "context Teacher_dept:Teacher * Teacher_dept:Department"
+        kept = engine.query(read, name="q")
+        target = engine.universe.get_subdb("Teacher_dept")
+        assert target._columns is not None
+        before = (kept.render(), _renderings(target))
+        # A new teacher on a new section of a course: Teacher_course is
+        # re-derived over grown base tables, Teacher_dept over new
+        # derived-extent tables.
+        db = data.db
+        teacher = db.insert("Teacher", "t99", name="New", degree="PhD")
+        section = db.insert("Section", "s99",
+                            **{"section#": 9, "textbook": "B"})
+        db.associate(teacher, "teaches", section)
+        db.associate(section, "course", data["c1"])
+        fresh = engine.query(read, name="q")
+        assert engine.universe.get_subdb("Teacher_dept") is not target
+        assert len(fresh.subdatabase) > len(kept.subdatabase)
+        assert (kept.render(), _renderings(target)) == before
 
 
 class LabelColumnOwnership(RuleBasedStateMachine):
