@@ -207,6 +207,9 @@ class Database:
         #: the entry as argument.
         self._fwd: Dict[Tuple[str, str], Dict[OID, Members]] = {}
         self._rev: Dict[Tuple[str, str], Dict[OID, Members]] = {}
+        #: Pair count per association key, moved only by ``_link`` and
+        #: ``_unlink`` — what the planner's fan-outs divide.
+        self._link_counts: Dict[Tuple[str, str], int] = {}
         self._entities: Dict[OID, Entity] = {}
         self._version = 0
         #: The stamps: version of the last mutation that moved each
@@ -759,8 +762,13 @@ class Database:
                                 "target": target_oid.value})
 
     def _link(self, key: Tuple[str, str], owner: OID, target: OID) -> None:
-        self._add_member(self._fwd.setdefault(key, {}), owner, target)
+        """Add one pair (re-linking a linked pair changes nothing)."""
+        fwd = self._fwd.setdefault(key, {})
+        if target in fwd.get(owner, ()):
+            return
+        self._add_member(fwd, owner, target)
         self._add_member(self._rev.setdefault(key, {}), target, owner)
+        self._link_counts[key] = self._link_counts.get(key, 0) + 1
 
     @staticmethod
     def _add_member(index: Dict[OID, Members], oid: OID,
@@ -769,15 +777,16 @@ class Database:
         if members is None:
             index[oid] = (member,)
         elif type(members) is tuple:
-            if member not in members:
-                index[oid] = (members + (member,) if len(members) < _SMALL
-                              else {*members, member})
+            index[oid] = (members + (member,) if len(members) < _SMALL
+                          else {*members, member})
         else:
             members.add(member)
 
     def _unlink(self, key: Tuple[str, str], owner: OID, target: OID) -> None:
+        """Remove one pair, which the caller knows is linked."""
         self._drop_member(self._fwd[key], owner, target)
         self._drop_member(self._rev[key], target, owner)
+        self._link_counts[key] -= 1
 
     @staticmethod
     def _drop_member(index: Dict[OID, Members], oid: OID,
@@ -827,7 +836,9 @@ class Database:
         return out
 
     def link_count(self, link: Aggregation) -> int:
-        return sum(len(t) for t in self._fwd.get(link.key, {}).values())
+        """The number of pairs of the association, kept as a running
+        count (no scan)."""
+        return self._link_counts.get(link.key, 0)
 
     def neighbors(self, oid: OID, resolved: ResolvedLink,
                   forward: bool = True) -> Set[OID]:
@@ -870,8 +881,7 @@ class Database:
         """Coarse size statistics (for benchmarks and diagnostics)."""
         return {
             "objects": len(self._entities),
-            "links": sum(len(t) for index in self._fwd.values()
-                         for t in index.values()),
+            "links": sum(self._link_counts.values()),
             "classes": len(self._extents),
             "version": self._version,
         }

@@ -18,7 +18,7 @@ link and attribute; ``db.version_vector(footprint)`` is the
 invalidation key of anything computed from the footprint, and
 ``footprint.touched_by(event)`` is the event-time relevance test.  Every
 dependency question in the system — rule relevance, derive memo,
-result cache, planner statistics, subscription wake-ups, snapshot
+result cache, plan memo, subscription wake-ups, snapshot
 tokens — is answered by these two calls.
 
 A footprint is computed once per rule or query (:func:`footprint_of`,

@@ -7,15 +7,11 @@ planner.  A chain ``A * B * C`` admits many *contiguous* join orders
 to the left or right); which one is cheapest depends on extent sizes,
 intra-class-condition selectivities, and per-link fan-out.
 
-:class:`Statistics` collects per-class extent sizes and per-link average
-fan-outs from the :class:`~repro.subdb.universe.Universe`.  Each entry
-is validated against the version vector of the
-:class:`~repro.oql.footprint.Footprint` it actually reads (the ref's
-extent for an extent size; the source extent plus that one link for a
-fan-out), so a write re-measures only what it moved.
-Derived-subdatabase entries carry the wildcard footprint and so fall
-back to the coarse ``data_version`` token — their contents carry no
-stamps.
+:class:`Statistics` reads per-class extent sizes and per-link average
+fan-outs from counts the data keeps: the database's direct extents and
+per-link pair counts (moved by every link and unlink), and each derived
+subdatabase's own pair counts.  None of them is cached here, so a write
+leaves nothing to re-measure.
 
 :class:`Planner` turns a flattened chain plus the *actual* filtered
 extent sizes into a :class:`JoinPlan` by dynamic programming over all
@@ -40,8 +36,8 @@ from repro.oql.footprint import ALL, Footprint
 from repro.subdb.refs import ClassRef
 from repro.subdb.universe import EdgeResolution, Universe
 
-#: Entry cap for per-entry-validated memo dicts: stale entries are only
-#: reaped on probe, so a hard cap bounds the worst-case footprint.
+#: Entry cap for the plan memo: stale entries are only reaped on
+#: probe, so a hard cap bounds the worst-case footprint.
 _MEMO_CAP = 4096
 
 
@@ -63,7 +59,7 @@ def _evict_one(memo: Dict) -> None:
     (dicts iterate in insertion order).  Stale entries reap themselves
     on their own next probe; wholesale clearing — the previous policy —
     cooled every warm entry whenever one more distinct key arrived at
-    the cap.  A memo shared between sessions may move under the
+    the cap.  A memo another thread inserts into may move under the
     iterator; the eviction is then left to the next insert."""
     try:
         memo.pop(next(iter(memo)), None)
@@ -72,87 +68,38 @@ def _evict_one(memo: Dict) -> None:
 
 
 class Statistics:
-    """Extent sizes and link fan-outs, validated entry by entry.
+    """Extent sizes and link fan-outs, read from counts kept beside the
+    data rather than cached here.
 
-    Each cached number carries the footprint it was computed from and
-    that footprint's version vector; an accessor recomputes only when
-    the vector moved.  Writes outside the footprint leave the entry
-    warm — an ASSOCIATE re-measures the fan-out of its own link and
-    nothing else.
-
-    Base-data entries are a function of the stamps alone, so one memo
-    serves every universe over the same database: a rule engine's
-    evaluators and each session pinned from it :meth:`share` one, and a
-    re-pinned session measures nothing the previous pin — or the
-    write's own maintenance — measured.  Entries over derived
-    subdatabases (wildcard footprint) are kept apart and never shared:
-    their token is one universe's own registry epoch, which means
-    nothing — and may collide — in another universe.
+    A base extent's size sums the database's direct extents; a base
+    link's pair count is the running count the database keeps as it
+    links and unlinks (a snapshot answers from the counts it copied at
+    the pin); a derived reference or association is counted once by its
+    immutable :class:`~repro.subdb.subdatabase.Subdatabase`.  Nothing
+    here can go stale, so nothing is validated or invalidated.
     """
 
     def __init__(self, universe: Universe):
         self.universe = universe
-        #: ``ref -> (footprint, vector, size)`` and ``(source,
-        #: resolution) -> (footprint, vector, fan-out)`` over base data.
-        self._base: Dict[Any, Tuple[Footprint, Any, float]] = {}
-        #: The same over derived references and edges.
-        self._derived: Dict[Any, Tuple[Footprint, Any, float]] = {}
-
-    def share(self, other: "Statistics") -> None:
-        """Use ``other``'s base-data memo from now on (entries validate
-        against whichever universe asks, so sessions pinned at different
-        versions only overwrite each other's stale entries)."""
-        self._base = other._base
 
     def extent_size(self, ref: ClassRef) -> int:
         """The unfiltered extent size of a class reference."""
-        memo = self._base if ref.subdb is None else self._derived
-        cached = memo.get(ref)
-        if cached is not None:
-            footprint = cached[0]
-        elif ref.subdb is None:
-            footprint = Footprint(extents=frozenset((ref.cls,)))
-        else:
-            footprint = ALL
-        token = self.universe.version_vector(footprint)
-        if cached is not None and cached[1] == token:
-            return cached[2]
         if ref.subdb is None:
-            size = self.universe.db.extent_size(ref.cls)
-        else:
-            size = len(self.universe.extent(ref))
-        if len(memo) >= _MEMO_CAP:
-            _evict_one(memo)
-        memo[ref] = (footprint, token, size)
-        return size
+            return self.universe.db.extent_size(ref.cls)
+        return len(self.universe.extent(ref))
 
     def fanout(self, source: ClassRef, resolution: EdgeResolution) -> float:
         """Average number of neighbors per object of ``source``'s extent
         across the resolved edge (the direction is implied by which end
-        ``source`` stands at: total link pairs over source extent).
-        What can move it is the source extent (the denominator) and
-        that one link (a DELETE stamps every link it removes)."""
+        ``source`` stands at: total link pairs over source extent)."""
         if resolution.kind == "identity":
             return 1.0
-        key = (source, resolution)
-        memo = self._base if resolution.kind == "base" \
-            and source.subdb is None else self._derived
-        cached = memo.get(key)
-        footprint = cached[0] if cached is not None else \
-            edge_footprint(resolution, source)
-        token = self.universe.version_vector(footprint)
-        if cached is not None and cached[1] == token:
-            return cached[2]
         if resolution.kind == "base":
             pairs = self.universe.db.link_count(resolution.resolved.link)
         else:
-            subdb = self.universe.get_subdb(resolution.subdb)
-            pairs = len(subdb.pairs(resolution.i, resolution.j))
-        value = pairs / max(1, self.extent_size(source))
-        if len(memo) >= _MEMO_CAP:
-            _evict_one(memo)
-        memo[key] = (footprint, token, value)
-        return value
+            pairs = self.universe.get_subdb(resolution.subdb).pair_count(
+                resolution.i, resolution.j)
+        return pairs / max(1, self.extent_size(source))
 
     def condition_selectivity(self, ref: ClassRef,
                               condition) -> Optional[float]:

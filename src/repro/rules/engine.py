@@ -95,12 +95,6 @@ class RuleEngine:
                                         operations=operations,
                                         compact=compact,
                                         cache_bytes=cache_bytes)
-        # One planner-statistics memo per engine: the derivation
-        # evaluator, the query processor and every snapshot session read
-        # and fill the same base-data entries (what a write's
-        # maintenance measured, the next read does not measure again).
-        self.evaluator.planner.statistics.share(
-            self.processor.evaluator.planner.statistics)
         #: Per-event budget for incremental maintenance: when set, a
         #: maintainer refresh that trips it is skipped (the target goes
         #: stale and ``stats.refreshes_skipped`` counts it) instead of
@@ -453,9 +447,8 @@ class RuleEngine:
 
         The session starts warm: its compact store adopts the live
         universe's maintained intern tables, CSR and value indexes
-        (copy-on-write, see :mod:`repro.subdb.adjindex`) and its planner
-        reads the engine's statistics memo, so re-pinning after a write
-        costs what the write changed, not a rebuild."""
+        (copy-on-write, see :mod:`repro.subdb.adjindex`), so re-pinning
+        after a write costs what the write changed, not a rebuild."""
         tracer = obs.TRACER
         sspan = tracer.start("snapshot-session") \
             if tracer is not None else None
@@ -471,8 +464,6 @@ class RuleEngine:
                                    operations=self._operations,
                                    compact=self._compact,
                                    cache_bytes=self._cache_bytes)
-        processor.evaluator.planner.statistics.share(
-            self.processor.evaluator.planner.statistics)
         deriving: Set[str] = set()
 
         def provide(name: str) -> Optional[Subdatabase]:

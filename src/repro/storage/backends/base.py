@@ -56,12 +56,11 @@ class StorageBackend(abc.ABC):
     #: Format name reported by :meth:`status`; set by the subclass.
     kind = "abstract"
 
-    def __init__(self, root: Union[str, Path], *, sync_every: int = 1,
+    def __init__(self, root: Union[str, Path], *,
                  checkpoint_every: Optional[int] = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.wal = WriteAheadLog(self.root / "wal.jsonl",
-                                 sync_every=sync_every)
+        self.wal = WriteAheadLog(self.root / "wal.jsonl")
         #: Take a checkpoint automatically every N WAL records
         #: (``None``: only explicit/genesis/schema checkpoints).
         self.checkpoint_every = checkpoint_every

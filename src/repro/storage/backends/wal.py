@@ -10,10 +10,9 @@ separators) so a record's bytes are a pure function of its content.
 Every body carries a ``seq`` — the strictly increasing event offset that
 checkpoints watermark and point-in-time restore addresses.
 
-Durability is batched: ``append`` buffers, and the log fsyncs whenever
-``sync_every`` appends have accumulated (default 1: every record is
-durable before ``append`` returns).  ``sync()`` forces the barrier at
-any time; the group-commit path (`Database.batch`) naturally produces
+Durability is per record: ``append`` fsyncs before it returns, through
+``sync()``, the barrier that closing, checkpointing and compacting also
+pass.  Group commit is ``Database.batch``: a batch block journals as
 one record — and therefore one fsync — for many mutations.
 
 Recovery semantics on open: records are validated in order; the first
@@ -80,11 +79,10 @@ class WalOpenReport:
 class WriteAheadLog:
     """An append-only, CRC-checked, JSON-lines event log."""
 
-    def __init__(self, path: Union[str, Path], sync_every: int = 1):
+    def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        self.sync_every = max(1, int(sync_every))
         self._handle = None
-        self._pending = 0  # appends since the last fsync
+        self._pending = False  # appended bytes not yet fsynced
         self._next_seq = 1
         self._records = 0  # valid records in the file, kept by append
         self.report = WalOpenReport()
@@ -162,9 +160,8 @@ class WriteAheadLog:
         return self._next_seq - 1
 
     def append(self, body: Dict[str, Any]) -> int:
-        """Stamp ``body`` with the next offset and append it; returns
-        the offset.  Durable once the sync barrier has passed (every
-        append when ``sync_every`` is 1)."""
+        """Stamp ``body`` with the next offset, append it and fsync it;
+        returns the offset, durable by then."""
         if self._handle is None:
             raise ValueError(f"WAL {self.path} is not open")
         seq = self._next_seq
@@ -173,18 +170,18 @@ class WriteAheadLog:
         self._handle.write(encode_record(record))
         self._next_seq += 1
         self._records += 1
-        self._pending += 1
-        if self._pending >= self.sync_every:
-            self.sync()
+        self._pending = True
+        self.sync()
         return seq
 
     def sync(self) -> None:
-        """Flush and fsync everything appended so far (group commit)."""
+        """Flush and fsync everything appended so far (a no-op when the
+        last append's own sync went through)."""
         if self._handle is None or not self._pending:
             return
         self._handle.flush()
         os.fsync(self._handle.fileno())
-        self._pending = 0
+        self._pending = False
 
     # ------------------------------------------------------------------
     # Reading

@@ -63,7 +63,7 @@ class DatabaseSnapshot:
     listener registration so a
     :class:`~repro.subdb.adjindex.CompactStore` can be built over it
     unchanged.  ``version`` is constant, so everything cached against it
-    (intern tables, adjacency, planner statistics) stays valid for the
+    (intern tables, adjacency, join plans) stays valid for the
     snapshot's whole life.
     """
 
@@ -95,6 +95,9 @@ class DatabaseSnapshot:
         self._link_versions = dict(db._link_versions)
         self._attr_versions = dict(db._attr_versions)
         self._schema_version = db.schema_version
+        #: The pair counts as pinned (``None`` once closed).
+        self._link_counts: Optional[Dict[LinkKey, int]] = \
+            dict(db._link_counts)
         db.register_snapshot_hook(self)
         # SCHEMA events poison the snapshot; data events are handled by
         # the write hook.  Registered as a plain listener (the database
@@ -128,6 +131,7 @@ class DatabaseSnapshot:
             self._extents.clear()
             self._links.clear()
             self._entities.clear()
+            self._link_counts = None
 
     def __enter__(self) -> "DatabaseSnapshot":
         return self
@@ -305,17 +309,12 @@ class DatabaseSnapshot:
         return maps[0] if from_owner else maps[1]
 
     def link_count(self, link) -> int:
-        """Counts without pinning: no writer has touched an unpinned
-        link since the pin (the write hook would have copied it), so
-        the live index *is* the pinned one."""
-        pinned = self._links.get(link.key)
-        if pinned is None:
-            with self.db.read_locked():
-                pinned = self._links.get(link.key)
-                if pinned is None:
-                    self._check_open()
-                    return self.db.link_count(link)
-        return sum(len(targets) for targets in pinned[0].values())
+        """The pair count at the pin, from the counts copied with the
+        stamps: no lock, and the link itself is not pinned."""
+        counts = self._link_counts
+        if counts is None:
+            self._check_open()      # closed: raises
+        return counts.get(link.key, 0)
 
     def link_pairs(self, link) -> Set[Tuple[OID, OID]]:
         return {(owner, target)

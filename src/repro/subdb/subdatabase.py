@@ -158,6 +158,7 @@ class Subdatabase:
         self._columns: Optional[List[np.ndarray]] = None
         self._tables: Optional[List[InternTable]] = None
         self._extents: Dict[Tuple[int, ...], Set[OID]] = {}
+        self._pair_counts: Dict[Tuple[int, int], int] = {}
         #: slot name -> induced-generalization record (empty for pure
         #: query results over base classes).
         self.derived_info: Dict[str, DerivedClassInfo] = dict(
@@ -194,6 +195,7 @@ class Subdatabase:
                           else sort_unique(list(columns)))
         subdb._tables = list(tables)
         subdb._extents = {}
+        subdb._pair_counts = {}
         subdb.derived_info = dict(derived_info or {})
         return subdb
 
@@ -290,20 +292,34 @@ class Subdatabase:
     def pairs(self, i: int, j: int) -> Set[Tuple[OID, OID]]:
         """The (slot i, slot j) object pairs present in the patterns —
         the extensional content of a derived direct association."""
-        columns = self._columns
-        if columns is not None:
-            left, right = columns[i], columns[j]
-            both = (left >= 0) & (right >= 0)
-            if not both.all():
-                left, right = left[both], right[both]
-            # Distinct id pairs first, packed one int64 each, so every
-            # pair's OIDs are gathered once.
-            radix = max(len(self._tables[j]), 1)
-            key = np.unique(left * radix + right)
+        if self._columns is not None:
+            # Distinct id pairs first, so every pair's OIDs are gathered
+            # once.
+            key, radix = self._pair_keys(i, j)
             return set(zip(_gather(self._tables[i].oids, key // radix, None),
                            _gather(self._tables[j].oids, key % radix, None)))
         return {(p[i], p[j]) for p in self.patterns
                 if p[i] is not None and p[j] is not None}
+
+    def pair_count(self, i: int, j: int) -> int:
+        """``len(pairs(i, j))``, counted once per instance — from the
+        columns without gathering an OID."""
+        count = self._pair_counts.get((i, j))
+        if count is None:
+            count = len(self._pair_keys(i, j)[0]) \
+                if self._columns is not None else len(self.pairs(i, j))
+            self._pair_counts[(i, j)] = count
+        return count
+
+    def _pair_keys(self, i: int, j: int) -> Tuple[np.ndarray, int]:
+        """The distinct (slot i, slot j) id pairs with no Null side,
+        each packed into one int64 ``left * radix + right``."""
+        left, right = self._columns[i], self._columns[j]
+        both = (left >= 0) & (right >= 0)
+        if not both.all():
+            left, right = left[both], right[both]
+        radix = max(len(self._tables[j]), 1)
+        return np.unique(left * radix + right), radix
 
     def info_for(self, ref: ClassRef | str) -> Optional[DerivedClassInfo]:
         name = ref if isinstance(ref, str) else ref.slot

@@ -77,7 +77,7 @@ class Universe:
         # (name, i, j) -> (subdatabase object, fwd map, rev map)
         self._pair_cache: Dict[Tuple[str, int, int], tuple] = {}
         # Bumped whenever the set of materialized subdatabases changes,
-        # so planner statistics over derived extents/associations can be
+        # so join plans over derived extents/associations can be
         # invalidated together with base-data changes (data_version).
         self._subdb_epoch = 0
         # Successful visibility checks memoized per data version: one
@@ -113,7 +113,7 @@ class Universe:
     def data_version(self) -> int:
         """Monotonic counter covering base-data mutations *and* changes
         to the materialized-subdatabase registry — anything cached
-        against this version (planner statistics, join-order choices)
+        against this version (join-order choices)
         is invalidated by either kind of change."""
         return self.db.version + self._subdb_epoch
 

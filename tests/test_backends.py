@@ -156,21 +156,43 @@ class TestWriteAheadLog:
             warnings.simplefilter("ignore")
             assert WriteAheadLog(path).open().records == 1
 
-    def test_sync_every_batches_fsyncs(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _count_fsyncs(monkeypatch) -> list:
         syncs = []
         real_fsync = os.fsync
         monkeypatch.setattr(os, "fsync",
                             lambda fd: (syncs.append(fd),
                                         real_fsync(fd))[1])
-        wal = WriteAheadLog(tmp_path / "w.jsonl", sync_every=10)
+        return syncs
+
+    def test_every_append_is_fsynced(self, tmp_path, monkeypatch):
+        syncs = self._count_fsyncs(monkeypatch)
+        wal = WriteAheadLog(tmp_path / "w.jsonl")
         wal.open()
         baseline = len(syncs)
-        for n in range(25):
-            wal.append({"n": n})
-        assert len(syncs) - baseline == 2  # at 10 and 20
-        wal.sync()
-        assert len(syncs) - baseline == 3  # the explicit barrier
+        wal.append({"n": 0})
+        assert len(syncs) - baseline == 1
+        wal.sync()                    # nothing left to make durable
+        assert len(syncs) - baseline == 1
         wal.close()
+
+    def test_a_batch_block_is_one_record_and_one_fsync(self, tmp_path,
+                                                       monkeypatch):
+        backend = open_backend(tmp_path / "store", "json")
+        engine = paper_engine()
+        backend.attach(engine)
+        syncs = self._count_fsyncs(monkeypatch)
+        records = backend.wal.record_count
+        db = engine.db
+        with db.batch():
+            course = db.insert("Course", "c_new",
+                               **{"c#": 9001, "title": "T",
+                                  "credit_hours": 3})
+            db.set_attribute(course.oid, "title", "U")
+            db.delete(course.oid)
+        assert backend.wal.record_count - records == 1
+        assert len(syncs) == 1
+        backend.close()
 
     def test_record_count_matches_the_file(self, tmp_path):
         """The running count equals a full read of the log after

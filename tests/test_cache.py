@@ -504,20 +504,16 @@ class TestPlannerStatistics:
     def test_extent_sizes_survive_unrelated_writes(self, paper):
         universe = Universe(paper.db)
         stats = Planner(universe).statistics
-        calls = []
-        original = paper.db.extent_size
-        paper.db.extent_size = lambda cls: (calls.append(cls),
-                                            original(cls))[1]
         ref = ClassRef("Teacher")
         size = stats.extent_size(ref)
-        stats.extent_size(ref)
-        assert calls == ["Teacher"]
+        assert size == len(paper.db.extent("Teacher"))
         paper.db.insert("Department", "d_new", name="Astronomy")
         assert stats.extent_size(ref) == size
-        assert calls == ["Teacher"]          # still warm
-        paper.db.insert("TA", "ta_new")      # stamps Teacher
+        paper.db.insert("TA", "ta_new")      # a Teacher too
         assert stats.extent_size(ref) == size + 1
-        assert calls == ["Teacher", "Teacher"]
+        paper.db.delete(paper.oid("t1"))
+        assert stats.extent_size(ref) == size
+        assert size == len(paper.db.extent("Teacher"))
 
     def test_fanout_survives_unrelated_writes(self, paper):
         universe = Universe(paper.db)

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
 import pytest
 
 from repro import QueryProcessor, RuleEngine, Universe, obs
@@ -29,6 +30,7 @@ from repro.oql.footprint import EMPTY, chain_terms, footprint_of
 from repro.oql.parser import parse_query
 from repro.oql.subscribe import SubscriptionManager, canonical_rows
 from repro.storage.serialize import subdatabase_to_dict
+from repro.subdb.subdatabase import Subdatabase
 from repro.university.generator import GeneratorConfig, generate_university
 
 pytestmark = pytest.mark.differential
@@ -37,14 +39,57 @@ CASES = int(os.environ.get("DIFFERENTIAL_CASES", "100"))
 DB_SEED = 7
 
 
+#: Rows per chunk that :func:`_dump` formats and hashes at a time.
+DUMP_ROWS = 1 << 14
+
+
+def _row_chunks(subdb):
+    """The rows of ``subdatabase_to_dict(subdb)["patterns"]``, in its
+    order, as lists of at most ``DUMP_ROWS`` rows.  A columnar result is
+    ordered and gathered chunk by chunk from its id columns, so its
+    rows never exist all at once."""
+    columns = subdb._columns
+    if columns is None:
+        rows = subdatabase_to_dict(subdb)["patterns"]
+        for start in range(0, len(rows), DUMP_ROWS):
+            yield rows[start:start + DUMP_ROWS]
+        return
+    # Nulls first, as the dictionary wants: sort on the signed ids.
+    order = np.lexsort(columns[::-1]) \
+        if any(len(col) and col.min() < 0 for col in columns) else None
+    values = [table.values for table in subdb._tables]
+    for start in range(0, len(subdb), DUMP_ROWS):
+        picked = slice(start, start + DUMP_ROWS) if order is None \
+            else order[start:start + DUMP_ROWS]
+        gathered = [[None if i < 0 else lookup[i]
+                     for i in col[picked].tolist()]
+                    for col, lookup in zip(columns, values)]
+        yield [list(row) for row in zip(*gathered)]
+
+
 def _dump(subdb) -> Tuple[int, str]:
     """(byte length, sha256) of the subdatabase's canonical JSON
-    document.  Outcomes are compared and kept by digest: a result of
-    millions of rows is not held as text beside the next one."""
-    doc = subdatabase_to_dict(subdb)
-    doc["name"] = "_"
-    data = json.dumps(doc, sort_keys=True).encode()
-    return len(data), hashlib.sha256(data).hexdigest()
+    document (``json.dumps(subdatabase_to_dict(subdb), sort_keys=True)``
+    with the name blanked).  Outcomes are compared and kept by digest,
+    and the document is hashed in chunks of rows: a result of millions
+    of rows is never held as one row list or one text."""
+    shell = Subdatabase("_", subdb.intension, (), subdb.derived_info)
+    head, tail = json.dumps(subdatabase_to_dict(shell),
+                            sort_keys=True).split('"patterns": []')
+    digest = hashlib.sha256()
+    size = 0
+
+    def feed(text: str) -> None:
+        nonlocal size
+        data = text.encode()
+        size += len(data)
+        digest.update(data)
+
+    feed(head + '"patterns": [')
+    for k, chunk in enumerate(_row_chunks(subdb)):
+        feed((", " if k else "") + json.dumps(chunk)[1:-1])
+    feed("]" + tail)
+    return size, digest.hexdigest()
 
 
 # Class adjacency of the University schema as the evaluator resolves it

@@ -288,24 +288,32 @@ class TestWritesOutsideTheFootprintCostNothing:
                                     ClassRef("Course"))
         teaches = universe.resolve_edge(teacher, section)
         offers = universe.resolve_edge(section, course)
-        counted = []
-        real = db.link_count
-        db.link_count = lambda link: counted.append(link.key) or real(link)
-        try:
-            stats.fanout(teacher, teaches)
-            stats.fanout(section, offers)
-            assert counted == [("Teacher", "teaches"),
-                               ("Section", "course")]
-            del counted[:]
-            first = data.all_of("Teacher")[0]
-            free = next(s for s in data.all_of("Section")
-                        if s.oid not in db.linked(first.oid,
-                                                  teaches.resolved.link))
-            db.associate(first, "teaches", free)
-            db.set_attribute(free.oid, "textbook", "Other")
-            stats.fanout(teacher, teaches)
-            stats.fanout(section, offers)
-            stats.extent_size(section)
-            assert counted == [("Teacher", "teaches")]
-        finally:
-            del db.link_count
+
+        def measured():
+            return (stats.fanout(teacher, teaches),
+                    stats.fanout(section, offers),
+                    stats.extent_size(section))
+
+        def scanned():
+            return (len(db.link_pairs(teaches.resolved.link))
+                    / len(db.extent("Teacher")),
+                    len(db.link_pairs(offers.resolved.link))
+                    / len(db.extent("Section")),
+                    len(db.extent("Section")))
+
+        before = measured()
+        assert before == scanned()
+        first = data.all_of("Teacher")[0]
+        free = next(s for s in data.all_of("Section")
+                    if s.oid not in db.linked(first.oid,
+                                              teaches.resolved.link))
+        db.associate(first, "teaches", free)
+        after = measured()
+        assert after == scanned()
+        assert after[0] > before[0] and after[1:] == before[1:]
+        db.set_attribute(free.oid, "textbook", "Other")
+        assert measured() == after
+        db.associate(first, "teaches", free)     # already linked
+        assert measured() == after
+        db.dissociate(first, "teaches", free)
+        assert measured() == before == scanned()

@@ -252,6 +252,32 @@ class TestFromColumns:
         else:
             assert 0 < packed < filled
 
+    def test_pair_count_is_the_number_of_distinct_full_pairs(
+            self, university_db):
+        """Over a loop result whose unreached levels are Null and whose
+        level pairs repeat across rows, each slot pair's count is
+        ``len(pairs)`` — columnar, without decoding, and on its
+        pattern-form twin."""
+        subdb = QueryProcessor(Universe(university_db)).execute(
+            "context Course * Course_1 ^*", name="q").subdatabase
+        twin = _decoded(subdb)
+        width = len(subdb.slot_names)
+        counts = {}
+        for i in range(width):
+            for j in range(width):
+                if i != j:
+                    counts[i, j] = subdb.pair_count(i, j)
+        nulls = duplicates = 0
+        for (i, j), count in counts.items():
+            left, right = subdb._columns[i], subdb._columns[j]
+            full = int(((left >= 0) & (right >= 0)).sum())
+            nulls += full < len(left)
+            duplicates += count < full
+            assert count == len(subdb.pairs(i, j)) \
+                == twin.pair_count(i, j) == len(twin.pairs(i, j)), (i, j)
+        assert subdb._patterns is None, "counting decoded the result"
+        assert nulls and duplicates and len(set(counts.values())) > 1
+
     def test_empty_and_single_rows(self):
         assert len(self._build([])) == 0
         assert self._build([]).describe().endswith("patterns (0):")

@@ -90,6 +90,31 @@ class TestComposition:
         db.delete(m1.oid)
         assert db.extent("Component") == set()
 
+    def test_cascade_delete_keeps_the_link_counts(self, db):
+        """A cascade drops the whole's links, its parts' links and the
+        links into it from elsewhere, all silently: every running pair
+        count still equals a scan."""
+        m1 = db.insert("Machine", name="press")
+        m2 = db.insert("Machine", name="lathe")
+        for k in range(5):
+            db.associate(m1 if k < 3 else m2, "parts",
+                         db.insert("Component", serial=k))
+        operator = db.insert("Operator", name="ada")
+        for machine in (m1, m2):
+            assignment = db.insert("Assignment")
+            db.associate(assignment, "operator", operator)
+            db.associate(assignment, "machine", machine)
+        links = [link for link in db.schema.aggregations()
+                 if link.target not in db.schema.dclass_names]
+        parts = next(link for link in links if link.name == "parts")
+        machine = next(link for link in links if link.name == "machine")
+        assert db.link_count(parts) == 5 and db.link_count(machine) == 2
+        db.delete(m1.oid)
+        assert db.link_count(parts) == 2 and db.link_count(machine) == 1
+        for link in links:
+            assert db.link_count(link) == len(db.link_pairs(link)), link
+        assert db.stats()["links"] == 2 + 1 + 2
+
     def test_cascade_is_transitive(self):
         s = Schema()
         s.add_eclass("A")

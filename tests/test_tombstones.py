@@ -3,13 +3,15 @@ renumbering every intern table, value index and CSR row above it.
 
 The state machine interleaves inserts, deletes (single ones and a purge
 that crosses the compaction threshold), attribute writes, associate and
-dissociate with pins taken before and after deletes and with results
+dissociate (and re-associating a linked pair, and all of these inside
+one batch) with pins taken before and after deletes and with results
 held across later writes.  Every view must equal the set-based
 (``compact=False``) evaluator at its version: the live engine now, each
 pin at its pin, each held result at the moment it was produced — for
 every ``=``/``!=``/range probe, ``!`` chain, ``^*`` loop and COUNT
 below, in ``describe()``, the rendered text, the ``include: ["subdb"]``
-document and the decoded labels.
+document and the decoded labels.  Every link's running pair count must
+equal a scan of its pairs, live and on each pin as the pin saw them.
 
 The unit tests after it pin each place a dead id could leak out of the
 compact layer, one test per place.
@@ -113,6 +115,8 @@ class TombstoneMachine(RuleBasedStateMachine):
         self.pins = []
         self.held = []
         self.labels = 0
+        self.links = [link for link in self.db.schema.aggregations()
+                      if link.target not in self.db.schema.dclass_names]
 
     # -- helpers ---------------------------------------------------------
 
@@ -126,6 +130,10 @@ class TombstoneMachine(RuleBasedStateMachine):
     def _label(self, prefix):
         self.labels += 1
         return f"{prefix}{self.labels}"
+
+    def _scanned_counts(self):
+        return {link.key: len(self.db.link_pairs(link))
+                for link in self.links}
 
     # -- writes ----------------------------------------------------------
 
@@ -199,6 +207,30 @@ class TombstoneMachine(RuleBasedStateMachine):
         else:
             self.db.associate(owner, name, target)
 
+    @rule(i=st.integers(0, 30))
+    def relink(self, i):
+        """Associate a pair that is already linked: nothing changes."""
+        pairs = sorted(((owner, link.name, target)
+                        for link in self.links
+                        for owner, target in self.db.link_pairs(link)),
+                       key=lambda p: (p[0].value, p[1], p[2].value))
+        if pairs:
+            self.db.associate(*pairs[i % len(pairs)])
+
+    @rule(i=st.integers(0, 30), j=st.integers(0, 30), k=st.integers(0, 30))
+    def batch(self, i, j, k):
+        """Insert, associate and delete inside one batch block; the
+        victim may be the member the block inserted."""
+        db = self.db
+        with db.batch():
+            member = db.insert("Member", self._label("m"), level=i % 5)
+            team, skill = self._pick("Team", i), self._pick("Skill", j)
+            if team is not None:
+                db.associate(team, "members", member)
+            if skill is not None:
+                db.associate(member, "skills", skill)
+            db.delete(self._pick("Member", k))
+
     @rule(cls=st.sampled_from(["Member", "Team", "Skill"]),
           i=st.integers(0, 30))
     def delete(self, cls, i):
@@ -218,12 +250,13 @@ class TombstoneMachine(RuleBasedStateMachine):
 
     @rule()
     def pin(self):
-        self.pins.append((self.engine.snapshot_session(), oracle(self.db)))
+        self.pins.append((self.engine.snapshot_session(), oracle(self.db),
+                          self._scanned_counts()))
 
     @precondition(lambda self: self.pins)
     @rule(i=st.integers(0, 10))
     def close_pin(self, i):
-        session, _ = self.pins.pop(i % len(self.pins))
+        session, _, _ = self.pins.pop(i % len(self.pins))
         session.universe.close()
 
     @rule(q=st.integers(0, len(QUERIES) - 1))
@@ -239,8 +272,19 @@ class TombstoneMachine(RuleBasedStateMachine):
         assert got == oracle(self.db)
 
     @invariant()
+    def link_counts_equal_a_scan(self):
+        scanned = self._scanned_counts()
+        assert {link.key: self.db.link_count(link)
+                for link in self.links} == scanned
+        assert self.db.stats()["links"] == sum(scanned.values())
+        for session, _, at_pin in self.pins:
+            snapshot = session.universe.snapshot
+            assert {link.key: snapshot.link_count(link)
+                    for link in self.links} == at_pin
+
+    @invariant()
     def pins_equal_oracle_at_their_version(self):
-        for session, expected in self.pins:
+        for session, expected, _ in self.pins:
             assert [dump(session.execute(text, name="q"))
                     for text in QUERIES] \
                 == expected
@@ -258,7 +302,7 @@ class TombstoneMachine(RuleBasedStateMachine):
             assert maintained == fresh, target
 
     def teardown(self):
-        for session, _ in self.pins:
+        for session, _, _ in self.pins:
             session.universe.close()
 
 
