@@ -547,13 +547,10 @@ class Database:
             self._before_write(classes=affected, links=touched_links,
                                entity_oids=(oid,))
             # Cascade composition parts first.
-            for link in self.schema.aggregations():
-                if link.kind is AssociationKind.COMPOSITION and \
-                        self.schema.is_subclass_of(entity.cls, link.owner):
-                    for part in list(self._fwd.get(link.key, {})
-                                     .get(oid, ())):
-                        if self.has(part):
-                            self.delete(part)
+            for link in self.schema.compositions(entity.cls):
+                for part in list(self._fwd.get(link.key, {}).get(oid, ())):
+                    if self.has(part):
+                        self.delete(part)
             # Drop links first (silently; their removal is part of this
             # event).
             for key, index in list(self._fwd.items()):
@@ -678,20 +675,6 @@ class Database:
     # Links (entity associations)
     # ------------------------------------------------------------------
 
-    def _resolve_assoc(self, owner_oid: OID,
-                       name: str) -> Tuple[Aggregation, str]:
-        """Find the entity association named ``name`` visible from the
-        owner object's class (own or inherited)."""
-        entity = self.entity(owner_oid)
-        for cls in sorted(self.schema.up(entity.cls)):
-            link = next((l for l in self.schema.aggregations()
-                         if l.owner == cls and l.name == name
-                         and self.schema.has_eclass(l.target)), None)
-            if link is not None:
-                return link, cls
-        raise UnknownAttributeError(
-            f"class {entity.cls!r} has no entity association {name!r}")
-
     def associate(self, owner: Entity | OID, name: str,
                   target: Entity | OID) -> None:
         """Create an extensional link of association ``name`` between the
@@ -705,8 +688,11 @@ class Database:
         owner_oid = owner.oid if isinstance(owner, Entity) else owner
         target_oid = target.oid if isinstance(target, Entity) else target
         with self.write_locked():
-            link, _ = self._resolve_assoc(owner_oid, name)
-            if not self.is_instance_of(target_oid, link.target):
+            owner_cls = self.entity(owner_oid).cls
+            schema = self.schema
+            link = schema.entity_association(owner_cls, name)
+            target_cls = self.entity(target_oid).cls
+            if not schema.is_subclass_of(target_cls, link.target):
                 raise ConstraintViolationError(
                     f"object {target_oid!r} is not an instance of "
                     f"{link.target!r} (association {link.name!r})")
@@ -726,8 +712,7 @@ class Database:
             self._check_crossproduct(link, owner_oid, target_oid)
             self._before_write(links=(link.key,))
             self._link(link.key, owner_oid, target_oid)
-            affected = (self.schema.up(self.entity(owner_oid).cls)
-                        | self.schema.up(self.entity(target_oid).cls))
+            affected = schema.up(owner_cls) | schema.up(target_cls)
             self._emit(UpdateKind.ASSOCIATE, affected,
                        f"associate {owner_oid!r} -{link.name}-> "
                        f"{target_oid!r}",
@@ -743,7 +728,9 @@ class Database:
         owner_oid = owner.oid if isinstance(owner, Entity) else owner
         target_oid = target.oid if isinstance(target, Entity) else target
         with self.write_locked():
-            link, _ = self._resolve_assoc(owner_oid, name)
+            owner_cls = self.entity(owner_oid).cls
+            schema = self.schema
+            link = schema.entity_association(owner_cls, name)
             if target_oid not in self._fwd.get(link.key, {}) \
                     .get(owner_oid, ()):
                 raise ConstraintViolationError(
@@ -751,8 +738,8 @@ class Database:
                     f"linked by {link.name!r}")
             self._before_write(links=(link.key,))
             self._unlink(link.key, owner_oid, target_oid)
-            affected = (self.schema.up(self.entity(owner_oid).cls)
-                        | self.schema.up(self.entity(target_oid).cls))
+            affected = (schema.up(owner_cls)
+                        | schema.up(self.entity(target_oid).cls))
             self._emit(UpdateKind.DISSOCIATE, affected,
                        f"dissociate {owner_oid!r} -{link.name}-> "
                        f"{target_oid!r}",

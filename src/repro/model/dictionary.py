@@ -67,7 +67,7 @@ class Dictionary:
         lines: List[str] = [f"S-diagram of schema {schema.name!r}", ""]
         for cls in schema.eclass_names:
             lines.append(f"[E] {cls}")
-            subs = sorted(schema._subclasses.get(cls, ()))
+            subs = sorted(schema.direct_subclasses(cls))
             if subs:
                 lines.append(f"    G -> {', '.join(subs)}")
             interaction = schema.interaction_of(cls)

@@ -18,19 +18,15 @@ the rule engine can invalidate derived results:
 
 Every operation emits a ``SCHEMA`` update event naming the affected
 classes; the rule engine treats a schema event as touching everything it
-names.
+names.  Each runs under the database's write lock from its first edit
+through that event, so no write or snapshot sees a half-edited schema,
+and it edits the schema only through :class:`~repro.model.schema.Schema`
+methods.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.errors import (
-    ConstraintViolationError,
-    SchemaError,
-    UnknownAssociationError,
-    UnknownClassError,
-)
+from repro.errors import ConstraintViolationError, SchemaError
 from repro.model.database import Database, UpdateKind
 
 
@@ -45,33 +41,20 @@ def drop_association(db: Database, owner: str, name: str) -> None:
     descriptive attribute the stored values are removed from every
     instance of the owner class and its subclasses.
     """
-    schema = db.schema
-    key = (owner, name)
-    link = schema._aggregations.get(key)
-    if link is None:
-        raise UnknownAssociationError(
-            f"class {owner!r} has no aggregation link {name!r}")
-    if link.target in schema.dclass_names:
-        for oid in db.extent(owner):
-            entity = db.entity(oid)
-            if name in entity:
-                entity._attrs.pop(name, None)
-    else:
-        for pair in list(db.link_pairs(link)):
-            db._unlink(link.key, *pair)
-    del schema._aggregations[key]
-    # Interaction / crossproduct declarations referencing this link are
-    # weakened accordingly.
-    declaration = schema._interactions.get(owner)
-    if declaration and name in [p.lower()
-                                for p in declaration.participants]:
-        del schema._interactions[owner]
-    declaration = schema._crossproducts.get(owner)
-    if declaration and name in [c.lower()
-                                for c in declaration.components]:
-        del schema._crossproducts[owner]
-    _emit_schema(db, {owner, link.target} & set(schema.eclass_names)
-                 or {owner}, f"drop association {owner}.{name}")
+    with db.write_locked():
+        schema = db.schema
+        link = schema.aggregation(owner, name)
+        if link.target in schema.dclass_names:
+            for oid in db.extent(owner):
+                entity = db.entity(oid)
+                if name in entity:
+                    entity._attrs.pop(name, None)
+        else:
+            for pair in list(db.link_pairs(link)):
+                db._unlink(link.key, *pair)
+        schema.drop_aggregation(owner, name)
+        _emit_schema(db, {owner, link.target} & set(schema.eclass_names)
+                     or {owner}, f"drop association {owner}.{name}")
 
 
 def drop_eclass(db: Database, name: str, cascade: bool = False) -> None:
@@ -83,40 +66,29 @@ def drop_eclass(db: Database, name: str, cascade: bool = False) -> None:
     class) is dropped first; subclasses still block the drop — remove
     them explicitly.
     """
-    schema = db.schema
-    if not schema.has_eclass(name):
-        raise UnknownClassError(f"unknown E-class {name!r}")
-    if schema._subclasses.get(name):
-        raise SchemaError(
-            f"class {name!r} has subclasses "
-            f"{sorted(schema._subclasses[name])}; drop them first")
-    touching = [link for link in schema.aggregations()
-                if link.owner == name or link.target == name]
-    instances = db.direct_extent(name)
-    if not cascade:
-        if instances:
+    with db.write_locked():
+        schema = db.schema
+        subclasses = schema.direct_subclasses(name)
+        if subclasses:
+            raise SchemaError(
+                f"class {name!r} has subclasses {sorted(subclasses)}; "
+                f"drop them first")
+        instances = db.direct_extent(name)
+        if cascade:
+            for oid in sorted(instances):
+                if db.has(oid):
+                    db.delete(oid)
+            for link in schema.aggregations():
+                if link.owner == name or link.target == name:
+                    drop_association(db, link.owner, link.name)
+        elif instances:
             raise ConstraintViolationError(
                 f"class {name!r} has {len(instances)} instances; "
                 f"delete them or pass cascade=True")
-        if touching:
-            raise SchemaError(
-                f"class {name!r} is referenced by "
-                f"{[str(l) for l in touching]}; drop those links or "
-                f"pass cascade=True")
-    else:
-        for oid in sorted(instances):
-            if db.has(oid):
-                db.delete(oid)
-        for link in touching:
-            if link.key in schema._aggregations:
-                drop_association(db, link.owner, link.name)
-    for superclass in list(schema._superclasses.get(name, ())):
-        schema._subclasses[superclass].discard(name)
-    del schema._eclasses[name]
-    schema._subclasses.pop(name, None)
-    schema._superclasses.pop(name, None)
-    db._extents.pop(name, None)
-    _emit_schema(db, {name}, f"drop class {name}")
+        # Refuses a class that links still touch (no cascade).
+        schema.drop_eclass(name)
+        db._extents.pop(name, None)
+        _emit_schema(db, {name}, f"drop class {name}")
 
 
 def drop_subclass(db: Database, superclass: str, subclass: str) -> None:
@@ -127,63 +99,48 @@ def drop_subclass(db: Database, superclass: str, subclass: str) -> None:
     links defined at ``superclass`` (or above, if this was the only path
     up).
     """
-    schema = db.schema
-    if subclass not in schema._subclasses.get(superclass, set()):
-        raise SchemaError(
-            f"{subclass!r} is not a direct subclass of {superclass!r}")
-    # What would the subclass lose?  Everything visible through this
-    # edge but not through its other superclasses.
-    schema._subclasses[superclass].discard(subclass)
-    schema._superclasses[subclass].discard(superclass)
-    try:
-        remaining = schema.descriptive_attributes(subclass)
-        lost_links = []
-        for link in schema.aggregations():
-            if link.target in schema.dclass_names:
-                continue
-            if link.owner not in schema.up(subclass) and any(
-                    db._fwd.get(link.key, {}).get(oid)
-                    for oid in db.direct_extent(subclass)):
-                lost_links.append(link)
-        offenders = []
-        for oid in db.extent(subclass):
-            entity = db.entity(oid)
-            if not schema.is_subclass_of(entity.cls, subclass):
-                continue
-            for attr in entity.attributes:
-                if attr not in schema.descriptive_attributes(entity.cls):
-                    offenders.append((oid, attr))
-        if offenders or lost_links:
-            raise ConstraintViolationError(
-                f"dropping {superclass!r} -> {subclass!r} would orphan "
-                f"attribute values {offenders[:3]!r} / links "
-                f"{[str(l) for l in lost_links[:3]]}")
-    except Exception:
-        # Restore the edge before propagating.
-        schema._subclasses[superclass].add(subclass)
-        schema._superclasses[subclass].add(superclass)
-        raise
-    _emit_schema(db, {superclass, subclass},
-                 f"drop generalization {superclass} -> {subclass}")
+    with db.write_locked():
+        schema = db.schema
+        # What would the subclass lose?  Everything visible through this
+        # edge but not through its other superclasses: drop the edge
+        # tentatively, and put it back if anything relied on it.
+        schema.drop_subclass(superclass, subclass)
+        try:
+            lost_links = []
+            for link in schema.aggregations():
+                if link.target in schema.dclass_names:
+                    continue
+                if link.owner not in schema.up(subclass) and any(
+                        db._fwd.get(link.key, {}).get(oid)
+                        for oid in db.direct_extent(subclass)):
+                    lost_links.append(link)
+            offenders = []
+            for oid in db.extent(subclass):
+                entity = db.entity(oid)
+                if not schema.is_subclass_of(entity.cls, subclass):
+                    continue
+                for attr in entity.attributes:
+                    if attr not in schema.descriptive_attributes(entity.cls):
+                        offenders.append((oid, attr))
+            if offenders or lost_links:
+                raise ConstraintViolationError(
+                    f"dropping {superclass!r} -> {subclass!r} would orphan "
+                    f"attribute values {offenders[:3]!r} / links "
+                    f"{[str(l) for l in lost_links[:3]]}")
+        except Exception:
+            schema.add_subclass(superclass, subclass)
+            raise
+        _emit_schema(db, {superclass, subclass},
+                     f"drop generalization {superclass} -> {subclass}")
 
 
 def rename_attribute(db: Database, owner: str, old: str,
                      new: str) -> None:
     """Rename a descriptive attribute, migrating stored values."""
-    schema = db.schema
-    link = schema._aggregations.get((owner, old))
-    if link is None or link.target not in schema.dclass_names:
-        raise UnknownAssociationError(
-            f"class {owner!r} has no descriptive attribute {old!r}")
-    if (owner, new) in schema._aggregations:
-        raise SchemaError(
-            f"class {owner!r} already has a link named {new!r}")
-    del schema._aggregations[(owner, old)]
-    schema._aggregations[(owner, new)] = type(link)(
-        owner=owner, name=new, target=link.target, many=link.many,
-        required=link.required, kind=link.kind)
-    for oid in db.extent(owner):
-        entity = db.entity(oid)
-        if old in entity:
-            entity._attrs[new] = entity._attrs.pop(old)
-    _emit_schema(db, {owner}, f"rename {owner}.{old} -> {owner}.{new}")
+    with db.write_locked():
+        db.schema.rename_attribute(owner, old, new)
+        for oid in db.extent(owner):
+            entity = db.entity(oid)
+            if old in entity:
+                entity._attrs[new] = entity._attrs.pop(old)
+        _emit_schema(db, {owner}, f"rename {owner}.{old} -> {owner}.{new}")

@@ -15,13 +15,21 @@ and answers the structural questions the query/rule languages need:
 * resolution of the association between two classes referenced by the
   association operator ``*``, walking generalization paths and detecting
   the ambiguity of the paper's ``TA * Section`` example.
+
+Every instance write asks the S-diagram the same few questions (the
+class's generalization closure, the attributes and the association it
+inherits), and the schema changes rarely.  So the answers are kept in a
+memo that lives until the next edit: every edit is a :class:`Schema`
+method, and each one replaces the memo once it is over.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Set,
+                    Tuple)
 
 from repro.errors import (
     AmbiguousPathError,
@@ -30,6 +38,7 @@ from repro.errors import (
     GeneralizationCycleError,
     NoAssociationError,
     SchemaError,
+    UnknownAssociationError,
     UnknownAttributeError,
     UnknownClassError,
 )
@@ -71,6 +80,26 @@ class ResolvedLink:
         return f"<{self.link.name} {arrow}>"
 
 
+class _Memo:
+    """The answers between two schema edits, filled on first ask.
+
+    A lookup stores its answer into the dict it read from, so an answer
+    computed while an edit is under way lands in the memo that edit
+    discards, never in its successor."""
+
+    __slots__ = ("superclasses", "subclasses", "up", "down", "attributes",
+                 "associations", "compositions")
+
+    def __init__(self):
+        self.superclasses: Dict[str, FrozenSet[str]] = {}
+        self.subclasses: Dict[str, FrozenSet[str]] = {}
+        self.up: Dict[str, FrozenSet[str]] = {}
+        self.down: Dict[str, FrozenSet[str]] = {}
+        self.attributes: Dict[str, Mapping[str, Aggregation]] = {}
+        self.associations: Dict[Tuple[str, str], Optional[Aggregation]] = {}
+        self.compositions: Dict[str, Tuple[Aggregation, ...]] = {}
+
+
 class Schema:
     """A network of E-classes, D-classes and their A/G associations."""
 
@@ -88,6 +117,17 @@ class Schema:
         self._interactions: Dict[str, InteractionClass] = {}
         #: Crossproduct (X) class declarations, keyed by class name.
         self._crossproducts: Dict[str, CrossproductClass] = {}
+        self._memo = _Memo()
+
+    @contextmanager
+    def _edit(self):
+        """Wrap one schema edit — the memo's only invalidation point.
+        The memo is replaced once the edit is over (also when it fails
+        half-way), never while it runs."""
+        try:
+            yield
+        finally:
+            self._memo = _Memo()
 
     # ------------------------------------------------------------------
     # Schema construction
@@ -98,16 +138,18 @@ class Schema:
         if name in self._eclasses or name in self._dclasses:
             raise DuplicateClassError(f"class {name!r} already defined")
         eclass = EClass(name, doc)
-        self._eclasses[name] = eclass
-        self._subclasses.setdefault(name, set())
-        self._superclasses.setdefault(name, set())
+        with self._edit():
+            self._eclasses[name] = eclass
+            self._subclasses.setdefault(name, set())
+            self._superclasses.setdefault(name, set())
         return eclass
 
     def add_dclass(self, dclass: DClass) -> DClass:
         """Register a domain class (a circular node of the S-diagram)."""
         if dclass.name in self._dclasses or dclass.name in self._eclasses:
             raise DuplicateClassError(f"class {dclass.name!r} already defined")
-        self._dclasses[dclass.name] = dclass
+        with self._edit():
+            self._dclasses[dclass.name] = dclass
         return dclass
 
     def add_attribute(self, owner: str, name: str, domain: DClass | str,
@@ -129,7 +171,8 @@ class Schema:
             domain_name = domain
         link = Aggregation(owner=owner, name=name, target=domain_name,
                            many=False, required=required)
-        self._store_aggregation(link)
+        with self._edit():
+            self._store_aggregation(link)
         return link
 
     def add_association(self, owner: str, target: str,
@@ -146,7 +189,8 @@ class Schema:
         self._require_eclass(target)
         link = Aggregation(owner=owner, name=name or target, target=target,
                            many=many, required=required)
-        self._store_aggregation(link)
+        with self._edit():
+            self._store_aggregation(link)
         return link
 
     def add_composition(self, owner: str, target: str,
@@ -165,7 +209,8 @@ class Schema:
         link = Aggregation(owner=owner, name=name or target,
                            target=target, many=many, required=required,
                            kind=AssociationKind.COMPOSITION)
-        self._store_aggregation(link)
+        with self._edit():
+            self._store_aggregation(link)
         return link
 
     def declare_interaction(self, cls: str,
@@ -184,14 +229,15 @@ class Schema:
             raise SchemaError(
                 f"interaction class {cls!r} needs at least two "
                 f"participants")
-        for participant in participants:
-            self._require_eclass(participant)
-            self._store_aggregation(Aggregation(
-                owner=cls, name=participant.lower(), target=participant,
-                many=False, required=True,
-                kind=AssociationKind.INTERACTION))
-        declaration = InteractionClass(cls, participants)
-        self._interactions[cls] = declaration
+        with self._edit():
+            for participant in participants:
+                self._require_eclass(participant)
+                self._store_aggregation(Aggregation(
+                    owner=cls, name=participant.lower(), target=participant,
+                    many=False, required=True,
+                    kind=AssociationKind.INTERACTION))
+            declaration = InteractionClass(cls, participants)
+            self._interactions[cls] = declaration
         return declaration
 
     def declare_crossproduct(self, cls: str,
@@ -209,14 +255,15 @@ class Schema:
             raise SchemaError(
                 f"crossproduct class {cls!r} needs at least two "
                 f"components")
-        for component in components:
-            self._require_eclass(component)
-            self._store_aggregation(Aggregation(
-                owner=cls, name=component.lower(), target=component,
-                many=False, required=True,
-                kind=AssociationKind.CROSSPRODUCT))
-        declaration = CrossproductClass(cls, components)
-        self._crossproducts[cls] = declaration
+        with self._edit():
+            for component in components:
+                self._require_eclass(component)
+                self._store_aggregation(Aggregation(
+                    owner=cls, name=component.lower(), target=component,
+                    many=False, required=True,
+                    kind=AssociationKind.CROSSPRODUCT))
+            declaration = CrossproductClass(cls, components)
+            self._crossproducts[cls] = declaration
         return declaration
 
     def interaction_of(self, cls: str) -> Optional[InteractionClass]:
@@ -244,8 +291,9 @@ class Schema:
             raise GeneralizationCycleError(
                 f"generalization {superclass} -> {subclass} would create "
                 f"a cycle")
-        self._subclasses[superclass].add(subclass)
-        self._superclasses[subclass].add(superclass)
+        with self._edit():
+            self._subclasses[superclass].add(subclass)
+            self._superclasses[subclass].add(superclass)
         return Generalization(superclass, subclass)
 
     def _store_aggregation(self, link: Aggregation) -> None:
@@ -254,6 +302,76 @@ class Schema:
                 f"class {link.owner!r} already has an aggregation link "
                 f"named {link.name!r}")
         self._aggregations[link.key] = link
+
+    # ------------------------------------------------------------------
+    # Schema evolution (the extension is migrated by
+    # :mod:`repro.model.evolution`, which calls these)
+    # ------------------------------------------------------------------
+
+    def drop_aggregation(self, owner: str, name: str) -> Aggregation:
+        """Remove the aggregation link ``owner.name`` and return it.  An
+        interaction or crossproduct declaration of ``owner`` that the
+        link belongs to goes with it."""
+        link = self.aggregation(owner, name)
+        with self._edit():
+            del self._aggregations[link.key]
+            declaration = self._interactions.get(owner)
+            if declaration and name in [p.lower()
+                                        for p in declaration.participants]:
+                del self._interactions[owner]
+            declaration = self._crossproducts.get(owner)
+            if declaration and name in [c.lower()
+                                        for c in declaration.components]:
+                del self._crossproducts[owner]
+        return link
+
+    def drop_eclass(self, name: str) -> None:
+        """Remove an E-class that has no subclasses and that no
+        aggregation link touches; its own generalization edges go with
+        it."""
+        subclasses = self.direct_subclasses(name)
+        if subclasses:
+            raise SchemaError(
+                f"class {name!r} has subclasses {sorted(subclasses)}; "
+                f"drop them first")
+        touching = [str(link) for link in self.aggregations()
+                    if link.owner == name or link.target == name]
+        if touching:
+            raise SchemaError(
+                f"class {name!r} is referenced by {touching}; drop those "
+                f"links first")
+        with self._edit():
+            for superclass in self._superclasses.pop(name):
+                self._subclasses[superclass].discard(name)
+            del self._subclasses[name]
+            del self._eclasses[name]
+
+    def drop_subclass(self, superclass: str, subclass: str) -> None:
+        """Remove the direct generalization edge ``superclass ->
+        subclass``."""
+        if subclass not in self._subclasses.get(superclass, ()):
+            raise SchemaError(
+                f"{subclass!r} is not a direct subclass of {superclass!r}")
+        with self._edit():
+            self._subclasses[superclass].discard(subclass)
+            self._superclasses[subclass].discard(superclass)
+
+    def rename_attribute(self, owner: str, old: str,
+                         new: str) -> Aggregation:
+        """Rename the descriptive attribute ``owner.old`` to ``new`` and
+        return the renamed link."""
+        link = self._aggregations.get((owner, old))
+        if link is None or link.target not in self._dclasses:
+            raise UnknownAssociationError(
+                f"class {owner!r} has no descriptive attribute {old!r}")
+        if (owner, new) in self._aggregations:
+            raise SchemaError(
+                f"class {owner!r} already has a link named {new!r}")
+        renamed = replace(link, name=new)
+        with self._edit():
+            del self._aggregations[link.key]
+            self._aggregations[renamed.key] = renamed
+        return renamed
 
     def _require_eclass(self, name: str) -> EClass:
         try:
@@ -290,6 +408,15 @@ class Schema:
         """All stored aggregation links, in a stable order."""
         return [self._aggregations[k] for k in sorted(self._aggregations)]
 
+    def aggregation(self, owner: str, name: str) -> Aggregation:
+        """The aggregation link stored as ``owner.name`` (not inherited;
+        raises if there is none)."""
+        try:
+            return self._aggregations[(owner, name)]
+        except KeyError:
+            raise UnknownAssociationError(
+                f"class {owner!r} has no aggregation link {name!r}") from None
+
     def generalizations(self) -> List[Generalization]:
         """All direct generalization edges, in a stable order."""
         return [Generalization(sup, sub)
@@ -300,37 +427,57 @@ class Schema:
     # Generalization closure
     # ------------------------------------------------------------------
 
-    def superclasses(self, name: str) -> Set[str]:
+    def superclasses(self, name: str) -> FrozenSet[str]:
         """All transitive superclasses of ``name`` (not including it)."""
-        self._require_eclass(name)
-        out: Set[str] = set()
-        frontier = list(self._superclasses.get(name, ()))
-        while frontier:
-            cls = frontier.pop()
-            if cls not in out:
-                out.add(cls)
-                frontier.extend(self._superclasses.get(cls, ()))
+        memo = self._memo.superclasses
+        out = memo.get(name)
+        if out is None:
+            out = memo[name] = self._closure(self._superclasses, name)
         return out
 
-    def subclasses(self, name: str) -> Set[str]:
+    def subclasses(self, name: str) -> FrozenSet[str]:
         """All transitive subclasses of ``name`` (not including it)."""
+        memo = self._memo.subclasses
+        out = memo.get(name)
+        if out is None:
+            out = memo[name] = self._closure(self._subclasses, name)
+        return out
+
+    def _closure(self, edges: Dict[str, Set[str]],
+                 name: str) -> FrozenSet[str]:
+        """Everything reachable from ``name`` along ``edges`` — the one
+        walk of the G-graph, made once per class and direction between
+        two schema edits."""
         self._require_eclass(name)
         out: Set[str] = set()
-        frontier = list(self._subclasses.get(name, ()))
+        frontier = list(edges.get(name, ()))
         while frontier:
             cls = frontier.pop()
             if cls not in out:
                 out.add(cls)
-                frontier.extend(self._subclasses.get(cls, ()))
+                frontier.extend(edges.get(cls, ()))
+        return frozenset(out)
+
+    def up(self, name: str) -> FrozenSet[str]:
+        """``name`` together with all its transitive superclasses."""
+        memo = self._memo.up
+        out = memo.get(name)
+        if out is None:
+            out = memo[name] = self.superclasses(name) | {name}
         return out
 
-    def up(self, name: str) -> Set[str]:
-        """``name`` together with all its transitive superclasses."""
-        return {name} | self.superclasses(name)
-
-    def down(self, name: str) -> Set[str]:
+    def down(self, name: str) -> FrozenSet[str]:
         """``name`` together with all its transitive subclasses."""
-        return {name} | self.subclasses(name)
+        memo = self._memo.down
+        out = memo.get(name)
+        if out is None:
+            out = memo[name] = self.subclasses(name) | {name}
+        return out
+
+    def direct_subclasses(self, name: str) -> FrozenSet[str]:
+        """The classes G-linked directly under ``name``."""
+        self._require_eclass(name)
+        return frozenset(self._subclasses[name])
 
     def is_subclass_of(self, sub: str, sup: str) -> bool:
         """True if ``sub`` equals ``sup`` or is a transitive subclass."""
@@ -345,21 +492,25 @@ class Schema:
     # Attribute visibility
     # ------------------------------------------------------------------
 
-    def descriptive_attributes(self, name: str) -> Dict[str, Aggregation]:
-        """The descriptive attributes visible from class ``name``.
+    def descriptive_attributes(self, name: str) -> Mapping[str, Aggregation]:
+        """The descriptive attributes visible from class ``name``, as a
+        read-only mapping.
 
         A class inherits all aggregation links of its superclasses; links
         defined on the class itself shadow inherited ones of the same
         name.  Only links to D-classes are descriptive attributes.
         """
-        out: Dict[str, Aggregation] = {}
-        # Walk from the most remote superclasses down so nearer definitions
-        # shadow farther ones.
-        order = self._linearized_ancestry(name)
-        for cls in order:
-            for (owner, attr), link in self._aggregations.items():
-                if owner == cls and link.target in self._dclasses:
-                    out[attr] = link
+        memo = self._memo.attributes
+        out = memo.get(name)
+        if out is None:
+            attrs: Dict[str, Aggregation] = {}
+            # Walk from the most remote superclasses down so nearer
+            # definitions shadow farther ones.
+            for cls in self._linearized_ancestry(name):
+                for (owner, attr), link in self._aggregations.items():
+                    if owner == cls and link.target in self._dclasses:
+                        attrs[attr] = link
+            out = memo[name] = MappingProxyType(attrs)
         return out
 
     def attribute(self, cls: str, name: str) -> Aggregation:
@@ -395,6 +546,40 @@ class Schema:
     # ------------------------------------------------------------------
     # Entity associations and the inherited view (Figure 2.2)
     # ------------------------------------------------------------------
+
+    def entity_association(self, cls: str, name: str) -> Aggregation:
+        """The entity association named ``name`` visible from ``cls``:
+        the one defined at the first class of ``up(cls)``, in name
+        order, that defines one."""
+        memo = self._memo.associations
+        key = (cls, name)
+        try:
+            link = memo[key]
+        except KeyError:
+            link = None
+            for owner in sorted(self.up(cls)):
+                found = self._aggregations.get((owner, name))
+                if found is not None and found.target in self._eclasses:
+                    link = found
+                    break
+            memo[key] = link
+        if link is None:
+            raise UnknownAttributeError(
+                f"class {cls!r} has no entity association {name!r}")
+        return link
+
+    def compositions(self, cls: str) -> Tuple[Aggregation, ...]:
+        """The composition links whose whole is ``cls`` or one of its
+        superclasses, in :meth:`aggregations` order."""
+        memo = self._memo.compositions
+        out = memo.get(cls)
+        if out is None:
+            up = self.up(cls)
+            out = memo[cls] = tuple(
+                link for link in self.aggregations()
+                if link.kind is AssociationKind.COMPOSITION
+                and link.owner in up)
+        return out
 
     def entity_links_at(self, name: str) -> List[Aggregation]:
         """Aggregation links between E-classes defined *directly* at

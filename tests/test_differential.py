@@ -1121,7 +1121,8 @@ class TestDifferentialFootprints:
                         db.associate(owner, name, target)
                     elif kind == "dissociate":
                         linked = sorted(db.linked(
-                            owner, db._resolve_assoc(owner, name)[0]))
+                            owner, db.schema.entity_association(
+                                db.entity(owner).cls, name)))
                         if not linked:
                             continue
                         db.dissociate(owner, name, rng.choice(linked))
@@ -1287,7 +1288,7 @@ class TestDifferentialFootprints:
         failures: List[str] = []
         depts = sorted(db.extent("Department"))
         ta = sorted(db.extent("TA"))[0]
-        major = db._resolve_assoc(ta, "Major")[0]
+        major = db.schema.entity_association(db.entity(ta).cls, "Major")
         for dept in db.linked(ta, major):
             db.dissociate(ta, "Major", dept)
             self._compare(engines, db, rules, "TA drops its Major",
@@ -1300,12 +1301,12 @@ class TestDifferentialFootprints:
             self._compare(engines, db, rules,
                           f"TA.GPA = {gpa} (Student.GPA)", failures)
         faculty = next(oid for oid in sorted(db.extent("Faculty"))
-                       if db.linked(oid, db._resolve_assoc(
-                           oid, "teaches")[0]))
+                       if db.linked(oid, db.schema.entity_association(
+                           "Faculty", "teaches")))
         db.set_attribute(faculty, "name", "Renamed")
         self._compare(engines, db, rules, "Faculty.name (Person.name)",
                       failures)
-        teaches = db._resolve_assoc(faculty, "teaches")[0]
+        teaches = db.schema.entity_association("Faculty", "teaches")
         for section in sorted(db.linked(faculty, teaches)):
             db.delete(section)
             self._compare(engines, db, rules,

@@ -1,6 +1,8 @@
 """Tests for schema evolution: drops, renames, data migration, and
 derived-result invalidation."""
 
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -154,3 +156,63 @@ class TestDerivedResultInvalidation:
         maintained = engine.universe.get_subdb("TS").patterns
         fresh = engine.derive("TS", force=True).patterns
         assert maintained == fresh
+
+
+class TestEvolutionHoldsTheWriteLock:
+    """Each operation runs under the write lock from its first schema
+    edit through its SCHEMA event: a reader holding the read side sees
+    neither the edit nor the event until it lets go."""
+
+    @pytest.mark.parametrize("op, edited", [
+        (lambda db: evolution.drop_association(db, "Teacher", "teaches"),
+         lambda s: ("Teacher", "teaches") not in
+         {l.key for l in s.aggregations()}),
+        (lambda db: evolution.drop_eclass(db, "Visitor"),
+         lambda s: not s.has_eclass("Visitor")),
+        (lambda db: evolution.drop_subclass(db, "Person", "Visitor"),
+         lambda s: "Visitor" not in s.direct_subclasses("Person")),
+        (lambda db: evolution.rename_attribute(db, "Section", "textbook",
+                                               "book"),
+         lambda s: "book" in s.descriptive_attributes("Section")),
+    ], ids=["drop_association", "drop_eclass", "drop_subclass",
+            "rename_attribute"])
+    def test_reader_holds_off_the_operation(self, data, op, edited,
+                                            monkeypatch):
+        db = data.db
+        db.schema.add_eclass("Visitor")
+        db.schema.add_subclass("Person", "Visitor")
+        events = []
+        db.add_listener(events.append)
+        reading, done_reading = threading.Event(), threading.Event()
+        writer_waits = threading.Event()
+        acquire_write = db._rw.acquire_write
+
+        def hold_point():
+            writer_waits.set()
+            acquire_write()
+
+        monkeypatch.setattr(db._rw, "acquire_write", hold_point)
+
+        def reader():
+            with db.read_locked():
+                reading.set()
+                done_reading.wait(timeout=30)
+
+        readers = threading.Thread(target=reader)
+        readers.start()
+        assert reading.wait(timeout=30)
+        writer = threading.Thread(target=op, args=(db,))
+        writer.start()
+        try:
+            assert writer_waits.wait(timeout=30)
+            # The writer is at (or inside) the lock; the reader still
+            # holds it, so neither the edit nor the event has happened.
+            assert not events
+            assert not edited(db.schema)
+        finally:
+            done_reading.set()
+            readers.join(timeout=30)
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert [e.kind for e in events] == [UpdateKind.SCHEMA]
+        assert edited(db.schema)

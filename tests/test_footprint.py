@@ -196,7 +196,8 @@ def _write(kind: str, data) -> None:
         section = next(s for s in data.all_of("Section")
                        if s.oid not in db.linked(
                            student.oid,
-                           db._resolve_assoc(student.oid, "enrolled")[0]))
+                           db.schema.entity_association(student.cls,
+                                                        "enrolled")))
         db.associate(student, "enrolled", section)
     elif kind == "section":
         section = db.insert("Section", "fresh",

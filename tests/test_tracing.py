@@ -331,7 +331,8 @@ class TestInstrumentation:
                         "then Enrolled (Student)")
         engine.refresh()
         student = data.all_of("Student")[0]
-        enrolled = data.db._resolve_assoc(student.oid, "enrolled")[0]
+        enrolled = data.db.schema.entity_association(student.cls,
+                                                        "enrolled")
         free = next(s for s in data.all_of("Section")
                     if s.oid not in data.db.linked(student.oid, enrolled))
         tracer = obs.install()
