@@ -232,10 +232,11 @@ class Database:
         self._batch_events: List[UpdateEvent] = []
         # Full (subclass-inclusive) extents memoized per extent stamp
         # (an insert into a subclass stamps the superclass closure, so a
-        # class's own stamp covers its whole subtree); the returned
-        # sets are shared — callers must not mutate them.  Values are
-        # ``((schema_version, extent stamp), set)``.
-        self._extent_cache: Dict[str, Tuple[Tuple[int, int], Set[OID]]] = {}
+        # class's own stamp covers its whole subtree) and schema
+        # generation (any schema edit may move the subtree); the
+        # returned sets are shared — callers must not mutate them.
+        # Values are ``(schema generation, extent stamp, set)``.
+        self._extent_cache: Dict[str, Tuple[object, int, Set[OID]]] = {}
         #: Reader-writer lock: every mutator holds the write side through
         #: its listener notification; snapshots hold the read side while
         #: pinning state or falling through to live structures.
@@ -606,17 +607,20 @@ class Database:
 
         The returned set is a memo shared between callers and must not
         be mutated (copy it first).  Entries are validated against the
-        class's extent stamp, so link and attribute writes — and writes
-        to unrelated classes — keep the memo warm.
+        class's extent stamp and the schema's generation, so link and
+        attribute writes — and writes to unrelated classes — keep the
+        memo warm, while any schema edit (a new subclass, say) drops it.
         """
-        token = (self._schema_version, self._extent_versions.get(cls, 0))
+        generation = self.schema.generation
+        stamp = self._extent_versions.get(cls, 0)
         cached = self._extent_cache.get(cls)
-        if cached is not None and cached[0] == token:
-            return cached[1]
+        if cached is not None and cached[0] is generation \
+                and cached[1] == stamp:
+            return cached[2]
         out: Set[OID] = set(self._require_extent(cls))
         for sub in self.schema.subclasses(cls):
             out.update(self._extents.get(sub, ()))
-        self._extent_cache[cls] = (token, out)
+        self._extent_cache[cls] = (generation, stamp, out)
         return out
 
     def direct_extent(self, cls: str) -> Set[OID]:

@@ -13,9 +13,9 @@ Dense ids are permanent.  An INSERT appends the new member (the OID
 allocator is monotonic, so it sorts last); a DELETE tombstones the
 member's id (:meth:`InternTable.without`) instead of renumbering every
 id above it, and the readers that walk an id range skip dead ids.  The
-owning store compacts — rebuilds the table from its extent, under a new
-:attr:`~InternTable.layout` — once a table's dead ids reach its live
-count, which keeps a DELETE amortized O(1).
+owning store compacts — rebuilds the table from its extent — once a
+table's dead ids reach its live count, which keeps a DELETE amortized
+O(1).
 
 Tables are owned by a per-universe store that validates them against the
 database's version counter / update events; this module is deliberately
@@ -27,14 +27,9 @@ and validity tokens.
 from __future__ import annotations
 
 from array import array
-from itertools import count
 from typing import Any, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.model.oid import OID
-
-#: Layout numbers: one per table built from an extent (see
-#: :attr:`InternTable.layout`).
-_LAYOUTS = count()
 
 
 class InternTable:
@@ -57,8 +52,7 @@ class InternTable:
     """
 
     __slots__ = ("key", "oids", "values", "index", "token", "lent",
-                 "labels", "dead", "layout", "_shared", "_full_ids",
-                 "_live_ids")
+                 "labels", "dead", "_shared", "_full_ids", "_live_ids")
 
     def __init__(self, key: Any, extent: Iterable[OID],
                  token: Any = None):
@@ -86,9 +80,6 @@ class InternTable:
         #: object (the store compacts by building a new table), so its
         #: size stamps what is cached from it.
         self.dead: Set[int] = set()
-        #: The id assignment this table shares with its forks and twins;
-        #: a new build numbers its extent afresh and gets a new one.
-        self.layout = next(_LAYOUTS)
         #: True while ``oids``/``values``/``index``/``labels`` are
         #: shared with the lent table this one is a twin of.
         self._shared = False
@@ -101,7 +92,6 @@ class InternTable:
         twin.token = self.token
         twin.lent = False
         twin.dead = set(self.dead)
-        twin.layout = self.layout
         twin._full_ids = self._full_ids
         twin._live_ids = self._live_ids
         twin._shared = share

@@ -129,6 +129,13 @@ class Schema:
         finally:
             self._memo = _Memo()
 
+    @property
+    def generation(self) -> object:
+        """An object that every edit replaces (compare it by identity):
+        it lets a cache over schema answers notice a plain edit, which
+        moves no database stamp."""
+        return self._memo
+
     # ------------------------------------------------------------------
     # Schema construction
     # ------------------------------------------------------------------
@@ -265,6 +272,16 @@ class Schema:
             declaration = CrossproductClass(cls, components)
             self._crossproducts[cls] = declaration
         return declaration
+
+    def restore_aggregation(self, link: Aggregation) -> Aggregation:
+        """Store an entity link exactly as it was saved, kind included —
+        how a reload re-creates an I or X link that outlived its
+        declaration (another participant's link was dropped)."""
+        self._require_eclass(link.owner)
+        self._require_eclass(link.target)
+        with self._edit():
+            self._store_aggregation(link)
+        return link
 
     def interaction_of(self, cls: str) -> Optional[InteractionClass]:
         return self._interactions.get(cls)

@@ -64,7 +64,7 @@ from repro.oql import kernels
 from repro.oql.cache import (DEFAULT_CACHE_BYTES, ResultCache, clone_result,
                              fingerprint, result_nbytes)
 from repro.oql.footprint import Footprint, footprint_of
-from repro.oql.planner import JoinPlan, Planner
+from repro.oql.planner import JoinPlan, Planner, PlanStep
 from repro.subdb import attrindex
 from repro.subdb.intension import Edge, IntensionalPattern
 from repro.subdb.pattern import ExtensionalPattern, subsume, subsume_rows
@@ -131,12 +131,10 @@ class EvaluationMetrics:
     #: ``obs.TRACER.recorder.get(trace_id)``.
     trace_id: Optional[int] = None
     #: Cross-query result-cache traffic of this evaluation: a hit means
-    #: the whole result was served without joining; a memo hit means a
-    #: loop seeded its anchor-expansion table from a previous query.
+    #: the whole result was served without joining.
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
-    cache_memo_hits: int = 0
     #: Value-index probes answered (one per conjunct served from an
     #: :class:`~repro.subdb.attrindex.AttrIndex` instead of a scan).
     index_probes: int = 0
@@ -161,7 +159,6 @@ class EvaluationMetrics:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_evictions": self.cache_evictions,
-            "cache_memo_hits": self.cache_memo_hits,
             "index_probes": self.index_probes,
             "index_rows": self.index_rows,
             "extent_filter_evals": self.extent_filter_evals,
@@ -1129,12 +1126,11 @@ class PatternEvaluator:
                                name: str) -> Subdatabase:
         """Semi-naive transitive closure over interned ids.
 
-        Level N+1 extends only the rows *new at level N* (the delta
-        frontier), and each anchor instance's one-cycle body expansion
-        is computed at most once per evaluation and memoized — an
-        anchor reached through many hierarchies, or reached again at a
-        deeper level, reuses the cached expansion instead of
-        re-traversing the body.
+        Level 1 is the planned chain over the cycle.  Each later level
+        extends only the rows *new at the previous level* (the delta
+        frontier), hop by hop across the cycle body with the chain's
+        join kernel — the same step specs, dead-id masks and budget
+        charging — and the rows stay columnar throughout.
         """
         terms, n, body = self._loop_guard(flat)
         extents = [self._extent(term) for term in terms]
@@ -1150,178 +1146,108 @@ class PatternEvaluator:
         filt = self._filtered_ids(extents, tables)
         max_level = count if count is not None else self.max_depth
         budget = self._budget
-
-        # Cross-query anchor-expansion memo: the one-cycle body
-        # expansion of an anchor id depends only on the term extents,
-        # their condition attributes and the cycle's links — exactly
-        # what the chain's footprint vector pins — and on the id
-        # assignment: the tables' layouts key it, because a table
-        # rebuilt at an unchanged vector numbers its extent afresh
-        # (its predecessor's tombstones are gone).
-        memo_key = memo_vector = None
-        cache = self.result_cache
-        if cache.enabled and all(ref.subdb is None for ref in refs):
-            memo_key = ("loop-body",
-                        repr((tuple(terms), tuple(flat.ops), count,
-                              self.on_cycle,
-                              tuple(table.layout for table in tables))))
-            memo_vector = self._vector(memo_key, terms)
+        metrics = self._metrics
 
         # Level 1: one full traversal of the cycle.
-        frontier = kernels.columns_to_rows(self._match_range_ids(
-            flat, 0, n - 1, extents, resolutions, refs, tables, filt))
-        total_rows = len(frontier)
+        frontier = self._match_range_ids(flat, 0, n - 1, extents,
+                                         resolutions, refs, tables, filt)
+        total_rows = len(frontier[0])
         # Loop rows grow from slot 0, so one covers another exactly when
         # the shorter is its prefix — and prefixes only arise by direct
         # ancestry.  A row is therefore subsumed iff it gets extended at
-        # the next level; tracking kept rows inline replaces the generic
-        # subsumption pass (the dominant cost of deep closures).
-        kept_rows: List[Tuple[int, ...]] = []
+        # the next level; keeping the unextended rows of each level
+        # replaces the generic subsumption pass.
+        kept: List[List[np.ndarray]] = []
+
+        def no_repeats(origin: np.ndarray, roots: List[np.ndarray]):
+            """The filter of the body's last hop, whose input rows grow
+            frontier rows ``origin``: drop an extension whose new
+            instance repeats one of its frontier row's ``roots``
+            (the columns at root positions).  Roots all intern through
+            the cycle-seam table (tables[0] is tables[-1]), so id
+            equality is instance equality."""
+            def keep(row_ids: np.ndarray, last: np.ndarray) -> np.ndarray:
+                grows = origin[row_ids]
+                repeats = np.zeros(len(last), dtype=bool)
+                for root in roots:
+                    repeats |= root[grows] == last
+                if repeats.any() and self.on_cycle == "error":
+                    oid = tables[-1].oids[int(last[repeats.argmax()])]
+                    raise CyclicDataError(
+                        f"instance {oid!r} repeats in a loop hierarchy; "
+                        f"the paper assumes the traversed relationship "
+                        f"is acyclic (use on_cycle='stop' to truncate)")
+                return ~repeats
+            return keep
+
+        specs = None
         level = 1
-        #: anchor id -> its one-cycle body expansions (anchor dropped).
-        expansions: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
-        if memo_key is not None:
-            seeded = cache.lookup(memo_key, memo_vector)
-            if seeded is not None:
-                expansions = dict(seeded)
-                self._metrics.cache_memo_hits += 1
         tracer = obs.TRACER
-        while frontier and level < max_level:
+        while len(frontier[0]) and level < max_level:
             level += 1
             lspan = tracer.start("loop-level", level=level) \
                 if tracer is not None else None
             if lspan is not None:
-                lspan.add("frontier", len(frontier))
+                lspan.add("frontier", len(frontier[0]))
             produced = 0
             try:
                 if budget is not None:
                     budget.check_level(level)
                     budget.check_time()
-                new_anchors = ({row[-1] for row in frontier}
-                               - expansions.keys())
-                if new_anchors:
-                    self._expand_anchors(new_anchors, expansions,
-                                         resolutions, refs, tables, filt,
-                                         n)
-                if lspan is not None:
-                    lspan.add("new_anchors", len(new_anchors))
-                extended: List[Tuple[int, ...]] = []
-                next_check = (budget.CHECK_EVERY if budget is not None
-                              else None)
-                charged = 0
-                for row in frontier:
-                    grew = False
-                    # Root positions all intern through the cycle-seam
-                    # table (tables[0] is tables[-1]), so id equality is
-                    # instance equality.
-                    roots = row[::body]
-                    for extension in expansions[row[-1]]:
-                        last = extension[-1]
-                        if last in roots:
-                            if self.on_cycle == "error":
-                                raise CyclicDataError(
-                                    f"instance {tables[-1].oids[last]!r} "
-                                    f"repeats in a loop hierarchy; the "
-                                    f"paper assumes the traversed "
-                                    f"relationship is acyclic (use "
-                                    f"on_cycle='stop' to truncate)")
-                            continue
-                        extended.append(row + extension)
-                        grew = True
-                    if not grew:
-                        kept_rows.append(row)
-                    if next_check is not None and \
-                            len(extended) >= next_check:
-                        # Chunked enforcement: overshoot past a deadline
-                        # is bounded by one chunk of tuple appends, not
-                        # one whole level of an exploding closure.
-                        budget.charge_rows(len(extended) - charged)
-                        charged = len(extended)
-                        budget.check_time()
-                        next_check = charged + budget.CHECK_EVERY
-                if budget is not None:
-                    budget.charge_rows(len(extended) - charged)
-                total_rows += len(extended)
-                self._metrics.rows_generated += len(extended)
-                produced = len(extended)
-                frontier = extended
+                if specs is None:
+                    specs = self._build_step_specs(
+                        [PlanStep(slot=k + 1, edge=k, direction="right",
+                                  op="*", est_rows=0.0)
+                         for k in range(body)],
+                        resolutions, refs, tables, filt)
+                # Extend (frontier row, anchor) across the body: the
+                # first column says which frontier row each extension
+                # grows.
+                cols = [np.arange(len(frontier[0]), dtype=np.int64),
+                        frontier[-1]]
+                for k, spec in enumerate(specs):
+                    cols, frontier_size = kernels.execute_step(
+                        cols, spec, budget,
+                        no_repeats(cols[0], frontier[::body])
+                        if k == body - 1 else None)
+                    metrics.edge_traversals += frontier_size
+                origin = cols[0]
+                idle = np.ones(len(frontier[0]), dtype=bool)
+                idle[origin] = False
+                kept.append([col[idle] for col in frontier])
+                frontier = [col[origin] for col in frontier] + cols[2:]
+                produced = len(origin)
+                total_rows += produced
+                metrics.rows_generated += produced
             finally:
                 if lspan is not None:
                     lspan.add("rows_out", produced)
                     tracer.finish(lspan)
-        if count is None and frontier and level >= self.max_depth:
+        if count is None and len(frontier[0]) and level >= self.max_depth:
             raise CyclicDataError(
                 f"unbounded loop did not terminate within "
                 f"{self.max_depth} levels")
-        if memo_key is not None and expansions:
-            # Populated only on a completed closure (a budget trip or
-            # cycle error unwinds past this line).
-            tuples = sum(len(exts) for exts in expansions.values())
-            nbytes = (256 + len(expansions) * 80
-                      + tuples * (48 + 16 * body))
-            cache.store(memo_key, memo_vector, dict(expansions), nbytes)
         # The final frontier was never expanded: all of it survives.
-        kept_rows.extend(frontier)
+        kept.append(frontier)
         # Pad the surviving rows to the deepest level reached.
-        levels_reached = max(
-            (1 + (len(row) - n) // body for row in kept_rows), default=1)
+        levels_reached = max((depth for depth, rows in enumerate(kept, 1)
+                              if len(rows[0])), default=1)
         intension = self._loop_intension(terms, resolutions,
                                          levels_reached, n, body)
         width = len(intension.slots)
-        kept = {row + (None,) * (width - len(row)) for row in kept_rows}
-        self._metrics.patterns_subsumed += total_rows - len(kept)
-        self._metrics.loop_levels = levels_reached
+        columns = []
+        for t in range(width):
+            parts = [rows[t] if t < len(rows)
+                     else np.full(len(rows[0]), -1, dtype=np.int64)
+                     for rows in kept[:levels_reached]]
+            columns.append(np.concatenate(parts))
+        metrics.patterns_subsumed += total_rows - len(columns[0])
+        metrics.loop_levels = levels_reached
         decode_tables = [tables[t] if t < n
                          else tables[1 + (t - n) % body]
                          for t in range(width)]
-        return Subdatabase.from_columns(
-            name, intension, kernels.rows_to_columns(kept, width),
-            decode_tables)
-
-    def _expand_anchors(self, anchors: Set[int],
-                        expansions: Dict[int, Tuple[Tuple[int, ...], ...]],
-                        resolutions: List[EdgeResolution],
-                        refs: List[ClassRef],
-                        tables: List[InternTable],
-                        filt: List[Optional[frozenset]],
-                        n: int) -> None:
-        """Traverse the cycle body once from each anchor id, batched per
-        hop over distinct endpoints, and memoize the expansions."""
-        universe = self.universe
-        metrics = self._metrics
-        budget = self._budget
-        partials: List[Tuple[int, ...]] = [(a,) for a in anchors]
-        for k in range(n - 1):
-            if not partials:
-                break
-            if budget is not None:
-                budget.check_time()
-            adj = universe.adjacency(resolutions[k], True,
-                                     refs[k], refs[k + 1])
-            ends = {partial[-1] for partial in partials}
-            metrics.edge_traversals += len(ends)
-            tgt_ids = filt[k + 1]
-            if tgt_ids is None and tables[k + 1].dead:
-                # CSR rows still hold the ids of deleted targets.
-                tgt_ids = tables[k + 1].full_id_set
-            candidates: Dict[int, Sequence[int]] = {}
-            if tgt_ids is None:
-                for f in ends:
-                    candidates[f] = adj.row(f)
-            else:
-                for f in ends:
-                    candidates[f] = [v for v in adj.row(f) if v in tgt_ids]
-            partials = [partial + (v,) for partial in partials
-                        for v in candidates[partial[-1]]]
-            if budget is not None:
-                budget.charge_rows(len(partials))
-        for anchor in anchors:
-            expansions[anchor] = ()
-        grouped: Dict[int, List[Tuple[int, ...]]] = {}
-        for partial in partials:
-            grouped.setdefault(partial[0], []).append(partial[1:])
-        for anchor, exts in grouped.items():
-            expansions[anchor] = tuple(exts)
+        return Subdatabase.from_columns(name, intension, columns,
+                                        decode_tables)
 
     # ------------------------------------------------------------------
     # The Where subclause

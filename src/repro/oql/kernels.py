@@ -5,9 +5,10 @@ per slot) while it runs, so a ``*`` hop is a handful of bulk
 operations — offsets gather, prefix-sum index expansion, boolean-mask
 semi-join filter, ``np.repeat`` column replication — with zero
 per-row Python.  A chain's columns leave the last hop as they are and
-become the result (:meth:`~repro.subdb.subdatabase.Subdatabase.from_columns`);
-only brace groups and loops, which subsume row-wise, turn them into
-tuples (:func:`columns_to_rows`).  The CSR and value indexes keep
+become the result (:meth:`~repro.subdb.subdatabase.Subdatabase.from_columns`),
+and a loop level extends its frontier's columns with the same hop;
+only brace groups, which subsume row-wise, turn them into tuples
+(:func:`columns_to_rows`).  The CSR and value indexes keep
 ``array("q")`` buffers, which numpy reads in place through
 ``frombuffer``.
 
@@ -70,7 +71,7 @@ def anchor_column(ids):
 
 def columns_to_rows(cols) -> List[Tuple[int, ...]]:
     """Columns as row tuples of plain Python ints — for the brace-group
-    and loop paths, which subsume row-wise."""
+    path, which subsumes row-wise."""
     if not cols or not len(cols[0]):
         return []
     return list(zip(*[col.tolist() for col in cols]))
@@ -78,8 +79,7 @@ def columns_to_rows(cols) -> List[Tuple[int, ...]]:
 
 def rows_to_columns(rows, width: int) -> List[np.ndarray]:
     """Row tuples (``None`` for Null) back to one int64 column per slot,
-    −1 for Null — how the rows a brace group or loop kept become a
-    result."""
+    −1 for Null — how the rows a brace group kept become a result."""
     if not rows:
         return [np.empty(0, dtype=np.int64) for _ in range(width)]
     return [np.array([-1 if v is None else v for v in col], dtype=np.int64)
@@ -102,54 +102,85 @@ def distinct_count(ids) -> int:
 # One join hop
 # ----------------------------------------------------------------------
 
-def execute_step(cols, spec: StepSpec, budget=None):
+def execute_step(cols, spec: StepSpec, budget=None, row_filter=None):
     """Extend the row columns across one hop.
 
     Returns ``(new_cols, distinct_frontier)``; the new target column is
     appended (``forward``) or prepended.  Neighbor order within a row
     follows the CSR arrays (ascending), so output order is identical
-    to the set-based executor's.
+    to the set-based executor's.  ``row_filter(row_ids, tgt)`` (``*``
+    hops only) returns which candidate rows to keep — input row index
+    and new target id — and runs before the rows are charged.
     """
     if budget is not None:
         budget.check_time()
     if spec.op == "*":
-        return _step_star(cols, spec, budget)
+        return _step_star(cols, spec, budget, row_filter)
     return _step_bang(cols, spec, budget)
 
 
-def _step_star(cols, spec, budget):
+def _step_star(cols, spec, budget, row_filter):
+    """The association operator.  A budgeted hop gathers its output in
+    slices of ``budget.CHECK_EVERY`` rows, charging each slice and
+    checking the clock between slices, so a hop that would explode
+    trips within one slice of its limit instead of after the whole
+    gather."""
     off = np.frombuffer(spec.offsets, dtype=np.int64)
     nbr = np.frombuffer(spec.neighbors, dtype=np.int64)
     ends = cols[-1] if spec.forward else cols[0]
     starts = off[ends]
     cnt = off[ends + 1] - starts
     frontier = distinct_count(ends)
-    total = int(cnt.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        out = [empty for _ in range(len(cols) + 1)]
-        return out, frontier
-    # Expand the per-row CSR runs into one flat gather index:
-    # idx[k] = starts[row of k] + (k - exclusive_prefix_sum[row of k]).
     csum = np.cumsum(cnt)
-    row_ids = np.repeat(np.arange(len(ends), dtype=np.int64), cnt)
-    idx = (np.arange(total, dtype=np.int64)
-           - np.repeat(csum - cnt, cnt)
-           + np.repeat(starts, cnt))
-    tgt = nbr[idx]
+    total = int(csum[-1]) if len(csum) else 0
+    # Output position k of row r gathers neighbor
+    # starts[r] + (k - first output position of r) = base[r] + k.
+    base = starts - (csum - cnt)
     mask = spec.np_mask()
-    if mask is not None:
-        keep = mask[tgt]
-        tgt = tgt[keep]
-        row_ids = row_ids[keep]
-    if budget is not None:
-        budget.charge_rows(int(tgt.size))
+    width = budget.CHECK_EVERY if budget is not None else max(total, 1)
+    row_parts, tgt_parts = [], []
+    for lo in range(0, total, width):
+        if lo:
+            budget.check_time()
+        hi = min(lo + width, total)
+        if hi - lo == total:
+            r0, r1, run = 0, len(ends), cnt
+        else:
+            # The rows r0..r1-1 output positions lo..hi-1 fall in,
+            # their runs clipped to the slice.
+            r0 = int(np.searchsorted(csum, lo, side="right"))
+            r1 = int(np.searchsorted(csum, hi - 1, side="right")) + 1
+            run = (np.minimum(csum[r0:r1], hi)
+                   - np.maximum(csum[r0:r1] - cnt[r0:r1], lo))
+        row_ids = np.repeat(np.arange(r0, r1, dtype=np.int64), run)
+        tgt = nbr[np.arange(lo, hi, dtype=np.int64)
+                  + np.repeat(base[r0:r1], run)]
+        if mask is not None:
+            keep = mask[tgt]
+            tgt = tgt[keep]
+            row_ids = row_ids[keep]
+        if row_filter is not None:
+            keep = row_filter(row_ids, tgt)
+            tgt = tgt[keep]
+            row_ids = row_ids[keep]
+        if budget is not None:
+            budget.charge_rows(int(tgt.size))
+        row_parts.append(row_ids)
+        tgt_parts.append(tgt)
+    if not tgt_parts:
+        empty = np.empty(0, dtype=np.int64)
+        return [empty for _ in range(len(cols) + 1)], frontier
+    row_ids, tgt = _joined(row_parts), _joined(tgt_parts)
     new_cols = [col[row_ids] for col in cols]
     if spec.forward:
         new_cols.append(tgt)
     else:
         new_cols.insert(0, tgt)
     return new_cols, frontier
+
+
+def _joined(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _step_bang(cols, spec, budget):

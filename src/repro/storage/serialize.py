@@ -12,6 +12,7 @@ from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 from repro.errors import DataError, SchemaError
+from repro.model.associations import Aggregation, AssociationKind
 from repro.model.database import Database
 from repro.model.dclass import BOOLEAN, DClass, INTEGER, REAL, STRING
 from repro.model.oid import OID
@@ -119,11 +120,23 @@ def schema_from_dict(doc: Dict[str, Any]) -> Schema:
     for entry in doc["eclasses"]:
         schema.add_eclass(entry["name"], entry.get("doc", ""))
     declared = {d["name"] for d in doc.get("dclasses", ())}
+    replayed = {(d["cls"], p.lower()) for d in doc.get("interactions", ())
+                for p in d["participants"]} | \
+        {(d["cls"], c.lower()) for d in doc.get("crossproducts", ())
+         for c in d["components"]}
     for entry in doc["aggregations"]:
         target = entry["target"]
         kind = entry.get("kind", "A")
         if kind in ("I", "X"):
-            continue  # re-created by the declaration replay below
+            # A declaration replayed below re-creates its own links; one
+            # that outlived its declaration is restored as saved.
+            if (entry["owner"], entry["name"]) not in replayed:
+                schema.restore_aggregation(Aggregation(
+                    owner=entry["owner"], name=entry["name"],
+                    target=target, many=entry.get("many", False),
+                    required=entry.get("required", True),
+                    kind=AssociationKind(kind)))
+            continue
         if target in declared or target in _BUILTIN_DOMAINS:
             domain = _BUILTIN_DOMAINS.get(target)
             if domain is not None and target not in schema.dclass_names:

@@ -18,9 +18,11 @@ from repro import QueryProcessor, RuleEngine, Universe
 from repro.errors import CyclicDataError
 from repro.model.database import Database
 from repro.oql import kernels
+from repro.oql.budget import BudgetExceeded, QueryBudget
 from repro.storage.serialize import subdatabase_to_dict
 from repro.university import build_paper_database, build_sdb
 from repro.university.schema import build_university_schema
+from tests.test_concurrency import _complete_prereq
 from tests.test_optimizer import left_to_right
 
 
@@ -285,3 +287,82 @@ class TestKernelRows:
             assert rows == [] and stats == [(0, 0), (0, 0)]
         rows, stats = _run_steps([self._spec("*"), self._spec("!")], [2])
         assert rows == [] and stats == [(1, 0), (0, 0)]
+
+
+# ---------------------------------------------------------------------------
+# Budgeted hops gather in slices
+# ---------------------------------------------------------------------------
+
+
+class CountingBudget(QueryBudget):
+    """A budget with a small slice size that counts its clock checks."""
+
+    CHECK_EVERY = 64
+
+    def __init__(self, **limits):
+        super().__init__(**limits)
+        self.clock_checks = 0
+
+    def check_time(self):
+        self.clock_checks += 1
+        super().check_time()
+
+
+class TestHopSlicing:
+    """A budgeted ``*`` hop charges rows and checks the clock once per
+    ``CHECK_EVERY`` output rows, on a chain and on a loop level alike.
+    Counted, not timed."""
+
+    CHAIN = "context Course * Course_1"     # one hop of 30 * 29 rows
+    LOOP = "context Course * Course_1 ^2"   # level 2: 12 * 11 * 10 rows
+
+    def _run(self, n, text, budget):
+        qp = QueryProcessor(Universe(_complete_prereq(n)), on_cycle="stop")
+        return qp.execute(text, budget=budget).subdatabase
+
+    @pytest.mark.parametrize("n, text, limit", [(30, CHAIN, 100),
+                                                (12, LOOP, 200)],
+                             ids=["chain", "loop"])
+    def test_max_rows_trips_within_one_slice(self, n, text, limit):
+        budget = CountingBudget(max_rows=limit)
+        with pytest.raises(BudgetExceeded) as exc:
+            self._run(n, text, budget)
+        assert exc.value.verdict == "max_rows"
+        assert limit < exc.value.rows <= limit + budget.CHECK_EVERY
+
+    @pytest.mark.parametrize("n, text, charged, result",
+                             [(30, CHAIN, 870, 870),
+                              (12, LOOP, 132 + 1320, 1320)],
+                             ids=["chain", "loop"])
+    def test_clock_checked_per_slice(self, n, text, charged, result):
+        budget = CountingBudget(max_rows=10 ** 6)
+        assert len(self._run(n, text, budget)) == result
+        assert budget.rows_charged == charged
+        assert budget.clock_checks >= charged // budget.CHECK_EVERY
+
+    def test_sliced_hop_matches_one_gather(self):
+        """Slices cut CSR runs at arbitrary points (zero-length runs,
+        runs longer than a slice, masked targets): the concatenated
+        slices are the single gather, row for row."""
+        rng = random.Random(7)
+        for _ in range(200):
+            size = rng.randrange(1, 12)
+            runs = [sorted(rng.sample(range(size), rng.randrange(size + 1)))
+                    for _ in range(size)]
+            offsets = array("q", [0])
+            for run in runs:
+                offsets.append(offsets[-1] + len(run))
+            neighbors = array("q", [v for run in runs for v in run])
+            keep = array("q", sorted(rng.sample(range(size),
+                                                rng.randrange(size + 1))))
+            spec = kernels.StepSpec("*", True, offsets, neighbors, size,
+                                    rng.choice([None, keep]))
+            ends = [rng.randrange(size) for _ in range(rng.randrange(20))]
+            cols = [kernels.anchor_column(ends)]
+            budget = CountingBudget()
+            budget.CHECK_EVERY = rng.randrange(1, 6)
+            whole, _ = kernels.execute_step(cols, spec)
+            sliced, _ = kernels.execute_step(cols, spec, budget.start())
+            assert [c.tolist() for c in sliced] == \
+                [c.tolist() for c in whole]
+            assert budget.rows_charged == len(whole[0])

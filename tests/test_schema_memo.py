@@ -15,8 +15,10 @@ from collections import Counter
 
 import pytest
 
+from repro import QueryProcessor, Universe
 from repro.errors import ConstraintViolationError, ReproError
 from repro.model import evolution
+from repro.model.database import Database
 from repro.model.dclass import STRING
 from repro.model.schema import Schema
 from repro.storage.serialize import schema_from_dict, schema_to_dict
@@ -149,6 +151,17 @@ class TestMemoMatchesColdSchema:
         evolution.rename_attribute(data.db, "Section", "textbook", "book")
         check()
 
+    def test_extent_follows_a_plain_subclass_edit(self, paper):
+        """A plain schema edit moves no extent stamp: the database's
+        extent memo must still see the new subclass's members."""
+        data, schema, warm, check = paper
+        db = data.db
+        assert len(db.extent("Teacher")) == db.extent_size("Teacher") == 8
+        schema.add_subclass("Teacher", "RA")
+        assert len(db.extent("Teacher")) == db.extent_size("Teacher") == 9
+        cold_reader = QueryProcessor(Universe(db))
+        assert len(cold_reader.execute("context Teacher").subdatabase) == 9
+
 
 class TestDeclarationsMatchColdSchema:
     @pytest.mark.parametrize("declare", ["declare_interaction",
@@ -163,6 +176,10 @@ class TestDeclarationsMatchColdSchema:
         assert answers(schema, classes, names) == \
             answers(cold(schema), classes, names)
         assert schema.entity_association("C", "a").target == "A"
+        evolution.drop_association(Database(schema), "C", "a")
+        assert answers(schema, classes, names) == \
+            answers(cold(schema), classes, names)
+        assert schema.entity_association("C", "b").target == "B"
 
 
 def test_memoized_answers_are_read_only():

@@ -500,6 +500,30 @@ class TestNewAssociationKindsRoundtrip:
         assert restored.crossproduct_of("Slot").components == \
             ("Machine", "Shift")
 
+    def test_interaction_link_outliving_its_declaration(self, tmp_path):
+        """Dropping one participant's link drops the whole declaration
+        but keeps the other participants' links: a reload restores them
+        as they were, and a checkpoint recovers their pairs."""
+        from repro.model import evolution
+        from repro.model.database import Database
+        schema = Schema("small")
+        for cls in ("A", "B", "C"):
+            schema.add_eclass(cls)
+        schema.declare_interaction("C", ["A", "B"])
+        db = Database(schema)
+        db.associate(db.insert("C", "c1"), "b", db.insert("B", "b1"))
+        evolution.drop_association(db, "C", "a")
+        restored = schema_from_dict(schema_to_dict(schema))
+        assert [link.key for link in restored.aggregations()] == \
+            [("C", "b")]
+        assert restored.aggregations() == schema.aggregations()
+        assert restored.interaction_of("C") is None
+        save_session(RuleEngine(db), tmp_path / "session.json")
+        recovered = load_session(tmp_path / "session.json").db
+        link = recovered.schema.aggregation("C", "b")
+        assert {(o.label, t.label) for o, t in recovered.link_pairs(link)} \
+            == {("c1", "b1")}
+
     def test_restored_semantics_enforced(self):
         from repro.errors import ConstraintViolationError
         from repro.model.database import Database
