@@ -9,25 +9,30 @@ ints and small-int tuples at C speed, and adjacency can be stored
 columnar (CSR offsets + neighbor arrays, see
 :mod:`repro.subdb.adjindex`).
 
-Dense ids are permanent.  An INSERT appends the new member (the OID
-allocator is monotonic, so it sorts last); a DELETE tombstones the
-member's id (:meth:`InternTable.without`) instead of renumbering every
-id above it, and the readers that walk an id range skip dead ids.  The
-owning store compacts — rebuilds the table from its extent — once a
-table's dead ids reach its live count, which keeps a DELETE amortized
-O(1).
+Dense ids are permanent and tables append-only.  An INSERT appends the
+new member (the OID allocator is monotonic, so it sorts last) with the
+version it was born at; a DELETE records the version the member's id
+died at (:meth:`InternTable.without`) — a soft-delete column holding
+*when* a row died — instead of renumbering every id above it, and the
+readers that walk an id range skip dead ids.  The owning store compacts
+— rebuilds the table from its extent — once a table's dead ids reach
+its live count, which keeps a DELETE amortized O(1).  Nothing being
+overwritten, a reader pinned at an older version shares the table and
+reads it at its version (:meth:`InternTable.at`).
 
 Tables are owned by a per-universe store that validates them against the
 database's version counter / update events; this module is deliberately
 ignorant of :class:`~repro.subdb.universe.Universe` (the model layer
-must not depend on the subdatabase layer) — the store supplies extents
-and validity tokens.
+must not depend on the subdatabase layer) — the store supplies extents,
+validity tokens and versions.
 """
 
 from __future__ import annotations
 
+import copy
 from array import array
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from bisect import bisect_right
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.model.oid import OID
 
@@ -44,15 +49,17 @@ class InternTable:
     result render without decoding (:meth:`label_column`).
 
     Dense ids are permanent: the columns only ever grow.  A deleted
-    member stays in them, its id marked in :attr:`dead` (a tombstone),
-    so ``len(table)`` is the *physical* id-space size — one past the
-    largest id ever handed out, dead ids included — and
-    :attr:`live_count` the extent size.  Every id range a reader walks
-    (:attr:`full_id_set`, :meth:`live_ids`) skips dead ids.
+    member stays in them, the version it died at recorded in
+    :attr:`died` (a tombstone), so ``len(table)`` is the *physical*
+    id-space size — one past the largest id ever handed out, dead ids
+    included — and :attr:`live_count` the extent size.  Every id range
+    a reader walks (:attr:`full_id_set`, :meth:`live_ids`) skips dead
+    ids.
     """
 
-    __slots__ = ("key", "oids", "values", "index", "token", "lent",
-                 "labels", "dead", "_shared", "_full_ids", "_live_ids")
+    __slots__ = ("key", "oids", "values", "index", "token", "labels",
+                 "table", "n", "cold", "born", "died", "_full_ids",
+                 "_live_ids")
 
     def __init__(self, key: Any, extent: Iterable[OID],
                  token: Any = None):
@@ -67,58 +74,29 @@ class InternTable:
         #: (``None`` for base-class tables, the subdatabase object for
         #: derived extents).
         self.token = token
-        #: Set once a pinned snapshot shares this table: the owning
-        #: store then appends to a :meth:`fork` and tombstones in a
-        #: twin (:meth:`without`), never in this object.
-        self.lent = False
         #: ``labels[i]`` is ``repr(oids[i])`` — built on first render
         #: (:meth:`label_column`), then kept in step by :meth:`append`.
         #: Always a prefix of the full column; a short one is rebuilt
         #: when next read.
         self.labels: Optional[list] = None
-        #: Dense ids of deleted members.  Only ever grows on one table
-        #: object (the store compacts by building a new table), so its
-        #: size stamps what is cached from it.
-        self.dead: Set[int] = set()
-        #: True while ``oids``/``values``/``index``/``labels`` are
-        #: shared with the lent table this one is a twin of.
-        self._shared = False
+        #: ``None``, or — for a view (:meth:`at`) — the shared table
+        #: whose columns these are.  (Not ``self``: a cycle would keep
+        #: every dropped table alive until the cyclic collector ran.)
+        self.table: Optional[InternTable] = None
+        self.n = self.cold = len(self.oids)
+        #: ``born[k]``: the database version id ``cold + k`` was appended
+        #: at (non-decreasing).  The ``cold`` members the table was built
+        #: with count as old as the table: every reader that can reach
+        #: it holds the extent it was built from.
+        self.born = array("q")
+        #: Dense id -> the database version it died at, in the order
+        #: the deaths happened (so the last value is the latest).
+        self.died: Dict[int, int] = {}
         self._full_ids: Optional[Tuple[int, int, FrozenSet[int]]] = None
         self._live_ids: Optional[Tuple[FrozenSet[int], array]] = None
 
-    def _copy(self, share: bool) -> "InternTable":
-        twin = InternTable.__new__(InternTable)
-        twin.key = self.key
-        twin.token = self.token
-        twin.lent = False
-        twin.dead = set(self.dead)
-        twin._full_ids = self._full_ids
-        twin._live_ids = self._live_ids
-        twin._shared = share
-        twin.oids = self.oids
-        twin.values = self.values
-        twin.index = self.index
-        twin.labels = self.labels
-        if not share:
-            twin._own_columns()
-        return twin
-
-    def _own_columns(self) -> None:
-        self.oids = self.oids[:]
-        self.values = self.values[:]
-        self.index = self.index.copy()
-        labels = self.labels
-        self.labels = None if labels is None else labels[:]
-        self._shared = False
-
-    def fork(self) -> "InternTable":
-        """A private shallow copy (same OID objects, own columns,
-        encode map and tombstones) for the owning store to go on
-        appending to while snapshots keep reading this one."""
-        return self._copy(share=False)
-
-    def append(self, oid: OID) -> int:
-        """Extend the bijection with a freshly inserted object.
+    def append(self, oid: OID, version: int = 0) -> int:
+        """Extend the bijection with an object inserted at ``version``.
 
         Only legal when ``oid`` sorts after every existing member (the
         OID allocator is monotonic, so inserts always do) — existing
@@ -130,12 +108,12 @@ class InternTable:
         if self.values and oid.value <= self.values[-1]:
             raise ValueError(
                 f"append out of order: {oid.value} <= {self.values[-1]}")
-        if self._shared:
-            self._own_columns()
         i = len(self.oids)
         self.oids.append(oid)
         self.values.append(oid.value)
         self.index[oid.value] = i
+        self.born.append(version)
+        self.n = i + 1
         labels = self.labels
         # Extend only a column that is exactly the old extent: one built
         # after the ``oids`` append above already holds ``oid``, and a
@@ -144,56 +122,77 @@ class InternTable:
             labels.append(repr(oid))
         return i
 
-    def without(self, oid: OID) -> "InternTable":
-        """Tombstone ``oid``'s dense id; returns the table holding the
-        tombstone.
+    def without(self, oid: OID, version: int = 0) -> None:
+        """Tombstone ``oid``'s dense id as dead since ``version``.
 
-        Nothing is renumbered or copied: the id is added to
-        :attr:`dead` of this table — or, when it is lent, of a twin
-        that shares every column with it and owns only its tombstones
-        (its columns are copied on its first :meth:`append`).  Rows
-        interned before the delete keep decoding, and the snapshots
-        reading a lent table keep seeing ``oid`` alive.
-        """
-        table = self._copy(share=True) if self.lent else self
-        table.dead.add(self.index[oid.value])
-        return table
+        Nothing is renumbered or copied: rows interned before the
+        delete keep decoding, and a reader pinned before ``version``
+        still reads the id as alive (:meth:`at`)."""
+        self.died[self.index[oid.value]] = version
+
+    def at(self, version: int) -> "InternTable":
+        """The shared table as a reader pinned at ``version`` reads it:
+        a view over the same columns whose id space holds the ids born
+        by ``version`` and whose tombstones are the ids dead by then,
+        taken with one C-level copy (no per-id filter when no one died
+        since).  Both are fixed here, so later writes to the table never
+        reach a reader holding the view.  A view is never appended to
+        or tombstoned in."""
+        table = self if self.table is None else self.table
+        view = copy.copy(table)
+        view.table = table
+        view.n = table.cold + bisect_right(table.born, version)
+        died = table.died.copy()
+        if died and next(reversed(died.values())) > version:
+            died = {i: when for i, when in died.items() if when <= version}
+        view.died = died
+        view._full_ids = view._live_ids = None
+        return view
 
     def label_column(self) -> list:
         """``repr`` of every member, in dense order — what a rendered
         row prints for each id, with no OID touched per row.
 
-        Built whole on first use and published by one assignment, never
-        extended in place: the owning store may be appending to this
-        table (:meth:`append` keeps a published column in step) while
-        another thread renders a result interned against it.  A column
-        shorter than the extent lost such a race and is rebuilt."""
-        labels = self.labels
-        if labels is None or len(labels) < len(self.oids):
-            labels = self.labels = [repr(oid) for oid in self.oids]
+        The shared table's column, built whole on first use and
+        published by one assignment, never extended in place: the
+        owning store may be appending to the table (:meth:`append`
+        keeps a published column in step) while another thread renders
+        a result interned against it.  A column shorter than the extent
+        lost such a race and is rebuilt."""
+        table = self if self.table is None else self.table
+        labels = table.labels
+        if labels is None or len(labels) < len(table.oids):
+            labels = table.labels = [repr(oid) for oid in table.oids]
         return labels
 
     def __len__(self) -> int:
         """The physical id-space size, dead ids included — every dense
         id is below it."""
-        return len(self.oids)
+        return self.n
+
+    @property
+    def dead(self):
+        """Dense ids of deleted members (a set-like view of
+        :attr:`died`)."""
+        return self.died.keys()
 
     @property
     def live_count(self) -> int:
         """The number of live members (the extent size)."""
-        return len(self.oids) - len(self.dead)
+        return self.n - len(self.died)
 
     def encode(self, oid: OID) -> Optional[int]:
         """The dense id of ``oid``, or ``None`` if outside the extent
-        (never interned, or dead)."""
+        (never interned, unborn or dead)."""
         i = self.index.get(oid.value)
-        if i is not None and self.dead and i in self.dead:
+        if i is None or i >= self.n or i in self.died:
             return None
         return i
 
     def encode_set(self, oids: Iterable[OID]) -> FrozenSet[int]:
         """Dense ids of every member of ``oids`` that is in the extent
-        (``oids`` holds live objects, so no id found is dead)."""
+        (``oids`` holds objects alive at the reader's version, so no id
+        found is dead or unborn)."""
         index = self.index
         return frozenset(index[o.value] for o in oids
                          if o.value in index)
@@ -206,12 +205,11 @@ class InternTable:
         """All live dense ids as a frozenset (cached — the complement
         operand of ``!`` joins over an unfiltered extent)."""
         cached = self._full_ids
-        n = len(self.oids)
+        n = self.n
         if cached is not None and cached[0] == n \
-                and cached[1] == len(self.dead):
+                and cached[1] == len(self.died):
             return cached[2]
-        # One C-level copy: the owning store may tombstone meanwhile.
-        dead = frozenset(self.dead)
+        dead = frozenset(self.died.copy())
         ids = frozenset(range(n))
         if dead:
             ids -= dead
@@ -230,7 +228,7 @@ class InternTable:
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (f"InternTable({self.key!r}, {self.live_count} oids, "
-                f"{len(self.dead)} dead)")
+                f"{len(self.died)} dead)")
 
 
 class OIDInterner:
@@ -251,13 +249,10 @@ class OIDInterner:
         return self._tables.get(key)
 
     def adopt(self, other: "OIDInterner") -> int:
-        """Share every table of ``other`` (marking each lent, so its
-        owner forks before appending); returns how many."""
+        """Share every table of ``other``; returns how many."""
         # One atomic copy: ``other``'s owner may be filling its map on
         # another thread, outside every lock the caller holds.
         tables = other._tables.copy()
-        for table in tables.values():
-            table.lent = True
         self._tables.update(tables)
         return len(tables)
 
@@ -268,9 +263,8 @@ class OIDInterner:
         return table
 
     def replace(self, key: Any, table: InternTable) -> None:
-        """Swap in a successor table (a fork or a tombstone twin of a
-        lent one): holders of the old object keep a consistent
-        snapshot; new work sees the new one."""
+        """Register ``table`` — one another store built — under
+        ``key``."""
         self._tables[key] = table
 
     def drop(self, key: Any) -> None:
@@ -295,7 +289,7 @@ class OIDInterner:
     def dead_ids(self) -> int:
         """Tombstoned ids held over all tables."""
         # One atomic copy, as in :meth:`adopt`.
-        return sum(len(table.dead) for table in self._tables.copy().values())
+        return sum(len(table.died) for table in self._tables.copy().values())
 
     def __len__(self) -> int:
         return len(self._tables)

@@ -255,16 +255,18 @@ class PatternEvaluator:
             enabled=cache_bytes > 0)
         # Footprints of result-cache keys, walked once per key and
         # dropped when the schema — hence link resolution — moves:
-        # ``(schema version, {key: footprint})``.
-        self._footprints: Tuple[int, Dict[object, Footprint]] = (-1, {})
+        # ``(schema generation, {key: footprint})``.
+        self._footprints: Tuple[object, Dict[object, Footprint]] = \
+            (None, {})
         # Filtered extents memoized per term (conditions are pure, so a
         # term's filtered extent only changes when its extent or an
         # attribute its condition reads changes) — any other write
         # keeps the term's extent warm.  Values are ``(footprint,
-        # token, set)``, valid while the footprint's vector is the token.
+        # token, set, schema generation)``, valid while the footprint's
+        # vector is the token and no schema edit intervened.
         self._extent_cache: Dict[ClassTerm, Tuple[Footprint,
                                                   Tuple[int, ...],
-                                                  Set[OID]]] = {}
+                                                  Set[OID], object]] = {}
         # How each term's filtered extent was last computed ("index",
         # "index+scan", or "scan") — stamped onto every JoinPlan as its
         # per-slot access annotation (visible in explain output).
@@ -422,12 +424,16 @@ class PatternEvaluator:
                 where: Sequence[WhereCond] = ()) -> Tuple[int, ...]:
         """The version vector of what ``terms`` + ``where`` read, for
         the result-cache entry ``key``; the footprint is walked once
-        per key and schema version."""
-        schema_version, memo = self._footprints
-        if schema_version != self.universe.db.schema_version \
-                or len(memo) > 1024:
+        per key and schema generation.  A plain schema edit moves no
+        stamp a vector holds, so it also empties the result cache."""
+        generation, memo = self._footprints
+        if generation is not self.universe.schema.generation:
+            if generation is not None:
+                self.result_cache.clear()
             memo = {}
-            self._footprints = (self.universe.db.schema_version, memo)
+            self._footprints = (self.universe.schema.generation, memo)
+        elif len(memo) > 1024:
+            memo.clear()
         footprint = memo.get(key)
         if footprint is None:
             footprint = memo[key] = footprint_of(terms, where,
@@ -463,8 +469,9 @@ class PatternEvaluator:
             self._metrics.extent_objects += len(extent)
             return extent
         universe = self.universe
+        generation = universe.schema.generation
         cached = self._extent_cache.get(term)
-        if cached is not None and \
+        if cached is not None and cached[3] is generation and \
                 cached[1] == universe.version_vector(cached[0]):
             self._metrics.extent_objects += len(cached[2])
             return cached[2]
@@ -484,7 +491,7 @@ class PatternEvaluator:
                                                getter_for(oid))}
             self._metrics.extent_filter_evals += len(extent)
             self._extent_access[term] = "scan"
-        self._extent_cache[term] = (footprint, token, filtered)
+        self._extent_cache[term] = (footprint, token, filtered, generation)
         self._metrics.extent_objects += len(filtered)
         return filtered
 

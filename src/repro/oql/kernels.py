@@ -20,7 +20,7 @@ Budget enforcement is duck-typed: anything with ``CHECK_EVERY``,
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -120,23 +120,57 @@ def execute_step(cols, spec: StepSpec, budget=None, row_filter=None):
 
 
 def _step_star(cols, spec, budget, row_filter):
-    """The association operator.  A budgeted hop gathers its output in
+    """The association operator: each row's CSR run of neighbors."""
+    ends = cols[-1] if spec.forward else cols[0]
+    return (_gather(cols, spec.forward, np.frombuffer(spec.offsets,
+                                                      dtype=np.int64),
+                    np.frombuffer(spec.neighbors, dtype=np.int64), ends,
+                    spec.np_mask(), budget, row_filter),
+            distinct_count(ends))
+
+
+def _step_bang(cols, spec, budget):
+    """The non-association operator: per distinct endpoint, the sorted
+    complement of its neighbor set within the (filtered) target extent
+    — computed once per endpoint as one run of a complement CSR, which
+    every row ending there gathers like a ``*`` hop."""
+    off = spec.offsets
+    nbr = np.frombuffer(spec.neighbors, dtype=np.int64)
+    ends = cols[-1] if spec.forward else cols[0]
+    domain = (np.frombuffer(spec.tgt_filter, dtype=np.int64)
+              if spec.tgt_filter is not None
+              else np.arange(spec.tgt_size, dtype=np.int64))
+    endpoints, local = np.unique(ends, return_inverse=True)
+    runs = []
+    for e in endpoints.tolist():
+        linked = nbr[off[e]:off[e + 1]]
+        runs.append(domain[~np.isin(domain, linked, assume_unique=True)]
+                    if len(linked) else domain)
+    sizes = np.fromiter(map(len, runs), dtype=np.int64, count=len(runs))
+    offsets = np.zeros(len(runs) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    neighbors = np.concatenate(runs) if runs \
+        else np.empty(0, dtype=np.int64)
+    return (_gather(cols, spec.forward, offsets, neighbors,
+                    local, None, budget, None),
+            len(endpoints))
+
+
+def _gather(cols, forward, off, nbr, ends, mask, budget, row_filter):
+    """Extend the rows across one hop: row ``r`` gains every neighbor
+    of its CSR run ``nbr[off[ends[r]]:off[ends[r] + 1]]`` that passes
+    ``mask`` and ``row_filter``.  A budgeted hop gathers its output in
     slices of ``budget.CHECK_EVERY`` rows, charging each slice and
     checking the clock between slices, so a hop that would explode
     trips within one slice of its limit instead of after the whole
     gather."""
-    off = np.frombuffer(spec.offsets, dtype=np.int64)
-    nbr = np.frombuffer(spec.neighbors, dtype=np.int64)
-    ends = cols[-1] if spec.forward else cols[0]
     starts = off[ends]
     cnt = off[ends + 1] - starts
-    frontier = distinct_count(ends)
     csum = np.cumsum(cnt)
     total = int(csum[-1]) if len(csum) else 0
     # Output position k of row r gathers neighbor
     # starts[r] + (k - first output position of r) = base[r] + k.
     base = starts - (csum - cnt)
-    mask = spec.np_mask()
     width = budget.CHECK_EVERY if budget is not None else max(total, 1)
     row_parts, tgt_parts = [], []
     for lo in range(0, total, width):
@@ -169,57 +203,18 @@ def _step_star(cols, spec, budget, row_filter):
         tgt_parts.append(tgt)
     if not tgt_parts:
         empty = np.empty(0, dtype=np.int64)
-        return [empty for _ in range(len(cols) + 1)], frontier
+        return [empty for _ in range(len(cols) + 1)]
     row_ids, tgt = _joined(row_parts), _joined(tgt_parts)
     new_cols = [col[row_ids] for col in cols]
-    if spec.forward:
+    if forward:
         new_cols.append(tgt)
     else:
         new_cols.insert(0, tgt)
-    return new_cols, frontier
+    return new_cols
 
 
 def _joined(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _step_bang(cols, spec, budget):
-    """The non-association operator: per distinct endpoint, the sorted
-    complement of its neighbor set within the (filtered) target extent
-    — computed once per endpoint, shared by every row ending there."""
-    off = spec.offsets
-    nbr_q = spec.neighbors
-    ends = cols[-1] if spec.forward else cols[0]
-    domain = (spec.tgt_filter if spec.tgt_filter is not None
-              else range(spec.tgt_size))
-    cand: Dict[int, bytes] = {}
-    sizes: Dict[int, int] = {}
-    for e in set(int(v) for v in ends):
-        nbrs = set(nbr_q[off[e]:off[e + 1]])
-        comp = array("q", [v for v in domain if v not in nbrs]) \
-            if nbrs else array("q", domain)
-        cand[e] = comp.tobytes()
-        sizes[e] = len(comp)
-    frontier = len(cand)
-    counts = [sizes[int(e)] for e in ends]
-    total = sum(counts)
-    if budget is not None:
-        budget.charge_rows(total)
-        budget.check_time()
-    out = array("q")
-    frombytes = out.frombytes
-    for e in ends:
-        frombytes(cand[int(e)])
-    cnt = np.fromiter(counts, dtype=np.int64, count=len(counts))
-    row_ids = np.repeat(np.arange(len(ends), dtype=np.int64), cnt)
-    new_cols = [col[row_ids] for col in cols]
-    tgt = np.frombuffer(out.tobytes(), dtype=np.int64) \
-        if len(out) else np.empty(0, dtype=np.int64)
-    if spec.forward:
-        new_cols.append(tgt)
-    else:
-        new_cols.insert(0, tgt)
-    return new_cols, frontier
 
 
 # ----------------------------------------------------------------------

@@ -67,7 +67,6 @@ from repro.errors import OQLSemanticError, ReproError
 from repro.model.database import UpdateEvent, UpdateKind
 from repro.oql.ast import Query
 from repro.oql.budget import BudgetExceeded, QueryBudget
-from repro.oql.cache import fingerprint
 from repro.oql.footprint import Footprint
 from repro.oql.parser import parse_query
 from repro.rules.incremental import IncrementalRule, NotIncremental
@@ -132,7 +131,6 @@ class Subscription:
         #: unresolvable (wake on every event).
         self.footprint = footprint
         self.has_derived = bool(rule.source_subdatabases())
-        self.fingerprint = fingerprint(query.context, query.where)
         self.max_pending = max_pending
         self.budget_limits = budget_limits
         self.rows: Set[Row] = set()

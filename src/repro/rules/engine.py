@@ -103,7 +103,6 @@ class RuleEngine:
         self._on_cycle = on_cycle
         self._compact = compact
         self._operations = operations
-        self._cache_bytes = cache_bytes
         self.rules: List[DeductiveRule] = []
         self._by_target: Dict[str, List[DeductiveRule]] = {}
         #: target -> (direct, transitive) footprint: one walk per rule,
@@ -448,7 +447,9 @@ class RuleEngine:
         The session starts warm: its compact store adopts the live
         universe's maintained intern tables, CSR and value indexes
         (copy-on-write, see :mod:`repro.subdb.adjindex`), so re-pinning
-        after a write costs what the write changed, not a rebuild."""
+        after a write costs what the write changed, not a rebuild.  Its
+        result cache gets the live processor's budget: on when that
+        one's is, with its ``max_bytes``."""
         tracer = obs.TRACER
         sspan = tracer.start("snapshot-session") \
             if tracer is not None else None
@@ -460,10 +461,12 @@ class RuleEngine:
         finally:
             if sspan is not None:
                 tracer.finish(sspan)
+        cache = self.processor.evaluator.result_cache
         processor = QueryProcessor(snapshot, on_cycle=self._on_cycle,
                                    operations=self._operations,
                                    compact=self._compact,
-                                   cache_bytes=self._cache_bytes)
+                                   cache_bytes=cache.max_bytes
+                                   if cache.enabled else 0)
         deriving: Set[str] = set()
 
         def provide(name: str) -> Optional[Subdatabase]:

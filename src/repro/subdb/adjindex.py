@@ -13,33 +13,36 @@ invalidated *fine-grained* from database update events:
 
 * INSERT *appends*: the OID allocator is monotonic, so a new object
   sorts after every interned id and each cached table of a touched
-  class extends in place; adjacency indexes over an extended source
-  table gain one (empty, or identity-singleton) CSR row — nothing is
-  rebuilt;
-* DELETE *tombstones*: the object's dense id is marked dead in each
-  touched table (:meth:`InternTable.without`) and nothing is renumbered:
-  CSR arrays are left as they are — a dead source row is never reached,
-  and the join executor masks dead target ids out of every gather — and
-  value indexes drop only the victim's postings.  Once a table's dead
-  ids reach its live count it is *compacted*: dropped with everything
-  built over it, to be rebuilt cold from its extent on next use;
+  class extends in place, recording the version it was born at;
+  adjacency indexes over an extended source table gain one (empty, or
+  identity-singleton) CSR row — nothing is rebuilt;
+* DELETE *tombstones*: the version the object died at is recorded
+  against its dense id in each touched table
+  (:meth:`InternTable.without`) and nothing is renumbered: CSR arrays
+  are left as they are — a dead source row is never reached, and the
+  join executor masks dead target ids out of every gather — and value
+  indexes drop only the victim's postings.  Once a table's dead ids
+  reach its live count it is *compacted*: dropped with everything built
+  over it, to be rebuilt cold from its extent on next use;
 * ASSOCIATE / DISSOCIATE drop only the indexes of that link;
 * SET_ATTRIBUTE touches nothing (tables cover unfiltered extents);
 * subdatabase (re-)registration drops that subdatabase's entries;
-* anything else (schema evolution, unobserved version drift inside an
-  open ``batch`` block) conservatively clears everything.
+* anything else (schema evolution, a plain schema edit, unobserved
+  version drift inside an open ``batch`` block) conservatively clears
+  everything.
 
 A pinned snapshot's store does not rebuild any of this: it *adopts* the
-live store's structures (:meth:`CompactStore.adopt`), marking each
-``lent``.  The in-place steps above then fork a lent structure first —
-a shallow copy the live store goes on maintaining, while the snapshot
-keeps the original, which nothing mutates again — and re-point the
-structures built over it.  A DELETE forks only a lent table's
-tombstones: its twin shares every column until it is appended to.  What a snapshot misses it builds *through*
-the live store whenever the stamps of what the structure reads have not
-moved since the pin (:meth:`CompactStore.through_lender`), so every
-later pin inherits it; only a pin older than those stamps builds
-privately, from its pinned pre-images.
+live store's structures (:meth:`CompactStore.adopt`).  Intern tables
+are append-only, so a pin shares the live table and reads it at its
+pinned version (:meth:`InternTable.at`) while the live store goes on
+appending and tombstoning in place.  CSR and value indexes are *lent*:
+the steps above fork a lent index first — a copy the live store goes
+on maintaining, while the snapshot keeps the original, which nothing
+mutates again.  What a snapshot misses it builds *through* the live
+store whenever the stamps of what the structure reads have not moved
+since the pin (:meth:`CompactStore.through_lender`), so every later pin
+inherits it; only a pin older than those stamps builds privately, from
+its pinned pre-images.
 
 Fine granularity is what lets the incremental maintainer *consume* the
 same indexes: a single-link update leaves every other link's CSR valid,
@@ -106,20 +109,6 @@ class AdjacencyIndex:
         twin.lent = False
         return twin
 
-    def shallow(self) -> "AdjacencyIndex":
-        """A copy sharing the CSR arrays, for re-pointing a lent index
-        at a successor table: it stays ``lent``, so the owning store
-        forks it before appending to those arrays."""
-        twin = AdjacencyIndex.__new__(AdjacencyIndex)
-        twin.src = self.src
-        twin.tgt = self.tgt
-        twin.offsets = self.offsets
-        twin.neighbors = self.neighbors
-        twin.link_key = self.link_key
-        twin.token = self.token
-        twin.lent = True
-        return twin
-
     def row(self, i: int) -> array:
         """Neighbor ids of source id ``i`` (ascending, may be empty;
         dead target ids included — see :class:`CompactStore`)."""
@@ -145,6 +134,9 @@ class CompactStore:
         #: through the same event application as adjacency.
         self.attrs = AttrIndexStore(self)
         self._seen_version = self.db.version
+        self._seen_generation = self.db.schema.generation
+        #: A pinned store's view of each table, by key (:meth:`_read`).
+        self._views: Dict[Any, InternTable] = {}
         #: Build/invalidation counters surfaced by benchmarks.
         self.tables_built = 0
         self.indexes_built = 0
@@ -160,9 +152,10 @@ class CompactStore:
         self.indexes_remapped = 0
         #: Sharing with pinned snapshots, counted on the live store:
         #: structures lent to pins, copy-on-write forks made before
-        #: maintaining a lent structure, and snapshot misses served
-        #: through this store (built here if absent, inherited by every
-        #: later pin) or by a private build from pinned pre-images.
+        #: maintaining a lent CSR or value index, and snapshot misses
+        #: served through this store (built here if absent, inherited
+        #: by every later pin) or by a private build from pinned
+        #: pre-images.
         self.adopted = 0
         self.forked = 0
         self.built_shared = 0
@@ -196,9 +189,11 @@ class CompactStore:
     @property
     def in_sync(self) -> bool:
         """False while mutations exist that no event reported yet (we
-        are inside an open ``batch`` block); lookups then bypass and
-        clear the caches rather than risk serving stale rows."""
-        return self.db.version == self._seen_version
+        are inside an open ``batch`` block) or after a plain schema edit;
+        lookups then bypass and clear the caches rather than risk
+        serving stale rows."""
+        return self.db.version == self._seen_version \
+            and self.db.schema.generation is self._seen_generation
 
     def _on_event(self, event: UpdateEvent) -> None:
         self._seen_version = event.version
@@ -260,12 +255,8 @@ class CompactStore:
             table = self.interner.get(("base", cls))
             if table is None:
                 continue
-            if table.lent:
-                fork = table.fork()
-                self._succeed(table, fork)
-                table = fork
             try:
-                table.append(oid)
+                table.append(oid, event.version)
             except ValueError:  # pragma: no cover - defensive
                 self._purge_classes((cls,))
                 continue
@@ -287,25 +278,6 @@ class CompactStore:
         # inside a replayed BATCH the object may be gone again already.
         self.attrs.apply_insert(event.payload["attrs"], appended)
 
-    def _succeed(self, table: InternTable, successor: InternTable) -> None:
-        """Swap a lent intern table for its successor (a fork to append
-        to, or a twin holding a new tombstone) and re-point what was
-        built over it: an un-lent dependant in place, a lent one as a
-        copy of its own (the snapshots sharing it keep the old
-        pairing).  A lent CSR index is copied shallow — its arrays
-        stay shared until something appends to them."""
-        self.interner.replace(table.key, successor)
-        self.forked += 1
-        for key, index in self._adj.items():
-            if index.src is table or index.tgt is table:
-                if index.lent:
-                    index = self._adj[key] = index.shallow()
-                if index.src is table:
-                    index.src = successor
-                if index.tgt is table:
-                    index.tgt = successor
-        self.attrs.repoint(table, successor)
-
     def _fork_index(self, key: Any, index: AdjacencyIndex) -> AdjacencyIndex:
         index = self._adj[key] = index.fork()
         self.forked += 1
@@ -315,12 +287,12 @@ class CompactStore:
         """Tombstone the dead object in each cached table of its classes.
 
         Dense ids are permanent, so nothing is renumbered: the table
-        (or, when lent, a twin that shares its columns) marks the id
-        dead, CSR indexes are left as they are, and value indexes drop
-        the victim's postings.  A table whose dead ids reach its live
-        count is compacted instead — dropped with everything built over
-        it, so the next reader rebuilds it cold — which keeps a DELETE
-        amortized O(1) and the dead share of any table below one half.
+        records the version the id died at, CSR indexes are left as
+        they are, and value indexes drop the victim's postings.  A
+        table whose dead ids reach its live count is compacted instead
+        — dropped with everything built over it, so the next reader
+        rebuilds it cold — which keeps a DELETE amortized O(1) and the
+        dead share of any table below one half.
         """
         oid = event.oids[0]
         #: id(table holding the tombstone) -> (that table, dead id)
@@ -334,15 +306,13 @@ class CompactStore:
             if dead is None:  # pragma: no cover - defensive
                 self._purge_classes((cls,))
                 continue
-            marked = table.without(oid)
-            if marked is not table:
-                self._succeed(table, marked)
+            table.without(oid, event.version)
             self.tombstoned += 1
-            if len(marked.dead) >= marked.live_count:
+            if len(table.died) >= table.live_count:
                 self._purge_classes((cls,))
                 self.compactions += 1
                 continue
-            killed[id(marked)] = (marked, dead)
+            killed[id(table)] = (table, dead)
         if killed:
             self.attrs.apply_delete(killed)
 
@@ -363,14 +333,16 @@ class CompactStore:
 
     def clear(self) -> None:
         self.interner.clear()
+        self._views.clear()
         self._adj.clear()
         self.attrs.clear()
 
     def _resync(self) -> None:
-        """Catch up after unobserved mutations (inside a batch): nothing
-        tells us *what* changed, so drop everything."""
+        """Catch up after unobserved mutations (inside a batch, or a
+        schema edit): nothing tells us *what* changed, so drop it all."""
         self.clear()
         self._seen_version = self.db.version
+        self._seen_generation = self.db.schema.generation
 
     def stats(self) -> Dict[str, int]:
         """The build, maintenance and sharing counters."""
@@ -387,9 +359,9 @@ class CompactStore:
 
     def adopt(self, live: "CompactStore") -> None:
         """Seed this (snapshot) store with everything ``live`` holds,
-        marking each structure lent.  The caller holds the database's
-        read lock, under which the live store is exactly the pinned
-        state — unless it is out of sync inside an open ``batch``
+        marking each CSR and value index lent.  The caller holds the
+        database's read lock, under which the live store is exactly the
+        pinned state — unless it is out of sync inside an open ``batch``
         block, in which case only the index declarations carry over."""
         self.lender = live
         self.attrs.declared.update(live.attrs.declared)
@@ -409,9 +381,11 @@ class CompactStore:
                                  + self.interner.adopt(live.interner)
                                  + self.attrs.adopt(live.attrs))
 
-    def through_lender(self, build, fits, extents=(), links=(), attrs=()):
+    def through_lender(self, build, fits, extents=(), links=(), attrs=(),
+                       lend=True):
         """Serve a miss of this snapshot store through the live store:
-        ``build(live)`` under the read lock, marked lent — provided the
+        ``build(live)`` under the read lock, marked lent if ``lend`` (an
+        intern table is not: a pin reads it at its version) — provided the
         stamps of the extents, links and attributes the structure reads
         stand where they were pinned, i.e. the live state *is* the
         pinned state as far as the structure can tell, and the result
@@ -430,7 +404,8 @@ class CompactStore:
                     == self.db.version_vector(footprint):
                 structure = build(live)
                 if structure is not None and fits(structure):
-                    structure.lent = True
+                    if lend:
+                        structure.lent = True
                     live.built_shared += 1
                     return structure
             live.built_private += 1
@@ -452,9 +427,9 @@ class CompactStore:
                 return ("subdb-slot", ref.subdb, slot), subdb
         return ("subdb-class", ref.subdb, ref.cls), subdb
 
-    def table(self, ref) -> InternTable:
-        """The intern table over ``ref``'s (unfiltered) extent, built on
-        first use and reused until invalidated."""
+    def _table(self, ref) -> InternTable:
+        """The intern table over ``ref``'s (unfiltered) extent itself,
+        built on first use and reused until invalidated."""
         if not self.in_sync:
             self._resync()
         key, token = self._table_spec(ref)
@@ -464,15 +439,30 @@ class CompactStore:
         if self.lender is not None and ref.subdb is None:
             shared = self.through_lender(lambda live: live.table(ref),
                                          lambda table: True,
-                                         extents=(ref.cls,))
+                                         extents=(ref.cls,), lend=False)
             if shared is not None:
                 self.interner.replace(key, shared)
                 return shared
         self.tables_built += 1
         return self.interner.build(key, self.universe.extent(ref), token)
 
+    def _read(self, table: InternTable) -> InternTable:
+        """``table`` as this store reads it: the table itself on the
+        live store, a view at the pinned version on a pinned one (made
+        once per table: :meth:`InternTable.at`)."""
+        if self.lender is None:
+            return table
+        view = self._views.get(table.key)
+        if view is None or view.table is not table:
+            view = self._views[table.key] = table.at(self.db.version)
+        return view
+
+    def table(self, ref) -> InternTable:
+        """``ref``'s intern table as this store reads it."""
+        return self._read(self._table(ref))
+
     def table_if_ready(self, ref) -> Optional[InternTable]:
-        """The cached valid table, or ``None`` — never builds.  The
+        """The cached valid table itself, or ``None`` — never builds.  The
         incremental maintainer uses this so a delta refresh stays
         proportional to the delta instead of paying an extent scan."""
         if not self.in_sync:
@@ -503,8 +493,8 @@ class CompactStore:
         """The CSR index for crossing ``resolution`` from ``src_ref``'s
         extent to ``tgt_ref``'s (``forward`` moves from the resolution's
         first reference to its second), building it if needed."""
-        src = self.table(src_ref)
-        tgt = self.table(tgt_ref)
+        src = self._table(src_ref)
+        tgt = self._table(tgt_ref)
         key = self._adj_spec(resolution, forward, src.key, tgt.key)
         cached = self._adj.get(key)
         if cached is not None and cached.src is src and cached.tgt is tgt:
@@ -545,10 +535,11 @@ class CompactStore:
 
     def _build(self, resolution, forward: bool, src: InternTable,
                tgt: InternTable) -> AdjacencyIndex:
+        members = src.oids[:len(self._read(src))]
         tgt_index = tgt.index
         rows: List[List[int]] = []
         if resolution.kind == "identity":
-            for oid in src.oids:
+            for oid in members:
                 i = tgt_index.get(oid.value)
                 rows.append([] if i is None else [i])
             return AdjacencyIndex(src, tgt, rows)
@@ -556,7 +547,7 @@ class CompactStore:
             from_owner = (resolution.resolved.a_is_owner if forward
                           else not resolution.resolved.a_is_owner)
             table = self.db.link_index(resolution.resolved.link, from_owner)
-            for oid in src.oids:
+            for oid in members:
                 linked = table.get(oid, EMPTY_OIDS)
                 if linked:
                     rows.append(sorted(tgt_index[o.value] for o in linked
@@ -575,6 +566,6 @@ class CompactStore:
             t = tgt_index.get(right.value)
             if s is not None and t is not None:
                 by_src.setdefault(s, []).append(t)
-        for i in range(len(src.oids)):
+        for i in range(len(members)):
             rows.append(sorted(by_src.get(i, ())))
         return AdjacencyIndex(src, tgt, rows, token=subdb)

@@ -52,6 +52,7 @@ nothing, and schema changes clear (declarations survive clears).
 
 from __future__ import annotations
 
+import copy
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from heapq import merge
@@ -90,6 +91,10 @@ class AttrIndex:
     sorted-array intersection (:mod:`repro.oql.kernels`).  Ids the
     table has tombstoned (``table.dead``) keep their ``values`` slot
     but sit in no posting, sorted column or census count.
+
+    ``table`` is the table as the index's reader reads it — the live
+    table, or a pin's view of it (:meth:`InternTable.at`) — so probes
+    answer with the reader's id space and tombstones.
     """
 
     __slots__ = ("table", "attr", "values", "buckets", "num_values",
@@ -483,9 +488,9 @@ def _value_column(db, table: InternTable, attr: str) -> List[Any]:
     """``attr`` of every member of ``table`` in dense order, ``None``
     for a tombstoned id (its object is gone from the database)."""
     dead = table.dead
+    oids = table.oids[:len(table)]
     if not dead:
-        return db.attr_column(table.oids, attr)
-    oids = table.oids
+        return db.attr_column(oids, attr)
     live = [i for i in range(len(oids)) if i not in dead]
     column: List[Any] = [None] * len(oids)
     for i, value in zip(live, db.attr_column([oids[i] for i in live],
@@ -499,9 +504,8 @@ class AttrIndexStore:
 
     Declarations are ``(class name, attribute)`` pairs over *base*
     extents and survive cache clears; built indexes are validated by
-    intern-table identity (a replaced or dropped table orphans its
-    indexes) and maintained through the owning store's event
-    application.
+    intern-table identity (a dropped table orphans its indexes) and
+    maintained through the owning store's event application.
     """
 
     def __init__(self, store) -> None:
@@ -557,16 +561,24 @@ class AttrIndexStore:
         cached = self._indexes.get(key)
         if cached is not None and cached.table is table:
             return cached
-        index = None
-        if store.lender is not None:
+        # A pinned store reads a view of the shared table: an index over
+        # the table itself is lent to it, and is read against the view.
+        base = store.interner.get(("base", ref.cls))
+        index = cached if cached is not None and cached.table is base \
+            else None
+        if index is None and store.lender is not None:
             index = store.through_lender(
                 lambda live: live.attrs.get(ref, attr),
-                lambda index: index.table is table,
+                lambda index: index.table is base,
                 extents=(ref.cls,), attrs=(key,))
         if index is None:
             index = AttrIndex(table, attr, _value_column(store.db, table,
                                                          attr))
             self.built += 1
+        elif index.table is not table:
+            # Lent, so never written again: every column is shared.
+            index = copy.copy(index)
+            index.table = table
         self._indexes[key] = index
         return index
 
@@ -625,15 +637,6 @@ class AttrIndexStore:
         index = self._indexes[key] = index.fork()
         self.store.forked += 1
         return index
-
-    def repoint(self, old: InternTable, new: InternTable) -> None:
-        """The owning store forked intern table ``old`` into ``new``:
-        the indexes over it follow (a lent one as a fork of its own)."""
-        for key, index in self._indexes.items():
-            if index.table is old:
-                if index.lent:
-                    index = self._fork(key, index)
-                index.table = new
 
     def purge_tables(self, dropped_keys: Set[Any]) -> None:
         stale = [key for key, index in self._indexes.items()

@@ -20,12 +20,12 @@ once — or written once — never blocks again.
 :class:`SnapshotUniverse` wraps a snapshot in the full
 :class:`~repro.subdb.universe.Universe` interface, with its own
 subdatabase registry seeded from the source universe and a compact
-store that *adopts* the live store's intern tables, CSR adjacency and
-value indexes instead of rebuilding them: the live store forks a
-structure it has lent before maintaining it in place, so what a reader
-adopted never changes, and what a reader misses is built through the
-live store while the stamps it reads stand where they were pinned (see
-:mod:`repro.subdb.adjindex`).  Backward chaining through a provider
+store that *adopts* the live store's intern tables (read at the pinned
+version: the live store only appends and tombstones), CSR adjacency and
+value indexes (the live store forks one it has lent before maintaining
+it) instead of rebuilding them; what a reader misses is built through
+the live store while the stamps it reads stand where they were pinned
+(see :mod:`repro.subdb.adjindex`).  Backward chaining through a provider
 materializes into the snapshot's registry only; the live registry and
 rule base are never written by a reader.
 
@@ -398,9 +398,9 @@ class SnapshotUniverse(Universe):
         """Unpin, and release what the pin holds now rather than when
         the cyclic collector gets to it (the universe and its compact
         store reference each other, as do the provider closures of a
-        snapshot session): a superseded pin's intern tables, CSR and
-        value indexes are the pre-fork versions nothing else shares.
-        Results already produced keep their own tables."""
+        snapshot session): a superseded pin's table views, CSR and
+        value indexes are the versions nothing else shares.  Results
+        already produced keep their own tables."""
         self.db.close()
         self.compact.clear()
 

@@ -309,20 +309,25 @@ class CountingBudget(QueryBudget):
 
 
 class TestHopSlicing:
-    """A budgeted ``*`` hop charges rows and checks the clock once per
-    ``CHECK_EVERY`` output rows, on a chain and on a loop level alike.
-    Counted, not timed."""
+    """A budgeted hop charges rows and checks the clock once per
+    ``CHECK_EVERY`` output rows, on a chain, a loop level and a ``!``
+    hop alike.  Counted, not timed."""
 
     CHAIN = "context Course * Course_1"     # one hop of 30 * 29 rows
     LOOP = "context Course * Course_1 ^2"   # level 2: 12 * 11 * 10 rows
+    # Over a 40-course prereq chain each course's complement is every
+    # course but at most one: 40 * 39 + 1 rows.
+    BANG = "context Course ! Course_1"
 
     def _run(self, n, text, budget):
-        qp = QueryProcessor(Universe(_complete_prereq(n)), on_cycle="stop")
+        db = _prereq_chain(n) if "!" in text else _complete_prereq(n)
+        qp = QueryProcessor(Universe(db), on_cycle="stop")
         return qp.execute(text, budget=budget).subdatabase
 
     @pytest.mark.parametrize("n, text, limit", [(30, CHAIN, 100),
-                                                (12, LOOP, 200)],
-                             ids=["chain", "loop"])
+                                                (12, LOOP, 200),
+                                                (40, BANG, 100)],
+                             ids=["chain", "loop", "bang"])
     def test_max_rows_trips_within_one_slice(self, n, text, limit):
         budget = CountingBudget(max_rows=limit)
         with pytest.raises(BudgetExceeded) as exc:
@@ -341,9 +346,10 @@ class TestHopSlicing:
         assert budget.clock_checks >= charged // budget.CHECK_EVERY
 
     def test_sliced_hop_matches_one_gather(self):
-        """Slices cut CSR runs at arbitrary points (zero-length runs,
-        runs longer than a slice, masked targets): the concatenated
-        slices are the single gather, row for row."""
+        """Slices cut CSR runs — or ``!`` complement runs — at arbitrary
+        points (zero-length runs, runs longer than a slice, masked
+        targets): the concatenated slices are the single gather, row
+        for row."""
         rng = random.Random(7)
         for _ in range(200):
             size = rng.randrange(1, 12)
@@ -355,7 +361,8 @@ class TestHopSlicing:
             neighbors = array("q", [v for run in runs for v in run])
             keep = array("q", sorted(rng.sample(range(size),
                                                 rng.randrange(size + 1))))
-            spec = kernels.StepSpec("*", True, offsets, neighbors, size,
+            spec = kernels.StepSpec(rng.choice("*!"), True, offsets,
+                                    neighbors, size,
                                     rng.choice([None, keep]))
             ends = [rng.randrange(size) for _ in range(rng.randrange(20))]
             cols = [kernels.anchor_column(ends)]

@@ -328,19 +328,28 @@ def _scratch_answers(db: Database):
 def _fingerprint(store) -> dict:
     """Every array, list and map of every structure a store holds, by
     value — equal before and after a write iff nothing a pinned reader
-    shares was mutated."""
+    shares was mutated.  Intern tables are shared and grow by design,
+    so each is read at the pin's version: its first ``n`` ids and the
+    ids dead at the pin."""
+    version = store.db.version
+
+    def at_pin(table):
+        table = table.at(version)
+        n = len(table)
+        return (n, table.full_id_set, tuple(table.values[:n]),
+                tuple(table.oids[:n]),
+                {value: i for value, i in table.index.items() if i < n})
+
     out = {}
     for key, table in store.interner._tables.items():
-        out["table", key] = (len(table), table.full_id_set,
-                             tuple(table.values), tuple(table.oids),
-                             dict(table.index))
+        out["table", key] = at_pin(table)
     for key, index in store._adj.items():
         out["adj", key] = (len(index.offsets) - 1, tuple(index.offsets),
-                           tuple(index.neighbors), tuple(index.src.values),
-                           tuple(index.tgt.values))
+                           tuple(index.neighbors), at_pin(index.src)[2],
+                           at_pin(index.tgt)[2])
     for key, index in store.attrs._indexes.items():
         out["attr", key] = (
-            tuple(index.values), tuple(index.table.values),
+            tuple(index.values), at_pin(index.table)[2],
             {value: tuple(ids) for value, ids in index.buckets.items()},
             tuple(index.num_values), tuple(index.num_ids),
             {t: (tuple(vals), tuple(ids))

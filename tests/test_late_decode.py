@@ -487,19 +487,19 @@ class TestNoDecodeInRuleChaining:
 
 
 class LabelColumnOwnership(RuleBasedStateMachine):
-    """The owning store's moves on one class's table — append (forking
-    first when lent), delete (a tombstone; in a twin sharing the
-    columns when lent), lend — while readers render any table, old or
-    new, at any time."""
+    """The owning store's moves on one class's table — append, delete
+    (a tombstone in place), pin (a reader's view of the table at the
+    current version) — while readers render the table or any view, at
+    any time."""
 
     def __init__(self):
         super().__init__()
         self.next_value = 1
+        self.version = 0
         self.live = InternTable(("base", "X"),
                                 [self._oid() for _ in range(3)])
-        self.tables = [self.live]
-        #: [table, members when lent, column first seen, its content]
-        self.lent = []
+        #: (view, its members, its dead ids) per pin
+        self.pins = []
 
     def _oid(self) -> OID:
         value = self.next_value
@@ -508,10 +508,8 @@ class LabelColumnOwnership(RuleBasedStateMachine):
 
     @rule()
     def append(self):
-        if self.live.lent:
-            self.live = self.live.fork()
-            self.tables.append(self.live)
-        self.live.append(self._oid())
+        self.version += 1
+        self.live.append(self._oid(), self.version)
 
     @precondition(lambda self: self.live.live_count > 0)
     @rule(data=st.data())
@@ -519,56 +517,54 @@ class LabelColumnOwnership(RuleBasedStateMachine):
         live = self.live
         victim = data.draw(st.sampled_from(sorted(live.full_id_set)))
         oids, labels = live.oids, live.labels
-        marked = live.without(live.oids[victim])
+        self.version += 1
+        live.without(live.oids[victim], self.version)
         # A tombstone, not a rebuild: the same columns, the id marked
-        # dead in place — or, when lent, in a twin sharing them.
-        assert marked.oids is oids and marked.labels is labels
-        assert victim in marked.dead
-        assert (marked is live) is not live.lent
-        if marked is not live:
-            assert victim not in live.dead
-            self.tables.append(marked)
-        self.live = marked
+        # dead in place.
+        assert live.oids is oids and live.labels is labels
+        assert victim in live.dead
 
     @rule()
-    def lend(self):
-        self.live.lent = True
-        self.lent.append([self.live, tuple(self.live.oids), None, None])
+    def pin(self):
+        view = self.live.at(self.version)
+        # Shared, never copied.
+        assert view.oids is self.live.oids and view.table is self.live
+        self.pins.append((view, tuple(self.live.oids),
+                          frozenset(self.live.dead)))
 
-    @precondition(lambda self: len(self.live) > 0 and not self.live.lent)
+    @precondition(lambda self: len(self.live) > 0)
     @rule()
     def stale_build(self):
         """What a render that raced an append on another thread leaves
         behind: a column built before the last member arrived and
-        published after it (only an unlent table is appended to)."""
+        published after it."""
         self.live.labels = [repr(o) for o in self.live.oids[:-1]]
 
     @rule(data=st.data())
     def render(self, data):
-        table = data.draw(st.sampled_from(self.tables))
-        assert table.label_column() == [repr(o) for o in table.oids]
+        table = data.draw(st.sampled_from(
+            [self.live] + [view for view, _, _ in self.pins]))
+        n = len(table)
+        column = table.label_column()
+        assert len(column) >= n
+        assert column[:n] == [repr(o) for o in table.oids[:n]]
 
     @invariant()
-    def columns_are_member_reprs(self):
+    def column_is_member_reprs(self):
         """Exact, or a stale prefix the next render replaces."""
-        for table in self.tables:
-            labels = table.labels
-            assert labels is None \
-                or labels == [repr(o) for o in table.oids[:len(labels)]]
+        labels = self.live.labels
+        assert labels is None \
+            or labels == [repr(o) for o in self.live.oids[:len(labels)]]
 
     @invariant()
-    def lent_columns_never_change(self):
-        """A lent table's members never change, nor does its column once
-        complete (a stale prefix from before the lending is replaced)."""
-        for entry in self.lent:
-            table, members, seen, content = entry
-            assert tuple(table.oids) == members
-            if seen is None:
-                labels = table.labels
-                if labels is not None and len(labels) == len(members):
-                    entry[2], entry[3] = labels, list(labels)
-            else:
-                assert table.labels is seen and seen == content
+    def pinned_views_never_change(self):
+        """A view's members and tombstones never change, whatever the
+        table does after the pin."""
+        for view, members, dead in self.pins:
+            assert len(view) == len(members)
+            assert tuple(view.oids[:len(view)]) == members
+            assert view.dead == dead
+            assert view.full_id_set == frozenset(range(len(members))) - dead
 
 
 LabelColumnOwnership.TestCase.settings = settings(

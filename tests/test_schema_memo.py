@@ -153,14 +153,29 @@ class TestMemoMatchesColdSchema:
 
     def test_extent_follows_a_plain_subclass_edit(self, paper):
         """A plain schema edit moves no extent stamp: the database's
-        extent memo must still see the new subclass's members."""
+        extent memo must still see the new subclass's members, and so
+        must every warm reader — its intern tables, its filtered-extent
+        memo and its result cache's footprints."""
         data, schema, warm, check = paper
         db = data.db
+        texts = ["context Teacher", "context Teacher[name != 'zz']"]
+        readers = {
+            "compact": QueryProcessor(Universe(db)),
+            "set-based": QueryProcessor(Universe(db), compact=False),
+            "cached": QueryProcessor(Universe(db), cache_bytes=1 << 20),
+        }
+        for reader in readers.values():
+            for text in texts:
+                assert len(reader.execute(text).subdatabase) == 8
         assert len(db.extent("Teacher")) == db.extent_size("Teacher") == 8
         schema.add_subclass("Teacher", "RA")
         assert len(db.extent("Teacher")) == db.extent_size("Teacher") == 9
         cold_reader = QueryProcessor(Universe(db))
         assert len(cold_reader.execute("context Teacher").subdatabase) == 9
+        for name, reader in readers.items():
+            for text in texts:
+                assert len(reader.execute(text).subdatabase) == 9, \
+                    (name, text)
 
 
 class TestDeclarationsMatchColdSchema:

@@ -273,6 +273,20 @@ class TestEndpoints:
         assert {"adopted", "forked", "built_shared", "built_private",
                 "tables_built", "indexes_built"} <= set(stats["compact"])
 
+    def test_cache_bytes_reaches_the_sessions(self, tmp_path):
+        """``cache_bytes`` serves reads: every read runs on a session's
+        snapshot processor, which takes the live processor's cache
+        budget, so one connection's repeated read is a cache hit."""
+        config = ServiceConfig(data_dir=str(tmp_path), cache_bytes=1 << 20)
+        text = "context Teacher * Section * Course"
+        with QueryService(_paper_engine(), config) as service:
+            with ServiceClient(*service.address, timeout=30) as c:
+                first = c.query(text, name="q", include=["metrics"])
+                second = c.query(text, name="q", include=["metrics"])
+        assert first["metrics"]["cache_hits"] == 0
+        assert second["metrics"]["cache_hits"] == 1
+        assert second["rendered"] == first["rendered"]
+
     def test_unknown_op(self, client):
         with pytest.raises(ServiceError) as exc:
             client.request("frobnicate")

@@ -13,11 +13,19 @@ below, in ``describe()``, the rendered text, the ``include: ["subdb"]``
 document and the decoded labels.  Every link's running pair count must
 equal a scan of its pairs, live and on each pin as the pin saw them.
 
+A pin shares the live store's intern tables and reads them at its
+version, so the machine also pins and then writes into every class
+before the pin reads anything.
+
+The example count is tunable: ``TOMBSTONE_EXAMPLES`` in the environment
+(default 25; the nightly CI job raises it).
+
 The unit tests after it pin each place a dead id could leak out of the
 compact layer, one test per place.
 """
 
 import json
+import os
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -36,6 +44,8 @@ from repro.model.schema import Schema
 from repro.rules.control import EvaluationMode
 from repro.storage.serialize import subdatabase_to_dict
 from repro.subdb.refs import ClassRef
+
+EXAMPLES = int(os.environ.get("TOMBSTONE_EXAMPLES", "25"))
 
 QUERIES = [
     "context Member",
@@ -255,6 +265,23 @@ class TombstoneMachine(RuleBasedStateMachine):
         self.pins.append((self.engine.snapshot_session(), oracle(self.db),
                           self._scanned_counts()))
 
+    @rule(i=st.integers(0, 30))
+    def pin_and_write(self, i):
+        """Pin, then insert into and delete from Member, Team and Skill
+        before the pin reads anything: every table the pin shares moves
+        between its adoption and the pin's first read."""
+        pinned = (self.engine.snapshot_session(), oracle(self.db),
+                  self._scanned_counts())
+        db = self.db
+        db.insert("Member", self._label("m"), level=i % 5, tag="ab"[i % 2])
+        db.insert("Team", self._label("t"), name=self._label("T"))
+        db.insert("Skill", self._label("s"), name=self._label("S"))
+        for cls in ("Member", "Team", "Skill"):
+            victim = self._pick(cls, i)
+            if victim is not None:
+                db.delete(victim)
+        self.pins.append(pinned)
+
     @precondition(lambda self: self.pins)
     @rule(i=st.integers(0, 10))
     def close_pin(self, i):
@@ -309,7 +336,7 @@ class TombstoneMachine(RuleBasedStateMachine):
 
 
 TombstoneMachine.TestCase.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None)
+    max_examples=EXAMPLES, stateful_step_count=30, deadline=None)
 
 TestTombstoneMachine = TombstoneMachine.TestCase
 
@@ -461,21 +488,69 @@ class TestTombstones:
             assert dump(result) == expected[text]
         assert f.engine.universe.compact.tables_built == built
 
-    def test_lent_table_forks_only_its_tombstones(self):
+    def test_pin_reads_the_shared_table_at_its_version(self):
+        """The live universe reads the table itself; a pin shares it
+        and reads a view over the same columns — nothing copied, no
+        tombstone filter — while the live store deletes and inserts in
+        place.  A pin whose first read comes after those writes, and
+        one that read before them, both see the id space, tombstones
+        and answers of their version; a later pin those of its own."""
         f = Fixture()
-        pin = f.engine.snapshot_session()
-        pinned = pin.universe.intern_table(ClassRef("Member"))
-        expected = [dump(pin.execute(text, name="q")) for text in QUERIES]
-        f.db.delete(f.members[1])
+        ref = ClassRef("Member")
         live = f.table()
-        assert live is not pinned and not pinned.dead
-        assert live.oids is pinned.oids and live.index is pinned.index
-        assert [dump(pin.execute(text, name="q"))
-                for text in QUERIES] == expected
-        f.db.insert("Member", "late", level=1)   # copies the columns now
-        assert live.oids is not pinned.oids and len(pinned) == 6
-        pin.universe.close()
+        assert live is f.engine.universe.compact.interner.get(
+            ("base", "Member"))
+        reference = QueryProcessor(Universe(f.db), compact=False)
+        expected = [dump(reference.execute(text, name="q"))
+                    for text in QUERIES]
+        pin = f.engine.snapshot_session()
+        early = f.engine.snapshot_session()
+        seen = early.universe.intern_table(ref)
+        assert early.universe.compact.interner.get(("base", "Member")) \
+            is live
+        assert seen.table is live and seen.oids is live.oids \
+            and seen.values is live.values and seen.index is live.index
+        assert len(seen) == len(live) == 6 and not seen.dead
+        victim = live.encode(f.members[1])
+        f.db.delete(f.members[1])
+        f.db.insert("Member", "late", level=1)
+        assert f.table() is live
+        assert live.dead == {victim} and len(live) == 7
+        pinned = pin.universe.intern_table(ref)
+        assert pinned.table is live and pinned.oids is live.oids
+        for view, session in ((pinned, pin), (seen, early)):
+            assert len(view) == 6 and not view.dead
+            assert session.universe.intern_table(ref) is view
+            assert [dump(session.execute(text, name="q"))
+                    for text in QUERIES] == expected
+        later = f.engine.snapshot_session()
+        now = later.universe.intern_table(ref)
+        assert now.table is live and len(now) == 7 and now.dead == {victim}
+        for session in (later, early, pin):
+            session.universe.close()
         f.check(*QUERIES)
+
+    def test_pin_builds_a_value_index_with_its_own_tombstones(self):
+        """A pin that shares a table the live store has tombstoned in
+        since, and builds a value index over it privately: the build
+        reads the pin's tombstones, not the live ones."""
+        f = Fixture()
+        engine = live_engine(f.db)
+        engine.query("context Member")     # the table, and no index
+        pin = engine.snapshot_session()
+        texts = ["context Member[tag != 'absent']",
+                 "context Member[level != 0]", "context Member[tag = 'b']"]
+        reference = QueryProcessor(Universe(f.db), compact=False)
+        expected = [dump(reference.execute(text, name="q"))
+                    for text in texts]
+        f.db.delete(f.members[1])
+        assert [dump(pin.execute(text, name="q"))
+                for text in texts] == expected
+        store = pin.universe.compact
+        assert store.attrs.built == 2 and store.tables_built == 0
+        index = pin.universe.attr_index(ClassRef("Member"), "tag")
+        assert index.table is pin.universe.intern_table(ClassRef("Member"))
+        pin.universe.close()
 
     def test_compaction_once_dead_ids_reach_live_count(self):
         f = Fixture()
