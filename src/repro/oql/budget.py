@@ -134,10 +134,13 @@ class QueryBudget:
 
     # -- lifecycle ------------------------------------------------------
 
-    def start(self) -> "QueryBudget":
-        """(Re)start the clock and zero the row counter."""
+    def start(self, at: Optional[float] = None) -> "QueryBudget":
+        """(Re)start the clock and zero the row counter.  ``at`` (a
+        ``time.perf_counter()`` reading) backdates the clock, so a
+        re-run of interrupted work keeps the deadline it started
+        under."""
         with self._lock:
-            self._started_at = time.perf_counter()
+            self._started_at = time.perf_counter() if at is None else at
             self._rows = 0
             self.checks = 0
         return self
@@ -185,6 +188,12 @@ class QueryBudget:
                 self._rows += n
             if self.max_rows is not None and self._rows > self.max_rows:
                 raise self._trip("max_rows", self.max_rows)
+
+    def check_output(self, rows: int) -> None:
+        """Called before a result of ``rows`` rows is tabulated or
+        rendered, work no limit above bounds.  A plain budget lets any
+        size through; a subclass may refuse (the query service's
+        event-loop attempt hands a large result to its executor)."""
 
     def check_level(self, level: int) -> None:
         """Raise when a loop is about to expand past ``max_loop_levels``

@@ -133,7 +133,10 @@ def _step_bang(cols, spec, budget):
     """The non-association operator: per distinct endpoint, the sorted
     complement of its neighbor set within the (filtered) target extent
     — computed once per endpoint as one run of a complement CSR, which
-    every row ending there gathers like a ``*`` hop."""
+    every row ending there gathers like a ``*`` hop.  A budgeted hop
+    checks the clock each time another ``budget.CHECK_EVERY``
+    complement entries are built (they are work, not output rows, so
+    they are not charged)."""
     off = spec.offsets
     nbr = np.frombuffer(spec.neighbors, dtype=np.int64)
     ends = cols[-1] if spec.forward else cols[0]
@@ -142,10 +145,16 @@ def _step_bang(cols, spec, budget):
               else np.arange(spec.tgt_size, dtype=np.int64))
     endpoints, local = np.unique(ends, return_inverse=True)
     runs = []
+    built = 0
     for e in endpoints.tolist():
         linked = nbr[off[e]:off[e + 1]]
         runs.append(domain[~np.isin(domain, linked, assume_unique=True)]
                     if len(linked) else domain)
+        if budget is not None:
+            built += len(runs[-1])
+            if built >= budget.CHECK_EVERY:
+                built = 0
+                budget.check_time()
     sizes = np.fromiter(map(len, runs), dtype=np.int64, count=len(runs))
     offsets = np.zeros(len(runs) + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])

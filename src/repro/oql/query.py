@@ -89,6 +89,8 @@ class QueryProcessor:
         subdb = self.evaluator.evaluate(query.context, query.where,
                                         name or self._next_name(),
                                         budget=budget)
+        if budget is not None:
+            budget.check_output(len(subdb))
         result = QueryResult(query=query, subdatabase=subdb,
                              metrics=self.evaluator.last_metrics)
         needs_table = query.select is not None or \

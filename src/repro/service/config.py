@@ -41,7 +41,7 @@ class ServiceConfig:
     #: limit is clamped to the cap, and a request carrying *no* budget
     #: gets the caps as its budget (``None`` caps leave that axis
     #: unbounded).  This is the tenant-isolation half of admission
-    #: control — no single query can hold an executor slot forever.
+    #: control — no single query can hold an admission slot forever.
     max_deadline_ms: Optional[float] = 30_000.0
     max_rows: Optional[int] = 5_000_000
     max_loop_levels: Optional[int] = 64

@@ -8,9 +8,17 @@ over a socket.  The concurrency model:
   execute at once, and a request arriving beyond that is answered with
   a structured ``BUSY`` error immediately — load is shed, never queued
   unboundedly, so latency stays bounded under overload.
-* Admitted requests run on a **thread-pool executor** (evaluation is
-  synchronous Python).  Each connection's requests execute in order;
-  different connections execute concurrently.
+* An admitted **read** (``query``, ``derive``, ``parse``, ``ping``,
+  ``stats``) first runs on the event loop itself, under a *slice* of
+  ``sys.getswitchinterval()`` — the interpreter's own preemption
+  interval, as long as the loop waits anyway whenever a compute
+  thread holds the interpreter lock.  A read that outgrows the slice
+  (its clock passes it, or its result has more than
+  ``QueryBudget.CHECK_EVERY`` rows to render) is *spilled*: handed,
+  still admitted, to a **thread-pool executor**, where it runs again
+  with the clock it was admitted under.  Every other op runs on the
+  executor outright.  Each connection's requests execute in order;
+  different connections' executor work runs concurrently.
 * **Reads** (parse/query/derive/stats) evaluate against the
   connection's pinned :class:`~repro.service.session.ServerSession`
   snapshot.  **Writes** (rule add/remove, data updates, restore) are
@@ -33,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -86,6 +95,52 @@ class _OpError(Exception):
         self.detail = detail
 
 
+#: The ops an admitted request first runs on the event loop; every
+#: other op goes straight to the executor.
+_INLINE_OPS = frozenset({"query", "derive", "parse", "ping", "stats"})
+
+
+class _Spill(Exception):
+    """Internal: a read's attempt on the event loop outgrew its slice;
+    the request is run again on the executor."""
+
+
+class _Attempt:
+    """One run of an admitted request.  ``started`` is the
+    ``time.perf_counter()`` reading at admission: the request's clock,
+    which a spilled re-run keeps.  ``slice_ms`` is set only for the
+    attempt on the event loop."""
+
+    __slots__ = ("started", "slice_ms")
+
+    def __init__(self, started: float, slice_ms: Optional[float] = None):
+        self.started = started
+        self.slice_ms = slice_ms
+
+
+class _SlicedBudget(QueryBudget):
+    """A read's budget on the event loop: the client's limits, with
+    the deadline capped at the slice.  Outgrowing the slice — by time,
+    or by a result too large to render within it — raises
+    :class:`_Spill` instead of a verdict; the client's own limits trip
+    as usual."""
+
+    def __init__(self, limits: QueryBudget, slice_ms: float):
+        super().__init__(limits.deadline_ms, limits.max_rows,
+                         limits.max_loop_levels)
+        self.slice_ms = slice_ms
+
+    def check_time(self) -> None:
+        if (self.deadline_ms is None or self.slice_ms < self.deadline_ms) \
+                and self.elapsed_ms > self.slice_ms:
+            raise _Spill()
+        super().check_time()
+
+    def check_output(self, rows: int) -> None:
+        if rows > self.CHECK_EVERY:
+            raise _Spill()
+
+
 class QueryService:
     """Serve a rule engine over JSON-lines (and minimal HTTP)."""
 
@@ -135,6 +190,8 @@ class QueryService:
             "connections_total": 0,
             "requests_total": 0,
             "admitted_total": 0,
+            "inline_total": 0,
+            "spilled_total": 0,
             "shed_total": 0,
             "errors_total": 0,
             "frames_bad": 0,
@@ -359,7 +416,9 @@ class QueryService:
                                  request_id: Any, op: str,
                                  params: Dict[str, Any]
                                  ) -> Dict[str, Any]:
-        """Admission control, then dispatch to the executor."""
+        """Admission control, then dispatch: a read runs on the loop
+        first and spills to the executor when it outgrows its slice;
+        any other op goes to the executor."""
         self._op_counts[op] = self._op_counts.get(op, 0) + 1
         if self._stop_event is not None and self._stop_event.is_set():
             return error_body(request_id, "SHUTTING_DOWN",
@@ -373,11 +432,22 @@ class QueryService:
                 retry_after_ms=self.config.busy_retry_after_ms)
         self._inflight += 1
         self.counters["admitted_total"] += 1
-        loop = asyncio.get_running_loop()
+        session.requests += 1
+        started = time.perf_counter()
         try:
-            body = await loop.run_in_executor(
-                self._executor, self._execute, session, request_id, op,
-                params)
+            body = None
+            if op in _INLINE_OPS:
+                try:
+                    body = self._execute(
+                        session, request_id, op, params,
+                        _Attempt(started, sys.getswitchinterval() * 1e3))
+                    self.counters["inline_total"] += 1
+                except _Spill:
+                    self.counters["spilled_total"] += 1
+            if body is None:
+                body = await asyncio.get_running_loop().run_in_executor(
+                    self._executor, self._execute, session, request_id,
+                    op, params, _Attempt(started))
         finally:
             self._inflight -= 1
         if not body.get("ok"):
@@ -385,13 +455,12 @@ class QueryService:
         return body
 
     # ------------------------------------------------------------------
-    # Request execution (worker-thread side)
+    # Request execution (event loop or executor thread)
     # ------------------------------------------------------------------
 
     def _execute(self, session: ServerSession, request_id: Any, op: str,
-                 params: Dict[str, Any]) -> Dict[str, Any]:
-        session.requests += 1
-        started = time.perf_counter()
+                 params: Dict[str, Any],
+                 attempt: _Attempt) -> Dict[str, Any]:
         tracer = obs.TRACER
         span = tracer.start("service-request", op=op,
                             session=session.session_id,
@@ -405,10 +474,12 @@ class QueryService:
                     "BAD_REQUEST",
                     f"unknown op {op!r} (known: "
                     f"{', '.join(sorted(self._ops))})")
-            result = handler(session, params)
-            elapsed = (time.perf_counter() - started) * 1000.0
+            result = handler(session, params, attempt)
+            elapsed = (time.perf_counter() - attempt.started) * 1000.0
             return ok_body(request_id, result, ms=elapsed,
                            trace_id=trace_id)
+        except _Spill:
+            raise
         except BaseException as exc:
             return self._error_response(request_id, exc, trace_id)
         finally:
@@ -446,27 +517,37 @@ class QueryService:
         return error_body(request_id, "INTERNAL",
                           f"{type(exc).__name__}: {exc}", **detail)
 
-    def _budget(self, params: Dict[str, Any]) -> QueryBudget:
+    def _budget(self, params: Dict[str, Any],
+                attempt: Optional[_Attempt] = None) -> QueryBudget:
         """The request's admission budget: client limits clamped to the
-        server ceilings (requests without a budget get the ceilings)."""
+        server ceilings (requests without a budget get the ceilings).
+        For an ``attempt`` the clock runs from admission, and on the
+        event loop the budget is sliced."""
         limits = params.get("budget")
         if limits is not None and not isinstance(limits, dict):
             raise ProtocolError("BAD_REQUEST",
                                 "'budget' must be an object of limits")
         try:
-            return QueryBudget.from_limits(limits,
-                                           self.config.budget_caps())
+            budget = QueryBudget.from_limits(limits,
+                                             self.config.budget_caps())
         except ValueError as exc:
             raise ProtocolError("BAD_REQUEST", str(exc)) from None
+        if attempt is None:
+            return budget
+        if attempt.slice_ms is not None:
+            budget = _SlicedBudget(budget, attempt.slice_ms)
+        return budget.start(at=attempt.started)
 
     # -- read ops -------------------------------------------------------
 
     def _op_ping(self, session: ServerSession,
-                 params: Dict[str, Any]) -> Dict[str, Any]:
+                 params: Dict[str, Any],
+                 attempt: _Attempt) -> Dict[str, Any]:
         return {"pong": True, "session": session.session_id}
 
     def _op_parse(self, session: ServerSession,
-                  params: Dict[str, Any]) -> Dict[str, Any]:
+                  params: Dict[str, Any],
+                  attempt: _Attempt) -> Dict[str, Any]:
         """Syntax/semantic check without evaluation — the cheapest way
         for a client to validate input before spending budget."""
         text = require_str(params, "text")
@@ -489,13 +570,14 @@ class QueryService:
                 "canonical": str(query)}
 
     def _op_query(self, session: ServerSession,
-                  params: Dict[str, Any]) -> Dict[str, Any]:
+                  params: Dict[str, Any],
+                  attempt: _Attempt) -> Dict[str, Any]:
         text = require_str(params, "text")
         include = params.get("include") or []
         if not isinstance(include, list):
             raise ProtocolError("BAD_REQUEST",
                                 "'include' must be a list")
-        budget = self._budget(params)
+        budget = self._budget(params, attempt)
         result = session.execute(text, name=params.get("name"),
                                  budget=budget)
         subdb = result.subdatabase
@@ -519,23 +601,27 @@ class QueryService:
         return out
 
     def _op_derive(self, session: ServerSession,
-                   params: Dict[str, Any]) -> Dict[str, Any]:
+                   params: Dict[str, Any],
+                   attempt: _Attempt) -> Dict[str, Any]:
         target = require_str(params, "target")
-        budget = self._budget(params)
+        budget = self._budget(params, attempt)
         subdb = session.derive(target, budget=budget)
         out = {"target": target, "patterns": len(subdb),
                "classes": list(subdb.slot_names),
                "pinned_version": session.pinned_version()}
         if "subdb" in (params.get("include") or []):
+            budget.check_output(len(subdb))
             out["subdatabase"] = subdatabase_to_dict(subdb)
         return out
 
     def _op_refresh(self, session: ServerSession,
-                    params: Dict[str, Any]) -> Dict[str, Any]:
+                    params: Dict[str, Any],
+                    attempt: _Attempt) -> Dict[str, Any]:
         return {"pinned_version": session.refresh()}
 
     def _op_stats(self, session: ServerSession,
-                  params: Dict[str, Any]) -> Dict[str, Any]:
+                  params: Dict[str, Any],
+                  attempt: _Attempt) -> Dict[str, Any]:
         engine = self.engine
         cache = engine.processor.evaluator.result_cache
         out: Dict[str, Any] = {
@@ -566,7 +652,8 @@ class QueryService:
     # -- write ops ------------------------------------------------------
 
     def _op_rule_add(self, session: ServerSession,
-                     params: Dict[str, Any]) -> Dict[str, Any]:
+                     params: Dict[str, Any],
+                     attempt: _Attempt) -> Dict[str, Any]:
         text = require_str(params, "text")
         mode = self._parse_mode(params.get("mode"))
         with self._write_lock:
@@ -577,7 +664,8 @@ class QueryService:
                 "rules": len(self.engine.rules)}
 
     def _op_rule_remove(self, session: ServerSession,
-                        params: Dict[str, Any]) -> Dict[str, Any]:
+                        params: Dict[str, Any],
+                        attempt: _Attempt) -> Dict[str, Any]:
         label = require_str(params, "label")
         with self._write_lock:
             rule = self.engine.remove_rule(label)
@@ -603,7 +691,8 @@ class QueryService:
                 f"{', '.join(m.value for m in enum_cls)})") from None
 
     def _op_update(self, session: ServerSession,
-                   params: Dict[str, Any]) -> Dict[str, Any]:
+                   params: Dict[str, Any],
+                   attempt: _Attempt) -> Dict[str, Any]:
         """Apply data mutations.  ``updates`` is a list of records in
         the WAL wire shape (``storage/backends/events.py``), except
         inserts carry no OID — the server allocates and returns them.
@@ -660,7 +749,8 @@ class QueryService:
             f"associate, dissociate, set_attribute)")
 
     def _op_session_save(self, session: ServerSession,
-                         params: Dict[str, Any]) -> Dict[str, Any]:
+                         params: Dict[str, Any],
+                         attempt: _Attempt) -> Dict[str, Any]:
         name = require_str(params, "path")
         try:
             path = self.config.resolve_data_path(name)
@@ -672,7 +762,8 @@ class QueryService:
         return {"path": str(saved)}
 
     def _op_session_restore(self, session: ServerSession,
-                            params: Dict[str, Any]) -> Dict[str, Any]:
+                            params: Dict[str, Any],
+                            attempt: _Attempt) -> Dict[str, Any]:
         name = require_str(params, "path")
         if self.backend is not None:
             raise _OpError(
@@ -699,7 +790,8 @@ class QueryService:
     # -- live queries ---------------------------------------------------
 
     def _op_subscribe(self, session: ServerSession,
-                      params: Dict[str, Any]) -> Dict[str, Any]:
+                      params: Dict[str, Any],
+                      attempt: _Attempt) -> Dict[str, Any]:
         """Register a live query on this connection.  The response is
         the snapshot-consistent initial result (``seq 0``); deltas then
         arrive as unsolicited ``"sub"`` frames.  The per-event budget is
@@ -736,7 +828,8 @@ class QueryService:
                 "max_pending": sub.max_pending}
 
     def _op_unsubscribe(self, session: ServerSession,
-                        params: Dict[str, Any]) -> Dict[str, Any]:
+                        params: Dict[str, Any],
+                        attempt: _Attempt) -> Dict[str, Any]:
         sub_id = params.get("subscription")
         if not isinstance(sub_id, int):
             raise ProtocolError(

@@ -37,9 +37,11 @@ class ServerSession:
 
     Not thread-safe by design: the server dispatches one request of a
     connection at a time (requests pipeline on the wire but execute in
-    order), so a session is only ever used by one executor thread at
-    once.  ``close`` may race a late request, hence the small lock
-    around snapshot lifecycle.
+    order), so a session is used by one thread at a time — the event
+    loop for a read's first attempt, an executor thread for a write or
+    a read that outgrew that attempt — and never by two at once.
+    ``close`` may race a late request, hence the small lock around
+    snapshot lifecycle.
     """
 
     def __init__(self, session_id: int, engine) -> None:
@@ -112,12 +114,15 @@ class ServerSession:
         also installed ambiently on the session evaluator so
         backward-chained derivations (which flow through the snapshot's
         provider, not through an argument) charge the same budget as
-        the query itself.
+        the query itself.  A budget whose clock is already running
+        keeps it: the server starts it when it admits the request, so
+        a read re-run on the executor keeps the deadline it was
+        admitted under.
         """
         processor = self.processor()
         evaluator = processor.evaluator
         if budget is not None:
-            budget.start()
+            budget.ensure_started()
             evaluator.budget = budget
         try:
             return processor.execute(text, name=name, budget=budget)
@@ -132,7 +137,7 @@ class ServerSession:
         processor = self.processor()
         evaluator = processor.evaluator
         if budget is not None:
-            budget.start()
+            budget.ensure_started()
             evaluator.budget = budget
         try:
             return processor.universe.get_subdb(target)

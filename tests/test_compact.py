@@ -308,6 +308,15 @@ class CountingBudget(QueryBudget):
         super().check_time()
 
 
+class TickingBudget(CountingBudget):
+    """A budget whose clock reads one millisecond per clock check, so a
+    deadline trips at a chosen check — counted, not timed."""
+
+    @property
+    def elapsed_ms(self):
+        return float(self.clock_checks)
+
+
 class TestHopSlicing:
     """A budgeted hop charges rows and checks the clock once per
     ``CHECK_EVERY`` output rows, on a chain, a loop level and a ``!``
@@ -344,6 +353,34 @@ class TestHopSlicing:
         assert len(self._run(n, text, budget)) == result
         assert budget.rows_charged == charged
         assert budget.clock_checks >= charged // budget.CHECK_EVERY
+
+    def test_deadline_trips_while_complements_are_built(self):
+        """A ``!`` hop checks the clock as it builds its endpoints'
+        complement runs — work that is not charged as rows — so a
+        deadline trips before the last run is built, with nothing
+        gathered yet.  Each of the 40 endpoints of a prereq chain has a
+        complement of 38 or 39 courses, so the 64-entry check falls
+        after the second endpoint."""
+        n = 40
+        offsets = array("q", [0])
+        neighbors = array("q")
+        for i in range(n):              # course i links to course i - 1
+            if i:
+                neighbors.append(i - 1)
+            offsets.append(len(neighbors))
+        spec = kernels.StepSpec("!", True, offsets, neighbors, n)
+        cols = [kernels.anchor_column(range(n))]
+        # Check 1 is the hop's entry check; check 2 trips.
+        budget = TickingBudget(deadline_ms=1.0).start()
+        with pytest.raises(BudgetExceeded) as exc:
+            kernels.execute_step(cols, spec, budget)
+        assert exc.value.verdict == "deadline"
+        assert exc.value.rows == 0 and budget.clock_checks == 2
+        tb = exc.value.__traceback__
+        while tb.tb_frame.f_code.co_name != "_step_bang":
+            tb = tb.tb_next
+        built = tb.tb_frame.f_locals
+        assert len(built["runs"]) < len(built["endpoints"])
 
     def test_sliced_hop_matches_one_gather(self):
         """Slices cut CSR runs — or ``!`` complement runs — at arbitrary

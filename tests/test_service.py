@@ -7,8 +7,10 @@ and a seeded concurrent soak asserting served responses are
 byte-identical to serial in-process evaluation.
 """
 
+import contextlib
 import json
 import socket
+import sys
 import threading
 import time
 import random
@@ -540,6 +542,121 @@ class TestAdmissionControl:
         for t in threads:
             t.join()
         assert errors == []
+
+
+# ---------------------------------------------------------------------------
+# Inline dispatch: reads run on the event loop, spill to the executor
+# ---------------------------------------------------------------------------
+
+LOOP_THREAD = "repro-service-loop"
+
+
+@contextlib.contextmanager
+def _switch_interval(seconds: float):
+    """Set the interpreter's switch interval, which is the slice an
+    inline read may take, for the duration of the block."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(seconds)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def _record_runs(service):
+    """Record every run of a request: ``(op, thread name, ms)``, in
+    order — an inline attempt that spills is followed by its re-run."""
+    runs = []
+    execute = service._execute
+
+    def recording(session, request_id, op, params, attempt):
+        started = time.perf_counter()
+        try:
+            return execute(session, request_id, op, params, attempt)
+        finally:
+            runs.append((op, threading.current_thread().name,
+                         (time.perf_counter() - started) * 1e3))
+
+    service._execute = recording
+    return runs
+
+
+class TestInlineDispatch:
+    def test_reads_run_on_the_loop_and_writes_never(self, paper_service,
+                                                    client):
+        runs = _record_runs(paper_service)
+        # A long slice, so a slow machine cannot spill the reads.
+        with _switch_interval(1.0):
+            client.query("context Department[name = 'CIS']")
+            client.update({"kind": "insert", "cls": "Teacher",
+                           "attrs": {"name": "Turing",
+                                     "SS#": "999-00-1111"}})
+            client.ping()
+        assert [(op, thread == LOOP_THREAD) for op, thread, _ in runs] \
+            == [("query", True), ("update", False), ("ping", True)]
+        counters = client.stats()["server"]
+        assert counters["spilled_total"] == 0
+        # query and ping (stats reads the counters before it counts).
+        assert counters["inline_total"] == 2
+        assert counters["requests_total"] == \
+            counters["admitted_total"] + counters["shed_total"]
+
+    def test_slow_read_spills_and_keeps_its_clock(self):
+        """The hog outgrows its slice on the loop and is re-run on the
+        executor, where it trips the client's deadline — counted from
+        admission, so the inline attempt's time is spent, not
+        refunded."""
+        with _adversarial_service() as service:
+            runs = _record_runs(service)
+            with ServiceClient(*service.address) as c:
+                with _switch_interval(0.1):
+                    with pytest.raises(ServiceError) as exc:
+                        c.query(ADVERSARIAL_QUERY,
+                                budget={"deadline_ms": 200})
+                counters = c.stats()["server"]
+        assert exc.value.code == "BUDGET_EXCEEDED"
+        assert exc.value.detail["verdict"] == "deadline"
+        (_, first, inline_ms), (_, second, executor_ms) = \
+            [run for run in runs if run[0] == "query"]
+        assert first == LOOP_THREAD and second != LOOP_THREAD
+        assert inline_ms >= 100
+        # The reported clock covers both runs (less the few µs after the
+        # trip), not the re-run alone.
+        assert exc.value.detail["elapsed_ms"] + 5 >= inline_ms + executor_ms
+        assert counters["spilled_total"] == 1
+
+    def test_large_result_rendered_on_the_executor(self):
+        """A result of more than CHECK_EVERY rows is not rendered on the
+        loop, and the executor's answer is byte-identical to a serial
+        one."""
+        text = "context Course * Course_1"      # 70 * 69 rows
+        engine = RuleEngine(_complete_prereq(70))
+        serial = engine.query(text, name="q").render()
+        with QueryService(engine, ServiceConfig()) as service:
+            runs = _record_runs(service)
+            with ServiceClient(*service.address) as c:
+                with _switch_interval(1.0):   # only the row count spills
+                    reply = c.query(text, name="q")
+                counters = c.stats()["server"]
+        assert reply["patterns"] == 70 * 69 > QueryBudget.CHECK_EVERY
+        assert reply["rendered"] == serial
+        assert [(op, thread == LOOP_THREAD) for op, thread, _ in runs
+                if op == "query"] == [("query", True), ("query", False)]
+        assert counters["spilled_total"] == 1
+
+    def test_pipelined_inline_spilled_inline_answered_in_order(self):
+        with _adversarial_service() as service:
+            payload = (_frame(id="a", op="ping")
+                       + _frame(id="b", op="query", text=ADVERSARIAL_QUERY,
+                                budget={"deadline_ms": 100})
+                       + _frame(id="c", op="ping"))
+            responses = _raw_roundtrip(service, payload)
+            counters = service.counters
+        assert [r["id"] for r in responses] == ["a", "b", "c"]
+        assert [r["ok"] for r in responses] == [True, False, True]
+        assert responses[1]["error"]["code"] == "BUDGET_EXCEEDED"
+        assert counters["inline_total"] == 2
+        assert counters["spilled_total"] == 1
 
 
 # ---------------------------------------------------------------------------
